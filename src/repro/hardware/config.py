@@ -11,6 +11,7 @@ for FPGAs — resource usage.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Tuple
 
 __all__ = ["ImplConfig"]
 
@@ -58,6 +59,23 @@ class ImplConfig:
     def parallel_lanes(self) -> int:
         """Spatial parallelism on FPGAs: unrolled lanes times CUs."""
         return self.unroll * self.compute_units
+
+    def astuple(self) -> Tuple:
+        """The fields in declaration order, equal to
+        ``dataclasses.astuple(self)`` without its recursive deep copy
+        (the DSE sorts on this tuple in its hot loops)."""
+        return (
+            self.work_group_size,
+            self.unroll,
+            self.compute_units,
+            self.bram_ports,
+            self.use_scratchpad,
+            self.memory_coalescing,
+            self.pipelined,
+            self.double_buffer,
+            self.fused,
+            self.freq_scale,
+        )
 
     def scaled(self, freq_scale: float) -> "ImplConfig":
         """Same implementation at a different DVFS operating point."""

@@ -154,6 +154,11 @@ class GPUModel:
         """
         if batch < 1:
             raise ValueError("batch must be >= 1")
+        return self._estimate(kernel, config, batch, apply_bias=True)
+
+    def _estimate(
+        self, kernel: Kernel, config: ImplConfig, batch: int, apply_bias: bool
+    ) -> GPUPerformanceEstimate:
         freq = config.freq_scale
         gflops = self.spec.peak_gflops * freq
         wl = kernel.workload_summary()
@@ -185,12 +190,14 @@ class GPUModel:
         # so only the floor is scaled and batching amortization is
         # preserved.  Throughput-style kernels: the residual is
         # per-element code quality, so the whole latency scales.
-        bias = kernel.latency_bias(self.spec.device_type)
+        bias = kernel.latency_bias(self.spec.device_type) if apply_bias else 1.0
         if bias != 1.0:
             if steps > 8:
-                floor = latency_ms if batch == 1 else self._raw_latency_ms(
-                    kernel, config, 1
-                )
+                # Unbiased batch-1 latency; never rebind the shared
+                # kernel's bias to get it (concurrent callers read it).
+                floor = latency_ms if batch == 1 else self._estimate(
+                    kernel, config, 1, apply_bias=False
+                ).latency_ms
                 latency_ms += (bias - 1.0) * floor
             else:
                 latency_ms *= bias
@@ -203,15 +210,6 @@ class GPUModel:
             memory_time_ms=memory_ms,
             occupancy=occ,
         )
-
-    def _raw_latency_ms(self, kernel: Kernel, config: ImplConfig, batch: int) -> float:
-        """Latency before the calibration bias (used as the bias floor)."""
-        saved = kernel.platform_bias
-        kernel.platform_bias = {}
-        try:
-            return self.estimate(kernel, config, batch).latency_ms
-        finally:
-            kernel.platform_bias = saved
 
     # -- vectorized batch evaluation -----------------------------------------
 

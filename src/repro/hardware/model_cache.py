@@ -18,7 +18,6 @@ and ship their new entries back for the parent to :meth:`merge
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -58,33 +57,11 @@ class CachedEstimate:
 def kernel_signature(kernel: Kernel) -> str:
     """Stable digest of everything the analytical models read.
 
-    Covers the per-pattern workload descriptors, the kernel-level
-    aggregates (ops, I/O, intermediate and resident traffic,
-    parallelism) and the calibration bias table — the full input
-    surface of :class:`GPUModel`/:class:`FPGAModel`.  Two kernels with
-    equal signatures are indistinguishable to the models.
+    See :meth:`~repro.patterns.ppg.Kernel.model_signature`, which owns
+    the digest and its memo.  Two kernels with equal signatures are
+    indistinguishable to :class:`GPUModel`/:class:`FPGAModel`.
     """
-    parts = [kernel.name]
-    for pattern in kernel.patterns:
-        wl = pattern.workload
-        parts.append(
-            f"{pattern.kind.value}|{pattern.data_parallelism}|"
-            f"{wl.elements}|{wl.ops_per_element!r}|{wl.bytes_in}|"
-            f"{wl.bytes_out}|{wl.op_kind}|{wl.access_regularity!r}|"
-            f"{wl.sequential_steps}"
-        )
-    parts.append(
-        f"agg|{kernel.total_ops!r}|{kernel.io_bytes}|"
-        f"{kernel.intermediate_bytes}|{kernel.resident_stationary_bytes}|"
-        f"{kernel.resident_streamed_bytes}|{kernel.max_data_parallelism}|"
-        f"{len(kernel.patterns)}"
-    )
-    bias = sorted(
-        (getattr(k, "value", str(k)), float(v))
-        for k, v in kernel.platform_bias.items()
-    )
-    parts.append(f"bias|{bias!r}")
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    return kernel.model_signature()
 
 
 class ModelEvalCache:
@@ -100,34 +77,13 @@ class ModelEvalCache:
         #: (``None`` until :meth:`bind_metrics`).
         self._metrics = None
 
-    # -- keying --------------------------------------------------------------
-
-    @staticmethod
-    def _signature_of(kernel: Kernel) -> str:
-        """Per-kernel signature, memoized on the kernel object itself.
-
-        Recomputing the digest per lookup would eat the win; the digest
-        is stashed on the kernel together with a key of its bias table —
-        the one model-relevant attribute mutated in place in practice —
-        so a rebound bias invalidates the stashed digest.
-        """
-        bias_key = tuple(
-            sorted((str(k), float(v)) for k, v in kernel.platform_bias.items())
-        )
-        cached = getattr(kernel, "_model_signature", None)
-        if cached is not None and cached[1] == bias_key:
-            return cached[0]
-        sig = kernel_signature(kernel)
-        kernel._model_signature = (sig, bias_key)  # type: ignore[attr-defined]
-        return sig
-
     # -- the memoized evaluation --------------------------------------------
 
     def evaluate(
         self, kernel: Kernel, spec, config: ImplConfig, batch: int = 1
     ) -> CachedEstimate:
         """Feasibility + latency/power of one candidate, memoized."""
-        key = (self._signature_of(kernel), spec.name, config, batch)
+        key = (kernel.model_signature(), spec.name, config, batch)
         with self._lock:
             hit = self._entries.get(key)
             if hit is not None:
@@ -167,7 +123,7 @@ class ModelEvalCache:
         occurrence's index in ``miss_index``; :meth:`evaluate_many`
         back-fills them once the misses are computed.
         """
-        sig = self._signature_of(kernel)
+        sig = kernel.model_signature()
         name = spec.name
         results: List[Optional[CachedEstimate]] = [None] * len(configs)
         miss_index: List[int] = []
@@ -205,7 +161,7 @@ class ModelEvalCache:
         store half of :meth:`evaluate`)."""
         if len(configs) != len(entries):
             raise ValueError("configs and entries must have equal length")
-        sig = self._signature_of(kernel)
+        sig = kernel.model_signature()
         name = spec.name
         with self._lock:
             for config, entry in zip(configs, entries):
@@ -249,7 +205,7 @@ class ModelEvalCache:
         if any(r is None for r in results):
             # In-batch duplicates of a miss: resolve from the now-filled
             # table.
-            sig = self._signature_of(kernel)
+            sig = kernel.model_signature()
             with self._lock:
                 for i, r in enumerate(results):
                     if r is None:

@@ -23,7 +23,6 @@ Two mechanisms keep the sweep fast at application scale:
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -146,7 +145,7 @@ def _point_order_key(point: DesignPoint) -> Tuple:
     selection a pure function of the point *set*, independent of
     enumeration or worker completion order.
     """
-    return (point.latency_ms, point.power_w) + dataclasses.astuple(point.config)
+    return (point.latency_ms, point.power_w) + point.config.astuple()
 
 
 def _subsample(points: List[DesignPoint], target: int) -> List[DesignPoint]:

@@ -29,7 +29,6 @@ today's apps (the golden A/B property the tests pin down).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -309,7 +308,7 @@ def _selection_keys(
     ranks = _pareto_ranks(lat, pw)
     score = 0.5 * _normalized(lat) + 0.5 * _normalized(pw)
     return [
-        (int(ranks[i]), float(score[i]), dataclasses.astuple(population[i][0]))
+        (int(ranks[i]), float(score[i]), population[i][0].astuple())
         for i in range(len(population))
     ]
 

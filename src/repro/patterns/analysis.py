@@ -136,9 +136,8 @@ def analyze_kernel(kernel: Kernel) -> KernelAnalysis:
     """
     analysis = KernelAnalysis(kernel)
 
-    for pattern in kernel.patterns:
+    for pattern, wl in zip(kernel.patterns, kernel.pattern_workloads):
         cdfg = kernel.cdfg(pattern)
-        wl = pattern.workload
         analysis.profiles[pattern] = PatternProfile(
             pattern=pattern,
             data_parallelism=pattern.data_parallelism,

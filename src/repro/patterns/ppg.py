@@ -8,6 +8,7 @@ optimization pass (fusion, transfer-strategy selection) operates on.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -74,6 +75,17 @@ class PPG:
         self.graph.add_edge(src, dst, edge=edge)
         return edge
 
+    def freeze(self) -> None:
+        """Make the PPG read-only (idempotent): from then on
+        :meth:`add_pattern`, :meth:`connect` and any direct ``graph``
+        mutation raise :class:`networkx.NetworkXError`.
+
+        A :class:`Kernel` freezes its PPG on construction because it
+        stores aggregates derived from the graph, which an edit would
+        leave stale; build a new PPG to change a kernel.
+        """
+        nx.freeze(self.graph)
+
     # -- queries -----------------------------------------------------------
 
     @property
@@ -132,6 +144,13 @@ class Kernel:
     This is the unit of design-space exploration (one design space per
     kernel per device, Table II) and of runtime scheduling (one node in
     the application kernel graph, Section V).
+
+    Construction freezes the PPG and derives every aggregate the
+    analytical models read exactly once: the topological pattern order,
+    the per-pattern workloads, the kernel-level workload summary and
+    the traffic/parallelism figures.  The models run per candidate
+    config in the DSE and per fresh node in the simulator, so they read
+    stored values instead of re-walking the graph on every call.
     """
 
     def __init__(
@@ -141,6 +160,7 @@ class Kernel:
         platform_bias: Optional[Dict] = None,
     ) -> None:
         ppg.validate()
+        ppg.freeze()
         self.name = name
         self.ppg = ppg
         self._cdfgs: Dict[Pattern, CDFG] = {}
@@ -153,6 +173,37 @@ class Kernel:
         #: published ones.  They scale latency only — knob trends and
         #: power still come from the models.
         self.platform_bias = dict(platform_bias or {})
+        #: ``(digest, bias items)`` of :meth:`model_signature`.
+        self._signature: Optional[Tuple[str, Tuple]] = None
+
+        patterns = tuple(ppg.patterns)
+        workloads = tuple(p.workload for p in patterns)
+        self._patterns = patterns
+        self._workloads = workloads
+        kinds: List[PatternKind] = []
+        for p in patterns:
+            if p.kind not in kinds:
+                kinds.append(p.kind)
+        self._pattern_kinds = tuple(kinds)
+        self._total_ops = sum(wl.total_ops for wl in workloads)
+        srcs, snks = ppg.sources(), ppg.sinks()
+        bytes_in = sum(sum(t.nbytes for t in p.inputs) for p in srcs)
+        bytes_out = sum(p.output.nbytes for p in snks)
+        self._io_bytes = bytes_in + bytes_out
+        self._intermediate_bytes = ppg.communication_bytes()
+        self._max_data_parallelism = max(p.data_parallelism for p in patterns)
+        self._resident_stationary_bytes = self._resident(True)
+        self._resident_streamed_bytes = self._resident(False)
+        elements = max(wl.elements for wl in workloads)
+        self._summary = Workload(
+            elements=elements,
+            ops_per_element=self._total_ops / elements,
+            bytes_in=bytes_in,
+            bytes_out=bytes_out,
+            op_kind=workloads[0].op_kind,
+            access_regularity=min(wl.access_regularity for wl in workloads),
+            sequential_steps=max(wl.sequential_steps for wl in workloads),
+        )
 
     def latency_bias(self, device_type) -> float:
         """Calibration multiplier for one device family (default 1.0)."""
@@ -168,44 +219,43 @@ class Kernel:
 
     @property
     def patterns(self) -> List[Pattern]:
-        return self.ppg.patterns
+        """Patterns in topological order."""
+        return list(self._patterns)
+
+    @property
+    def pattern_workloads(self) -> Tuple[Workload, ...]:
+        """Workload descriptor of each pattern, aligned with :attr:`patterns`."""
+        return self._workloads
 
     @property
     def pattern_kinds(self) -> Tuple[PatternKind, ...]:
         """Distinct pattern kinds, in first-appearance order (Table II)."""
-        seen: List[PatternKind] = []
-        for p in self.patterns:
-            if p.kind not in seen:
-                seen.append(p.kind)
-        return tuple(seen)
+        return self._pattern_kinds
 
     # -- aggregate workload, consumed by the hardware models ---------------
 
     @property
     def total_ops(self) -> float:
         """Total arithmetic operations per kernel invocation."""
-        return sum(p.workload.total_ops for p in self.patterns)
+        return self._total_ops
 
     @property
     def io_bytes(self) -> int:
         """External input + output bytes (excludes inter-pattern traffic)."""
-        srcs, snks = self.ppg.sources(), self.ppg.sinks()
-        bytes_in = sum(sum(t.nbytes for t in p.inputs) for p in srcs)
-        bytes_out = sum(p.output.nbytes for p in snks)
-        return bytes_in + bytes_out
+        return self._io_bytes
 
     @property
     def intermediate_bytes(self) -> int:
         """Inter-pattern traffic (fusion target)."""
-        return self.ppg.communication_bytes()
+        return self._intermediate_bytes
 
     @property
     def max_data_parallelism(self) -> int:
-        return max(p.data_parallelism for p in self.patterns)
+        return self._max_data_parallelism
 
     def _resident(self, stationary: bool) -> int:
         seen: Dict[str, int] = {}
-        for pattern in self.patterns:
+        for pattern in self._patterns:
             for t in pattern.inputs:
                 if t.resident and t.stationary == stationary:
                     seen[t.name] = t.nbytes
@@ -218,35 +268,64 @@ class Kernel:
         These persist across invocations and are re-read every
         sequential step; see :class:`~repro.patterns.annotations.Tensor`.
         """
-        return self._resident(True) + self._resident(False)
+        return self._resident_stationary_bytes + self._resident_streamed_bytes
 
     @property
     def resident_stationary_bytes(self) -> int:
         """Resident bytes reused unchanged by every step (LSTM weights):
         an FPGA pins a compressed copy in BRAM once."""
-        return self._resident(True)
+        return self._resident_stationary_bytes
 
     @property
     def resident_streamed_bytes(self) -> int:
         """Resident bytes where each step needs a different slice
         (per-layer DNN weights): streamed per step on all platforms."""
-        return self._resident(False)
+        return self._resident_streamed_bytes
 
     def workload_summary(self) -> Workload:
         """Aggregate workload descriptor for the whole kernel."""
-        elements = max(p.workload.elements for p in self.patterns)
-        total_ops = self.total_ops
-        regularity = min(p.workload.access_regularity for p in self.patterns)
-        srcs, snks = self.ppg.sources(), self.ppg.sinks()
-        return Workload(
-            elements=elements,
-            ops_per_element=total_ops / elements,
-            bytes_in=sum(sum(t.nbytes for t in p.inputs) for p in srcs),
-            bytes_out=sum(p.output.nbytes for p in snks),
-            op_kind=self.patterns[0].workload.op_kind,
-            access_regularity=regularity,
-            sequential_steps=max(p.workload.sequential_steps for p in self.patterns),
+        return self._summary
+
+    # -- model signature -----------------------------------------------------
+
+    def model_signature(self) -> str:
+        """Stable digest of everything the analytical models read.
+
+        Covers the per-pattern workload descriptors, the kernel-level
+        aggregates (ops, I/O, intermediate and resident traffic,
+        parallelism) and the calibration bias table — the full input
+        surface of the GPU/FPGA models.  Two kernels with equal
+        signatures are indistinguishable to the models.
+
+        The digest is memoized against the bias table's items: the
+        bias is the one model input that callers rebind or edit in
+        place, so any change to it recomputes the digest.
+        """
+        bias_items = tuple(self.platform_bias.items())
+        memo = self._signature
+        if memo is not None and memo[1] == bias_items:
+            return memo[0]
+        parts = [self.name]
+        for pattern, wl in zip(self._patterns, self._workloads):
+            parts.append(
+                f"{pattern.kind.value}|{pattern.data_parallelism}|"
+                f"{wl.elements}|{wl.ops_per_element!r}|{wl.bytes_in}|"
+                f"{wl.bytes_out}|{wl.op_kind}|{wl.access_regularity!r}|"
+                f"{wl.sequential_steps}"
+            )
+        parts.append(
+            f"agg|{self._total_ops!r}|{self._io_bytes}|"
+            f"{self._intermediate_bytes}|{self._resident_stationary_bytes}|"
+            f"{self._resident_streamed_bytes}|{self._max_data_parallelism}|"
+            f"{len(self._patterns)}"
         )
+        bias = sorted(
+            (getattr(k, "value", str(k)), float(v)) for k, v in bias_items
+        )
+        parts.append(f"bias|{bias!r}")
+        sig = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+        self._signature = (sig, bias_items)
+        return sig
 
     def __repr__(self) -> str:
         kinds = ",".join(k.value for k in self.pattern_kinds)

@@ -38,6 +38,14 @@ class TestSpecs:
 
 
 class TestImplConfig:
+    def test_astuple_is_the_flat_field_tuple(self):
+        import dataclasses
+        import itertools
+
+        for flags in itertools.product((False, True), repeat=5):
+            cfg = ImplConfig(256, 8, 2, 4, *flags, freq_scale=0.5)
+            assert cfg.astuple() == dataclasses.astuple(cfg)
+
     def test_defaults_valid(self):
         ImplConfig()
 
@@ -141,6 +149,33 @@ class TestGPUModel:
         assert self.model.estimate(k_bias, cfg, 1).latency_ms == pytest.approx(
             3.0 * self.model.estimate(k_plain, cfg, 1).latency_ms, rel=1e-6
         )
+
+    def test_estimate_never_writes_platform_bias(self, monkeypatch):
+        """The bias floor of a recurrent kernel at batch > 1 comes from
+        an unbiased model pass, not from rebinding the shared kernel's
+        bias table (a concurrent caller could see it empty)."""
+        from repro.hardware.specs import DeviceType
+
+        kernel = small_kernel("w", elements=1 << 16, ops=32.0, steps=64)
+        kernel.platform_bias = {DeviceType.GPU: 3.0}
+        plain = small_kernel("w", elements=1 << 16, ops=32.0, steps=64)
+        writes = []
+        real_setattr = Kernel.__setattr__
+
+        def spy(obj, name, value):
+            if name == "platform_bias":
+                writes.append(value)
+            real_setattr(obj, name, value)
+
+        monkeypatch.setattr(Kernel, "__setattr__", spy)
+        cfg = ImplConfig(work_group_size=256)
+        est = self.model.estimate(kernel, cfg, 8)
+        lat, _ = self.model.estimate_batch(kernel, [cfg], 8)
+        assert writes == []
+        floor = self.model.estimate(plain, cfg, 1).latency_ms
+        raw = self.model.estimate(plain, cfg, 8).latency_ms
+        assert est.latency_ms == raw + (3.0 - 1.0) * floor
+        assert float(lat[0]) == est.latency_ms
 
 
 class TestFPGAModel:

@@ -56,6 +56,16 @@ class TestKeying:
         assert cache.misses == 2 and cache.hits == 0
         assert second.latency_ms > first.latency_ms
 
+    def test_bias_rebinding_rekeys(self):
+        """Rebinding the bias table re-keys the kernel's memoized
+        signature; restoring the table restores the key."""
+        kernel = small_kernel("K")
+        before = kernel_signature(kernel)
+        kernel.platform_bias = {DeviceType.GPU: 2.0}
+        assert kernel_signature(kernel) != before
+        kernel.platform_bias = {}
+        assert kernel_signature(kernel) == before
+
 
 class TestHitsAndMisses:
     def test_hit_returns_identical_estimate(self):

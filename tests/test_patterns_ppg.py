@@ -1,8 +1,19 @@
 """Unit tests for the parallel pattern graph and Kernel aggregates."""
 
+import pickle
+
+import networkx as nx
 import pytest
 
-from repro.patterns import Kernel, Map, Pipeline, PPG, Reduce, Tensor
+from repro import apps
+from repro.hardware import (
+    AMD_W9100,
+    XILINX_7V3,
+    FPGAModel,
+    GPUModel,
+    ImplConfig,
+)
+from repro.patterns import Kernel, Map, Pipeline, PPG, Reduce, Tensor, Workload
 
 
 def _two_pattern_ppg():
@@ -144,3 +155,148 @@ class TestKernel:
         k = Kernel("k", ppg, platform_bias={DeviceType.FPGA: 2.5})
         assert k.latency_bias(DeviceType.FPGA) == 2.5
         assert k.latency_bias(DeviceType.GPU) == 1.0
+
+
+_AGGREGATE_PROPERTIES = (
+    "patterns",
+    "pattern_workloads",
+    "pattern_kinds",
+    "total_ops",
+    "io_bytes",
+    "intermediate_bytes",
+    "max_data_parallelism",
+    "resident_bytes",
+    "resident_stationary_bytes",
+    "resident_streamed_bytes",
+)
+
+
+def _reference_aggregates(kernel):
+    """Reference derivation of the kernel aggregates straight from its
+    PPG: a fresh topological sort and fresh per-pattern workloads."""
+    ppg = kernel.ppg
+    patterns = list(nx.topological_sort(ppg.graph))
+    kinds = []
+    for p in patterns:
+        if p.kind not in kinds:
+            kinds.append(p.kind)
+
+    def resident(stationary):
+        seen = {}
+        for p in patterns:
+            for t in p.inputs:
+                if t.resident and t.stationary == stationary:
+                    seen[t.name] = t.nbytes
+        return sum(seen.values())
+
+    srcs, snks = ppg.sources(), ppg.sinks()
+    bytes_in = sum(sum(t.nbytes for t in p.inputs) for p in srcs)
+    bytes_out = sum(p.output.nbytes for p in snks)
+    total_ops = sum(p.workload.total_ops for p in patterns)
+    elements = max(p.workload.elements for p in patterns)
+    return {
+        "patterns": patterns,
+        "pattern_workloads": tuple(p.workload for p in patterns),
+        "pattern_kinds": tuple(kinds),
+        "total_ops": total_ops,
+        "io_bytes": bytes_in + bytes_out,
+        "intermediate_bytes": ppg.communication_bytes(),
+        "max_data_parallelism": max(p.data_parallelism for p in patterns),
+        "resident_bytes": resident(True) + resident(False),
+        "resident_stationary_bytes": resident(True),
+        "resident_streamed_bytes": resident(False),
+        "workload_summary": Workload(
+            elements=elements,
+            ops_per_element=total_ops / elements,
+            bytes_in=bytes_in,
+            bytes_out=bytes_out,
+            op_kind=patterns[0].workload.op_kind,
+            access_regularity=min(p.workload.access_regularity for p in patterns),
+            sequential_steps=max(p.workload.sequential_steps for p in patterns),
+        ),
+    }
+
+
+def _stored_aggregates(kernel):
+    stored = {name: getattr(kernel, name) for name in _AGGREGATE_PROPERTIES}
+    stored["workload_summary"] = kernel.workload_summary()
+    return stored
+
+
+def _asr_lstm():
+    """A recurrent kernel with a GPU bias: covers the bias-floor path."""
+    return next(k for k in apps.build("ASR").kernels if k.name == "LSTM_acoustic")
+
+
+class TestStoredAggregates:
+    @pytest.mark.parametrize("name", sorted(apps.APP_BUILDERS))
+    def test_stored_equal_reference_derivation(self, name):
+        for kernel in apps.build(name).kernels:
+            assert _stored_aggregates(kernel) == _reference_aggregates(kernel), (
+                kernel.name
+            )
+
+    def test_patterns_is_a_fresh_list(self):
+        ppg, m, r = _two_pattern_ppg()
+        k = Kernel("k", ppg)
+        order = k.patterns
+        assert isinstance(order, list) and order == [m, r]
+        order.append(m)
+        assert k.patterns == [m, r]
+
+    def test_add_pattern_on_wrapped_ppg_raises(self):
+        ppg, _, _ = _two_pattern_ppg()
+        Kernel("k", ppg)
+        with pytest.raises(nx.NetworkXError, match="Frozen"):
+            ppg.add_pattern(Map((Tensor("y", (4,)),)))
+        assert len(ppg) == 2
+
+    def test_connect_on_wrapped_ppg_raises(self):
+        x = Tensor("x", (64,))
+        ppg = PPG("k")
+        a, b = ppg.add_pattern(Map((x,))), ppg.add_pattern(Map((x,)))
+        Kernel("k", ppg)
+        with pytest.raises(nx.NetworkXError, match="Frozen"):
+            ppg.connect(a, b)
+        assert ppg.graph.number_of_edges() == 0
+
+    def test_model_calls_never_sort_the_ppg(self, monkeypatch):
+        kernel = _asr_lstm()
+        sorts = []
+        real_sort = nx.topological_sort
+
+        def counting_sort(graph):
+            sorts.append(graph)
+            return real_sort(graph)
+
+        monkeypatch.setattr(nx, "topological_sort", counting_sort)
+        assert kernel.ppg.patterns == kernel.patterns  # a PPG walk sorts...
+        assert len(sorts) == 1
+        sorts.clear()
+        configs = [ImplConfig(), ImplConfig(work_group_size=256, unroll=4)]
+        gpu, fpga = GPUModel(AMD_W9100), FPGAModel(XILINX_7V3)
+        for batch in (1, 4):  # batch > 1 takes the GPU bias-floor path
+            for config in configs:
+                gpu.estimate(kernel, config, batch)
+                fpga.feasible(kernel, config)
+                fpga.estimate(kernel, config, batch)
+            gpu.estimate_batch(kernel, configs, batch)
+            fpga.estimate_batch(kernel, configs, batch)
+        assert sorts == []  # ...and the models make none
+
+    def test_pickled_kernel_keeps_aggregates(self):
+        kernel = _asr_lstm()
+        clone = pickle.loads(pickle.dumps(kernel))
+        ours, theirs = _stored_aggregates(kernel), _stored_aggregates(clone)
+        # Patterns compare by identity; a copy is matched by name.
+        assert [p.name for p in theirs.pop("patterns")] == [
+            p.name for p in ours.pop("patterns")
+        ]
+        assert theirs == ours
+        assert all(p in clone.ppg.graph for p in clone.patterns)
+        assert nx.is_frozen(clone.ppg.graph)
+        assert clone.platform_bias == kernel.platform_bias
+        assert clone.model_signature() == kernel.model_signature()
+        config = ImplConfig(unroll=4)
+        gpu = GPUModel(AMD_W9100)
+        assert gpu.estimate(clone, config, 4) == gpu.estimate(kernel, config, 4)
