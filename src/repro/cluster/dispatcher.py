@@ -80,10 +80,14 @@ class ClusterDispatcher:
     def _sample_two(self, n: int) -> Tuple[int, Optional[int]]:
         """Two distinct indices in [0, n); the classic d=2 sample.
 
-        Drawn as (first, shifted second) so exactly two RNG values are
-        consumed per routed request regardless of the fleet size —
-        keeping the dispatch stream's alignment independent of scaling
-        decisions is what makes routing seeds stable under replay.
+        Drawn as (first, shifted second): ``integers(n)`` then
+        ``integers(n - 1)``.  numpy draws nothing for a range of one
+        value, so a request consumes no 32-bit draw with one serving
+        node, one with two, and two with three or more (plus a rare
+        rejection redraw, probability below ``n / 2**32``).  The
+        stream's alignment therefore does not depend on the fleet size
+        once it is at least three, but does depend on how long the
+        fleet sat at one or two nodes.
         """
         i = int(self._rng.integers(n))
         j = int(self._rng.integers(n - 1)) if n > 1 else None

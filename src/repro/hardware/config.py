@@ -10,10 +10,13 @@ for FPGAs — resource usage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Tuple
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
+from typing import Dict, Iterable, Sequence, Tuple
 
-__all__ = ["ImplConfig"]
+import numpy as np
+
+__all__ = ["ImplConfig", "FIELD_DTYPES", "config_columns"]
 
 
 @dataclass(frozen=True)
@@ -99,3 +102,21 @@ class ImplConfig:
             f"/p{self.bram_ports}/f{self.freq_scale:.2f}"
             + (f"/{flags}" if flags else "")
         )
+
+
+#: numpy dtype of each field's column, from the type of its default.
+FIELD_DTYPES: Dict[str, type] = {
+    f.name: {bool: np.bool_, int: np.int64, float: np.float64}[type(f.default)]
+    for f in fields(ImplConfig)
+}
+
+
+def config_columns(
+    configs: Sequence[ImplConfig], names: Iterable[str]
+) -> Dict[str, np.ndarray]:
+    """One numpy column per named field, read from each config in turn."""
+    n = len(configs)
+    return {
+        name: np.fromiter(map(attrgetter(name), configs), FIELD_DTYPES[name], n)
+        for name in names
+    }

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from ..patterns.ppg import Kernel
-from .config import ImplConfig
+from .config import ImplConfig, config_columns
 from .specs import FPGASpec
 
 __all__ = ["ResourceUsage", "FPGAPerformanceEstimate", "FPGAModel"]
@@ -228,10 +228,18 @@ class FPGAModel:
 
     # -- vectorized batch evaluation -----------------------------------------
 
-    def _resource_arrays(
-        self, kernel: Kernel, configs: Sequence[ImplConfig]
+    #: The knob columns the resource model reads.
+    RESOURCE_KNOBS = (
+        "unroll", "compute_units", "bram_ports", "pipelined", "double_buffer", "fused"
+    )
+
+    def resource_columns(
+        self, kernel: Kernel, cols: Mapping[str, np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`resources` + :meth:`ResourceUsage.fits`.
+        """Vectorized :meth:`resources` + :meth:`ResourceUsage.fits` over
+        knob columns (``cols`` maps each :attr:`RESOURCE_KNOBS` name to
+        one array, as :func:`~repro.hardware.config.config_columns`
+        builds them).
 
         Returns ``(feasible, util, lanes)`` where ``util`` is the
         dominant-resource utilization capped at 1.0 (what the timing
@@ -240,20 +248,8 @@ class FPGAModel:
         2**53, so the float64 ceil/trunc values equal the scalar ints
         exactly.
         """
-        n = len(configs)
-        lanes = np.fromiter(
-            (c.parallel_lanes for c in configs), dtype=np.int64, count=n
-        )
-        ports = np.fromiter(
-            (c.bram_ports for c in configs), dtype=np.int64, count=n
-        )
-        pipelined = np.fromiter(
-            (c.pipelined for c in configs), dtype=bool, count=n
-        )
-        double_buffer = np.fromiter(
-            (c.double_buffer for c in configs), dtype=bool, count=n
-        )
-        fused = np.fromiter((c.fused for c in configs), dtype=bool, count=n)
+        lanes = cols["unroll"] * cols["compute_units"]
+        ports = cols["bram_ports"]
 
         per_lane = self.DSP_PER_LANE.get(kernel.workload_summary().op_kind, 2.0)
         dsp = np.ceil(lanes * per_lane)
@@ -263,8 +259,8 @@ class FPGAModel:
         # scalar int arithmetic and select.
         ws_fused = max(kernel.intermediate_bytes, 4096)
         ws_plain = max(kernel.io_bytes // 16, 4096)
-        ws = np.where(fused, ws_fused, ws_plain)
-        ws = np.where(double_buffer, ws * 2, ws)
+        ws = np.where(cols["fused"], ws_fused, ws_plain)
+        ws = np.where(cols["double_buffer"], ws * 2, ws)
         ws = ws * (1.0 + 0.10 * (ports - 1))
         buffer_bytes = np.trunc(np.minimum(ws, self.spec.bram_bytes * 0.95))
 
@@ -272,7 +268,7 @@ class FPGAModel:
             self.SHELL_LOGIC_K
             + lanes * self.LOGIC_K_PER_LANE
             + 2.0 * ports
-            + np.where(pipelined, 15.0, 5.0)
+            + np.where(cols["pipelined"], 15.0, 5.0)
         )
 
         feasible = (
@@ -293,7 +289,8 @@ class FPGAModel:
         """Vectorized placement check; one bool per config."""
         if len(configs) == 0:
             return np.zeros(0, dtype=bool)
-        return self._resource_arrays(kernel, configs)[0]
+        cols = config_columns(configs, self.RESOURCE_KNOBS)
+        return self.resource_columns(kernel, cols)[0]
 
     def estimate_batch(
         self, kernel: Kernel, configs: Sequence[ImplConfig], batch: int = 1
@@ -314,17 +311,12 @@ class FPGAModel:
         n = len(configs)
         if n == 0:
             return np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0)
-        feasible, util, lanes = self._resource_arrays(kernel, configs)
-        ports = np.fromiter(
-            (c.bram_ports for c in configs), dtype=np.int64, count=n
-        )
-        pipelined = np.fromiter(
-            (c.pipelined for c in configs), dtype=bool, count=n
-        )
-        double_buffer = np.fromiter(
-            (c.double_buffer for c in configs), dtype=bool, count=n
-        )
-        fused = np.fromiter((c.fused for c in configs), dtype=bool, count=n)
+        cols = config_columns(configs, self.RESOURCE_KNOBS)
+        feasible, util, lanes = self.resource_columns(kernel, cols)
+        ports = cols["bram_ports"]
+        pipelined = cols["pipelined"]
+        double_buffer = cols["double_buffer"]
+        fused = cols["fused"]
         pow_t: Dict[float, float] = {}
         freq = np.empty(n)
         freq_sq = np.empty(n)

@@ -7,7 +7,13 @@ frontier extraction.
 """
 
 from .design_point import DesignPoint, KernelDesignSpace
-from .dse import enumerate_configs, explore_application, explore_kernel, resolve_n_jobs
+from .dse import (
+    KnobSpace,
+    enumerate_configs,
+    explore_application,
+    explore_kernel,
+    resolve_n_jobs,
+)
 from .global_opt import FusionDecision, GlobalOptimizer, GlobalPlan
 from .knobs import applicable_knobs, knob_candidates
 from .local_opt import LocalOptimizer, LocalPlan
@@ -34,6 +40,7 @@ __all__ = [
     "explore_application",
     "explore_kernel_guided",
     "enumerate_configs",
+    "KnobSpace",
     "resolve_n_jobs",
     "LocalOptimizer",
     "LocalPlan",

@@ -23,11 +23,15 @@ Two mechanisms keep the sweep fast at application scale:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..hardware import ImplConfig
+from ..hardware.config import FIELD_DTYPES
 from ..hardware.model_cache import model_cache
 from ..hardware.specs import DeviceType
 from ..patterns.ppg import Kernel
@@ -36,6 +40,7 @@ from .global_opt import GlobalOptimizer
 from .local_opt import LocalOptimizer
 
 __all__ = [
+    "KnobSpace",
     "explore_kernel",
     "explore_application",
     "enumerate_configs",
@@ -43,48 +48,127 @@ __all__ = [
 ]
 
 
-def _knob_space(
-    kernel: Kernel, spec, overrides: Optional[Dict[str, Sequence]] = None
-) -> Tuple[Dict[str, Tuple], Dict[str, object], Tuple[bool, ...]]:
-    """Per-knob candidate values, forced assignments and fusion options.
+#: ``ImplConfig``'s field defaults: the value of a knob no plan varies.
+_DEFAULTS: Dict[str, Any] = {f.name: f.default for f in dataclasses.fields(ImplConfig)}
 
-    The shared substrate of exhaustive enumeration and the guided
-    search's genome.  ``overrides`` replaces the candidate list of
-    knobs already present in the plan (names the local pass pruned away
-    or never enabled are ignored) — the hook the bench harness uses to
-    synthetically enlarge the space.
+
+class KnobSpace:
+    """The pruned knob space of one (kernel, platform) pair, numbered.
+
+    The local pass supplies per-knob candidates and forced values; the
+    global pass decides whether a fused variant is worth exploring
+    (doubling the space when it is).  ``overrides`` replaces the
+    candidate list of knobs already present in the plan (names the
+    local pass pruned away or never enabled are ignored) — the hook the
+    benchmark uses to synthetically enlarge the space.
+
+    Config ``i`` is the ``i``-th of ``itertools.product`` over the
+    candidate tuples of the sorted knob names with the fusion option
+    innermost: a mixed-radix number whose digits index the candidate
+    tuples.  The space hands out one knob's values over an index array
+    as a numpy column, one :class:`ImplConfig`, or the full list, so a
+    search can screen all of it as columns and build configs only for
+    the points it evaluates.
+
+    Every ``ImplConfig.__post_init__`` check reads a single field, so
+    checking each candidate value once here raises exactly when
+    building some config of the space would.
     """
-    local = LocalOptimizer(spec.device_type).plan(kernel)
-    global_plan = GlobalOptimizer(spec).plan(kernel)
-    candidates: Dict[str, Tuple] = dict(local.candidates)
-    if overrides:
-        for name, values in overrides.items():
-            if name in candidates:
-                candidates[name] = tuple(values)
-    fused_options = (False, True) if global_plan.worthwhile else (False,)
-    return candidates, dict(local.forced), fused_options
+
+    def __init__(
+        self, kernel: Kernel, spec, overrides: Optional[Dict[str, Sequence]] = None
+    ) -> None:
+        local = LocalOptimizer(spec.device_type).plan(kernel)
+        candidates: Dict[str, Tuple] = dict(local.candidates)
+        if overrides:
+            for name, values in overrides.items():
+                if name in candidates:
+                    candidates[name] = tuple(values)
+        self.names: Tuple[str, ...] = tuple(sorted(candidates))
+        self.values: Tuple[Tuple, ...] = tuple(candidates[n] for n in self.names)
+        self.forced: Dict[str, Any] = dict(local.forced)
+        worthwhile = GlobalOptimizer(spec).plan(kernel).worthwhile
+        self.fused_options: Tuple[bool, ...] = (False, True) if worthwhile else (False,)
+        # name -> (candidate tuple, stride); "fused" is the last digit.
+        self._axes: Dict[str, Tuple[Tuple, int]] = {}
+        stride = 1
+        for name, values in reversed(
+            list(zip(self.names, self.values)) + [("fused", self.fused_options)]
+        ):
+            self._axes[name] = (values, stride)
+            stride *= len(values)
+        self.size = stride
+        if self.size:
+            for name, values in zip(self.names, self.values):
+                if name not in self.forced:
+                    for value in values:
+                        ImplConfig(**{name: value})
+            ImplConfig(**self.forced)
+
+    def __len__(self) -> int:
+        return self.size
+
+    @property
+    def genes(self) -> Tuple[List[str], Dict[str, Tuple]]:
+        """The knob names that vary (``fused`` last) and their values."""
+        names = list(self.names) + ["fused"]
+        return names, {name: self._axes[name][0] for name in names}
+
+    def column(self, name: str, index: np.ndarray) -> np.ndarray:
+        """Field ``name`` of the configs at ``index``, as a numpy column
+        of the field's :data:`~repro.hardware.config.FIELD_DTYPES` type."""
+        dtype = FIELD_DTYPES[name]
+        if name in self.forced:
+            return np.full(len(index), self.forced[name], dtype)
+        if name not in self._axes:
+            return np.full(len(index), _DEFAULTS[name], dtype)
+        values, stride = self._axes[name]
+        return np.asarray(values, dtype)[index // stride % len(values)]
+
+    def config(self, i: int) -> ImplConfig:
+        """Config ``i`` of the enumeration order."""
+        i = int(i)
+        if not 0 <= i < self.size:
+            raise IndexError(f"config {i} outside a space of {self.size}")
+        assignment: Dict[str, Any] = {}
+        for name, (values, stride) in self._axes.items():
+            assignment[name] = values[i // stride % len(values)]
+        assignment.update(self.forced)
+        return ImplConfig(**assignment)
+
+    def configs(self) -> List[ImplConfig]:
+        """Every config, in enumeration order."""
+        configs: List[ImplConfig] = []
+        for values in itertools.product(*self.values):
+            assignment = dict(zip(self.names, values))
+            assignment.update(self.forced)
+            for fused in self.fused_options:
+                configs.append(ImplConfig(fused=fused, **assignment))
+        return configs
 
 
 def enumerate_configs(
     kernel: Kernel, spec, overrides: Optional[Dict[str, Sequence]] = None
 ) -> List[ImplConfig]:
-    """Enumerate candidate implementations after local+global pruning.
+    """Enumerate candidate implementations after local+global pruning:
+    every config of the :class:`KnobSpace`, in its order."""
+    return KnobSpace(kernel, spec, overrides).configs()
 
-    The local pass supplies per-knob candidates and forced values; the
-    global pass decides whether a fused variant is worth exploring
-    (doubling the space when it is).
-    """
-    candidates, forced, fused_options = _knob_space(kernel, spec, overrides)
-    names = sorted(candidates)
-    value_lists = [candidates[n] for n in names]
 
-    configs: List[ImplConfig] = []
-    for values in itertools.product(*value_lists):
-        assignment = dict(zip(names, values))
-        assignment.update(forced)
-        for fused in fused_options:
-            configs.append(ImplConfig(fused=fused, **assignment))
-    return configs
+def _lint_verdicts(
+    kernel: Kernel, spec, configs: Sequence[ImplConfig]
+) -> Tuple[List[bool], "LintReport"]:
+    """Whether the optimization-layer lint rules keep each config, plus
+    the full report."""
+    from ..lint import DesignCheck, LintReport, run_lint
+
+    report = LintReport()
+    keep: List[bool] = []
+    for config in configs:
+        point_report = run_lint(DesignCheck(kernel, config, spec))
+        report.extend(point_report)
+        keep.append(point_report.ok)
+    return keep, report
 
 
 def prune_invalid_configs(
@@ -97,16 +181,8 @@ def prune_invalid_configs(
     models are evaluated; returns the surviving configs plus the full
     report so callers can surface why points were pruned.
     """
-    from ..lint import DesignCheck, LintReport, run_lint
-
-    report = LintReport()
-    kept: List[ImplConfig] = []
-    for config in configs:
-        point_report = run_lint(DesignCheck(kernel, config, spec))
-        report.extend(point_report)
-        if point_report.ok:
-            kept.append(config)
-    return kept, report
+    keep, report = _lint_verdicts(kernel, spec, configs)
+    return [c for c, ok in zip(configs, keep) if ok], report
 
 
 def _evaluate(
@@ -153,12 +229,13 @@ def _subsample(points: List[DesignPoint], target: int) -> List[DesignPoint]:
 
     Keeps the Pareto-relevant extremes by sampling evenly across the
     latency-sorted list — the paper's spaces (Table II) are similarly
-    curated subsets of the raw combinatorial space.
+    curated subsets of the raw combinatorial space.  A target of 1
+    keeps the first point of the total order (the lowest latency).
     """
     if len(points) <= target:
         return points
     ordered = sorted(points, key=_point_order_key)
-    step = (len(ordered) - 1) / (target - 1)
+    step = (len(ordered) - 1) / (target - 1) if target > 1 else 0.0
     picked = [ordered[round(i * step)] for i in range(target)]
     # Rounding can collide; dedupe while preserving order.
     seen, unique = set(), []
@@ -168,6 +245,15 @@ def _subsample(points: List[DesignPoint], target: int) -> List[DesignPoint]:
             seen.add(key)
             unique.append(p)
     return unique
+
+
+def _check_target(kernel: Kernel, target_points: Optional[int]) -> None:
+    """Reject a subsampling target that would keep no point."""
+    if target_points is not None and target_points < 1:
+        raise ValueError(
+            f"target_points for kernel {kernel.name!r} must be >= 1, "
+            f"got {target_points}"
+        )
 
 
 def explore_kernel(
@@ -180,7 +266,7 @@ def explore_kernel(
     """Explore one kernel on one platform; returns its design space.
 
     ``target_points`` mirrors Table II's per-kernel design counts; when
-    given, the evaluated space is thinned to that size.
+    given, the evaluated space is thinned to that size (``>= 1``).
 
     ``validate=True`` lints the kernel first (raising
     :class:`~repro.lint.LintError` on pattern-layer errors) and prunes
@@ -188,6 +274,7 @@ def explore_kernel(
     models run; the number of pruned points is recorded on the returned
     space as ``pruned_invalid``.
     """
+    _check_target(kernel, target_points)
     pruned = 0
     if validate:
         from ..lint import LintContext, run_lint

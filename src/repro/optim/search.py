@@ -1,4 +1,4 @@
-"""Guided design-space exploration (ROADMAP item 3).
+"""Guided design-space exploration.
 
 Exhaustive enumeration scales multiplicatively with every new Table-I
 knob; the OPT004 budget caps it at 2048 configs/kernel and the next
@@ -6,12 +6,16 @@ knob dimensions (thread coarsening, inter-kernel pipes) blow well past
 that.  This module searches the space instead of enumerating it, with
 two stages under one model-evaluation budget:
 
-1. **Successive halving** over the full enumerated knob space using a
-   cheap low-fidelity analytical proxy (vectorized roofline-style
-   scoring, no model-cache traffic).  Each rung halves the candidate
-   pool under a rotating latency/power scalarization — always retaining
-   the proxy-Pareto members — until the pool reaches the genetic
-   population size.
+1. **Successive halving** over the full knob space using a cheap
+   low-fidelity analytical proxy (vectorized roofline-style scoring, no
+   model-cache traffic).  The space is a
+   :class:`~repro.optim.dse.KnobSpace` addressed by config index: the
+   FPGA placement screen, the proxy and the rungs all run on index
+   arrays and knob columns, and only the surviving seeds become
+   :class:`~repro.hardware.config.ImplConfig` objects.  Each rung halves
+   the candidate pool under a rotating latency/power scalarization —
+   always retaining the proxy-Pareto members — until the pool reaches
+   the genetic population size.
 2. **Genetic refinement** over real model evaluations: tournament
    selection on Pareto-rank-peeled parents, per-knob uniform crossover,
    and mutation resampling from the enumerated candidate lists, driven
@@ -41,6 +45,7 @@ from ..hardware.model_cache import CachedEstimate, kernel_signature, model_cache
 from ..hardware.specs import DeviceType
 from ..patterns.ppg import Kernel
 from .design_point import DesignPoint, KernelDesignSpace
+from .dse import KnobSpace, _check_target, _evaluate, _lint_verdicts, _subsample
 from .pareto import IncrementalHypervolume, ParetoFrontier
 
 __all__ = [
@@ -165,67 +170,65 @@ def search_rng(seed: int, kernel: Kernel, spec) -> np.random.Generator:
 
 
 def _proxy_objectives(
-    kernel: Kernel, spec, configs: Sequence[ImplConfig]
+    kernel: Kernel, spec, space: KnobSpace, index: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Roofline-style screening objectives, vectorized over configs.
+    """Roofline-style screening objectives of the configs at ``index``,
+    vectorized over the space's knob columns.
 
     Deliberately *not* the real models: no occupancy tables, no
     calibration bias, no resource placement — just monotone trends in
-    the knobs, cheap enough to score the entire enumerated space
-    without touching the model cache.  Used only to rank
+    the knobs, cheap enough to score the entire space without building
+    a config or touching the model cache.  Used only to rank
     successive-halving pools; proxy numbers never reach a DesignPoint.
     """
-    n = len(configs)
-    freq = np.fromiter((c.freq_scale for c in configs), np.float64, n)
-    unroll = np.fromiter((float(c.unroll) for c in configs), np.float64, n)
-    wg = np.fromiter((float(c.work_group_size) for c in configs), np.float64, n)
-    fused = np.fromiter((c.fused for c in configs), np.bool_, n)
+
+    def col(name: str) -> np.ndarray:
+        return space.column(name, index)
+
+    freq = col("freq_scale")
+    unroll = col("unroll").astype(np.float64)
+    wg = col("work_group_size").astype(np.float64)
     ops = float(kernel.total_ops)
     io = float(max(kernel.io_bytes, 1))
     dynamic = spec.peak_power_w - spec.idle_power_w
     if spec.device_type == DeviceType.GPU:
-        coal = np.where(
-            np.fromiter((c.memory_coalescing for c in configs), np.bool_, n),
-            1.0,
-            0.55,
-        )
-        scratch = np.where(
-            np.fromiter((c.use_scratchpad for c in configs), np.bool_, n), 0.8, 1.0
-        )
+        coal = np.where(col("memory_coalescing"), 1.0, 0.55)
+        scratch = np.where(col("use_scratchpad"), 0.8, 1.0)
         occ = np.minimum(wg / 256.0, 1.0) * np.sqrt(np.minimum(unroll / 4.0, 1.0))
         occ = np.maximum(occ, 0.05)
         compute = ops / (spec.peak_gflops * 1e6 * freq * occ)
         memory = io * scratch / (spec.mem_bandwidth_gbps * 1e6 * coal)
         power = spec.idle_power_w + dynamic * occ * freq**2.2
     else:
-        cu = np.fromiter((float(c.compute_units) for c in configs), np.float64, n)
-        ports = np.fromiter((float(c.bram_ports) for c in configs), np.float64, n)
-        pipelined = np.fromiter((c.pipelined for c in configs), np.bool_, n)
+        cu = col("compute_units").astype(np.float64)
+        ports = col("bram_ports").astype(np.float64)
         lanes = np.maximum(unroll * cu, 1.0)
-        ii = np.where(pipelined, 1.0, 4.0)
+        ii = np.where(col("pipelined"), 1.0, 4.0)
         starve = np.maximum(lanes / np.maximum(ports * 32.0, 1.0), 1.0)
         fmax = spec.peak_freq_mhz * spec.achievable_freq_frac * freq
         compute = ops * ii * starve / (lanes * fmax * 1e3)
-        bw = np.where(
-            np.fromiter((c.double_buffer for c in configs), np.bool_, n), 0.75, 0.45
-        )
+        bw = np.where(col("double_buffer"), 0.75, 0.45)
         memory = io / (spec.mem_bandwidth_gbps * 1e6 * bw)
         util = np.minimum((lanes + ports) / 64.0, 1.0)
         power = spec.idle_power_w + dynamic * np.maximum(util, 0.05) * freq**2
     latency = np.maximum(compute, memory) + 0.3 * np.minimum(compute, memory)
-    latency = np.where(fused, latency * 0.9, latency)
+    latency = np.where(col("fused"), latency * 0.9, latency)
     return latency, power
 
 
 def _front_mask(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Membership mask of the 2-D minimization Pareto front."""
+    """Membership mask of the 2-D minimization Pareto front.
+
+    Walking the points in ``(f1, f2)`` order (stable, NaN last), a
+    point is on the front when its ``f2`` is below every ``f2`` before
+    it; a NaN ``f2`` is never below and never counts, which is what
+    ``np.fmin`` skipping NaN gives the running minimum.
+    """
     order = np.lexsort((f2, f1))
+    walked = f2[order]
+    best = np.fmin.accumulate(np.concatenate(([np.inf], walked)))[:-1]
     mask = np.zeros(len(f1), dtype=bool)
-    best = np.inf
-    for j in order:
-        if f2[j] < best:
-            mask[j] = True
-            best = f2[j]
+    mask[order] = walked < best
     return mask
 
 
@@ -251,22 +254,23 @@ def _normalized(values: np.ndarray) -> np.ndarray:
 
 
 def _successive_halving(
-    configs: Sequence[ImplConfig],
     proxy_lat: np.ndarray,
     proxy_pow: np.ndarray,
     search: SearchConfig,
     stats: SearchStats,
-) -> List[int]:
+) -> np.ndarray:
     """Shrink the candidate pool to the GA population size, rung by rung.
 
     Each rung halves the pool (the final rung clamps to the population
     size) under a rotating latency/power blend; the proxy-Pareto members
     of the current pool are always retained so neither extreme of the
-    trade-off can be screened out.  Selection is a stable argsort over
-    proxy scores — fully deterministic, no RNG involved.
+    trade-off can be screened out, and the first ``keep_n - |front|``
+    other members in stable score order fill the rest.  Returns the
+    kept positions into the proxy arrays in ascending order — fully
+    deterministic, no RNG involved.
     """
     target = search.population
-    pool = list(range(len(configs)))
+    pool = np.arange(len(proxy_lat))
     for rung in range(search.rungs):
         if len(pool) <= target:
             break
@@ -277,22 +281,12 @@ def _successive_halving(
         pw = proxy_pow[pool]
         weight = (rung + 0.5) / search.rungs
         score = weight * _normalized(lat) + (1.0 - weight) * _normalized(pw)
+        keep = _front_mask(lat, pw)
         order = np.argsort(score, kind="stable")
-        kept: List[int] = []
-        seen = set()
-        for j in np.nonzero(_front_mask(lat, pw))[0]:
-            kept.append(pool[j])
-            seen.add(pool[j])
-        for j in order:
-            if len(kept) >= max(keep_n, len(seen)):
-                break
-            idx = pool[int(j)]
-            if idx not in seen:
-                seen.add(idx)
-                kept.append(idx)
-        kept.sort()  # pool order = enumeration order, not score order
-        stats.rungs.append(RungStats(rung=rung, pool=len(pool), kept=len(kept)))
-        pool = kept
+        rest = order[~keep[order]]
+        keep[rest[: max(keep_n - int(keep.sum()), 0)]] = True
+        stats.rungs.append(RungStats(rung=rung, pool=len(pool), kept=int(keep.sum())))
+        pool = pool[keep]
     return pool
 
 
@@ -381,9 +375,8 @@ def explore_kernel_guided(
     space (built from every feasible evaluated point, with the stats
     attached as ``space.search_stats``) plus the :class:`SearchStats`.
     """
-    from .dse import _evaluate, _subsample, enumerate_configs, prune_invalid_configs
-
     search = search or SearchConfig()
+    _check_target(kernel, target_points)
     stats = SearchStats(kernel_name=kernel.name, platform=spec.name)
     if validate:
         from ..lint import LintContext, run_lint
@@ -391,39 +384,46 @@ def explore_kernel_guided(
         run_lint(kernel, LintContext(spec=spec)).raise_if_errors(
             f"kernel {kernel.name!r}"
         )
-    configs = enumerate_configs(kernel, spec, overrides=candidate_overrides)
-    stats.explored = len(configs)
+    space = KnobSpace(kernel, spec, candidate_overrides)
+    stats.explored = len(space)
+    index = np.arange(len(space))
+    configs: Optional[List[ImplConfig]] = None
     pruned_set: frozenset = frozenset()
     if validate:
-        kept, _report = prune_invalid_configs(kernel, spec, configs)
-        stats.pruned_invalid = len(configs) - len(kept)
-        pruned_set = frozenset(set(configs) - set(kept))
-        configs = kept
+        configs = space.configs()
+        keep, _report = _lint_verdicts(kernel, spec, configs)
+        pruned_set = frozenset(c for c, ok in zip(configs, keep) if not ok)
+        index = np.flatnonzero(keep)
+        stats.pruned_invalid = len(configs) - len(index)
 
-    if len(configs) <= search.max_evals:
+    if len(index) <= search.max_evals:
         # Budget covers the whole space: evaluate everything, so the
         # guided front IS the exhaustive front.
         stats.exhaustive_equivalent = True
-        stats.evaluations = len(configs)
-        points = _evaluate(kernel, spec, configs)
-        return _finish(kernel, spec, points, target_points, stats, _subsample)
+        stats.evaluations = len(index)
+        if configs is None:
+            configs = space.configs()
+        points = _evaluate(kernel, spec, [configs[i] for i in index])
+        return _finish(kernel, spec, points, target_points, stats)
 
     rng = search_rng(search.seed if search.seed is not None else 0, kernel, spec)
 
     # FPGA placement screen: the vectorized resource model rejects
     # un-placeable configs without spending latency/power evaluations.
     if spec.device_type == DeviceType.FPGA:
-        feasible = FPGAModel(spec).feasible_batch(kernel, configs)
-        stats.screened_infeasible = int(len(configs) - int(feasible.sum()))
-        configs = [c for c, ok in zip(configs, feasible) if ok]
-    if not configs:
+        model = FPGAModel(spec)
+        cols = {name: space.column(name, index) for name in model.RESOURCE_KNOBS}
+        feasible = model.resource_columns(kernel, cols)[0]
+        stats.screened_infeasible = int(len(index) - int(feasible.sum()))
+        index = index[feasible]
+    if not len(index):
         raise RuntimeError(
             f"no feasible design for kernel {kernel.name!r} on {spec.name!r}"
         )
 
-    proxy_lat, proxy_pow = _proxy_objectives(kernel, spec, configs)
-    pool = _successive_halving(configs, proxy_lat, proxy_pow, search, stats)
-    seeds = [configs[i] for i in pool][: search.max_evals]
+    proxy_lat, proxy_pow = _proxy_objectives(kernel, spec, space, index)
+    pool = _successive_halving(proxy_lat, proxy_pow, search, stats)
+    seeds = [space.config(i) for i in index[pool[: search.max_evals]]]
 
     evaluated: Dict[ImplConfig, CachedEstimate] = {}
     estimates = model_cache.evaluate_many(kernel, spec, seeds)
@@ -449,7 +449,8 @@ def explore_kernel_guided(
         GenerationStats(0, stats.evaluations, len(front), front.area)
     )
 
-    gene_names, gene_values, forced = _gene_space(kernel, spec, candidate_overrides)
+    gene_names, gene_values = space.genes
+    forced = space.forced
     stall = 0
     for gen in range(1, search.generations + 1):
         remaining = search.max_evals - stats.evaluations
@@ -490,7 +491,7 @@ def explore_kernel_guided(
             break
 
     points = _points_of(kernel, spec, evaluated)
-    return _finish(kernel, spec, points, target_points, stats, _subsample)
+    return _finish(kernel, spec, points, target_points, stats)
 
 
 def _finish(
@@ -499,14 +500,13 @@ def _finish(
     points: List[DesignPoint],
     target_points: Optional[int],
     stats: SearchStats,
-    subsample,
 ) -> Tuple[KernelDesignSpace, SearchStats]:
     if not points:
         raise RuntimeError(
             f"no feasible design for kernel {kernel.name!r} on {spec.name!r}"
         )
     if target_points is not None:
-        points = subsample(points, target_points)
+        points = _subsample(points, target_points)
     space = KernelDesignSpace(
         kernel.name,
         spec.name,
@@ -517,24 +517,6 @@ def _finish(
     stats.hypervolume = space_hypervolume(space)
     space.search_stats = stats
     return space, stats
-
-
-def _gene_space(
-    kernel: Kernel, spec, overrides: Optional[Dict[str, Sequence]]
-) -> Tuple[List[str], Dict[str, Tuple], Dict[str, object]]:
-    """Genome layout: knob names, per-knob alleles, forced assignments.
-
-    Children are always built from the enumerated candidate lists (plus
-    the fusion options), so every bred config lies inside the
-    enumerated space — lint-pruned children are simply skipped.
-    """
-    from .dse import _knob_space
-
-    candidates, forced, fused_options = _knob_space(kernel, spec, overrides)
-    names = sorted(candidates) + ["fused"]
-    values = {name: tuple(candidates[name]) for name in sorted(candidates)}
-    values["fused"] = tuple(fused_options)
-    return names, values, forced
 
 
 def _breed(

@@ -253,18 +253,26 @@ class TestDispatcher:
         assert score_half == pytest.approx(score_full + 25.0)
 
     def test_two_rng_draws_per_request(self):
-        # The d=2 sample must consume exactly two draws however large
-        # the fleet is, so scaling events cannot desync the stream.
-        nodes = [StubNode(f"node{i}") for i in range(7)]
-        rng = np.random.default_rng(3)
-        dispatcher = ClusterDispatcher(rng)
-        for _ in range(5):
-            dispatcher.route(0.0, "sig", nodes)
-        rng2 = np.random.default_rng(3)
-        for _ in range(5):
-            rng2.integers(7)
-            rng2.integers(6)
-        assert rng.integers(1 << 30) == rng2.integers(1 << 30)
+        # The d=2 sample draws integers(n) then integers(n - 1).  numpy
+        # draws nothing for a one-value range, so a request consumes no
+        # 32-bit draw with one node, one with two, and two with three or
+        # more: scaling among >= 3 nodes cannot desync the stream.
+        for n, draws in ((1, 0), (2, 1), (3, 2), (7, 2)):
+            nodes = [StubNode(f"node{i}") for i in range(n)]
+            rng = np.random.default_rng(3)
+            dispatcher = ClusterDispatcher(rng)
+            for _ in range(5):
+                dispatcher.route(0.0, "sig", nodes)
+            rng2 = np.random.default_rng(3)
+            for _ in range(5):
+                rng2.integers(n)
+                if n > 1:
+                    rng2.integers(n - 1)
+            assert rng.bit_generator.state == rng2.bit_generator.state, n
+            raw = np.random.default_rng(3)
+            if draws:
+                raw.integers(0, 1 << 32, size=5 * draws, dtype=np.uint32)
+            assert rng.bit_generator.state == raw.bit_generator.state, n
 
     def test_route_emits_schema_valid_event(self):
         tracer = SpanTracer()

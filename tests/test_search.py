@@ -10,10 +10,14 @@ The contracts pinned down here are the ones the dse-perf CI job gates:
 * the same seed yields an identical product — fronts, evaluation
   counts, reported stats — at any ``n_jobs`` and any cache warmth;
 * the vectorized batch model path is float-identical to the scalar
-  path, and the model cache's bulk counters match a scalar loop.
+  path, and the model cache's bulk counters match a scalar loop;
+* the knob space is numbered in the enumeration's order, and the
+  budgeted search screens it as index columns, building configs only
+  for the points it evaluates.
 """
 
 import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -21,21 +25,37 @@ import pytest
 
 from conftest import small_kernel
 from repro import apps, runtime
-from repro.hardware import AMD_W9100, XILINX_7V3, clear_model_cache
+from repro.hardware import AMD_W9100, XILINX_7V3, ImplConfig, clear_model_cache
+from repro.hardware.config import FIELD_DTYPES
 from repro.hardware.fpga_model import FPGAModel
 from repro.hardware.gpu_model import GPUModel
 from repro.hardware.model_cache import CachedEstimate, ModelEvalCache
 from repro.lint import LintContext, run_lint
 from repro.obs import MetricsRegistry, SpanTracer
 from repro.optim import (
+    GlobalOptimizer,
     IncrementalHypervolume,
+    KnobSpace,
+    LocalOptimizer,
     ParetoFrontier,
     SearchConfig,
     explore_kernel_guided,
     hypervolume_2d,
     space_hypervolume,
 )
-from repro.optim.dse import enumerate_configs, explore_application
+from repro.optim.dse import (
+    _point_order_key,
+    enumerate_configs,
+    explore_application,
+    explore_kernel,
+)
+from repro.optim.search import (
+    RungStats,
+    SearchStats,
+    _front_mask,
+    _normalized,
+    _successive_halving,
+)
 
 PLATFORMS = runtime.setting("I", "Heter-Poly").platforms
 
@@ -597,3 +617,301 @@ class TestCacheBulkCounters:
         a = CachedEstimate(True, 1.0, 2.0)
         assert a == CachedEstimate(True, 1.0, 2.0)
         assert hash(a) == hash(CachedEstimate(True, 1.0, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# Columnar space: configs built only for evaluated points
+# ---------------------------------------------------------------------------
+
+
+def _walk_key(f1, f2, k):
+    """Position of point ``k`` in the front walk: (f1, f2, index) order
+    with NaN after every number, as ``np.lexsort`` sorts."""
+    def part(v):
+        return (bool(np.isnan(v)), 0.0 if np.isnan(v) else float(v))
+
+    return part(f1[k]) + part(f2[k]) + (k,)
+
+
+def _brute_force_front(f1, f2):
+    """Point j is on the front when its f2 is a number and no point ahead
+    of it in the walk has f2 <= its f2 (on NaN-free inputs: no other
+    point dominates it, and it is the first of its exact duplicates)."""
+    n = len(f1)
+    keys = [_walk_key(f1, f2, k) for k in range(n)]
+    return np.array(
+        [
+            not np.isnan(f2[j])
+            and not any(keys[k] < keys[j] and f2[k] <= f2[j] for k in range(n))
+            for j in range(n)
+        ],
+        dtype=bool,
+    )
+
+
+def _reference_halving(n, proxy_lat, proxy_pow, search, stats):
+    """Successive halving as a per-index loop, the reference the
+    vectorized rungs must reproduce."""
+    target = search.population
+    pool = list(range(n))
+    for rung in range(search.rungs):
+        if len(pool) <= target:
+            break
+        keep_n = max(len(pool) // 2, target)
+        if rung == search.rungs - 1:
+            keep_n = target
+        lat = proxy_lat[pool]
+        pw = proxy_pow[pool]
+        weight = (rung + 0.5) / search.rungs
+        score = weight * _normalized(lat) + (1.0 - weight) * _normalized(pw)
+        order = np.argsort(score, kind="stable")
+        kept = []
+        seen = set()
+        for j in np.nonzero(_front_mask(lat, pw))[0]:
+            kept.append(pool[j])
+            seen.add(pool[j])
+        for j in order:
+            if len(kept) >= max(keep_n, len(seen)):
+                break
+            idx = pool[int(j)]
+            if idx not in seen:
+                seen.add(idx)
+                kept.append(idx)
+        kept.sort()
+        stats.rungs.append(RungStats(rung=rung, pool=len(pool), kept=len(kept)))
+        pool = kept
+    return pool
+
+
+class TestColumnarSearch:
+    def test_budgeted_run_builds_few_configs(self, monkeypatch):
+        """WT Intra_Prediction's enlarged FPGA space (40,960 configs) is
+        screened as index columns; ImplConfigs are built for the seeds,
+        the GA children and the once-per-candidate checks only."""
+        built = []
+        post_init = ImplConfig.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        kernel = apps.build("WT").kernels[0]
+        assert kernel.name == "Intra_Prediction"
+        monkeypatch.setattr(ImplConfig, "__post_init__", counting)
+        _, stats = explore_kernel_guided(
+            kernel,
+            XILINX_7V3,
+            search=SearchConfig(max_evals=512, seed=0),
+            candidate_overrides=ENLARGE,
+        )
+        assert stats.explored == 40_960 and not stats.exhaustive_equivalent
+        assert 0 < len(built) < stats.explored / 20
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_front_mask_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 50))
+        # Few distinct values force ties in either objective and exact
+        # duplicates; some NaN in each.
+        f1 = rng.integers(0, 6, n).astype(float)
+        f2 = rng.integers(0, 6, n).astype(float)
+        f1[rng.random(n) < 0.15] = np.nan
+        f2[rng.random(n) < 0.15] = np.nan
+        assert np.array_equal(_front_mask(f1, f2), _brute_force_front(f1, f2))
+
+    def test_front_mask_is_textbook_front_without_nan(self):
+        rng = np.random.default_rng(7)
+        f1 = rng.integers(0, 8, 60).astype(float)
+        f2 = rng.integers(0, 8, 60).astype(float)
+        mask = _front_mask(f1, f2)
+        for j in range(60):
+            dominated = any(
+                f1[k] <= f1[j] and f2[k] <= f2[j] and (f1[k], f2[k]) != (f1[j], f2[j])
+                for k in range(60)
+            )
+            first = all((f1[k], f2[k]) != (f1[j], f2[j]) for k in range(j))
+            assert mask[j] == (not dominated and first)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_successive_halving_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 3000))
+        search = SearchConfig(
+            rungs=int(rng.integers(1, 5)), population=int(rng.integers(2, 64))
+        )
+        # Rounded proxies tie often, exercising the stable score order.
+        lat = np.round(rng.random(n) * 20) + 1.0
+        pw = np.round(rng.random(n) * 20) + 1.0
+        got_stats = SearchStats("k", "p")
+        ref_stats = SearchStats("k", "p")
+        got = _successive_halving(lat, pw, search, got_stats)
+        assert list(got) == _reference_halving(n, lat, pw, search, ref_stats)
+        assert got_stats.rungs == ref_stats.rungs
+
+    def test_invalid_override_rejected_on_both_paths(self):
+        """A bad candidate raises when the space is built, also when it
+        is not the first value (the first config would pass)."""
+        kernel = apps.build("MF").kernels[0]
+        overrides = {"work_group_size": (64, 2048)}
+        with pytest.raises(ValueError, match="work_group_size"):
+            explore_kernel(kernel, AMD_W9100, candidate_overrides=overrides)
+        with pytest.raises(ValueError, match="work_group_size"):
+            explore_kernel_guided(
+                kernel,
+                AMD_W9100,
+                search=SearchConfig(max_evals=64, seed=0),
+                candidate_overrides=overrides,
+            )
+
+
+# ---------------------------------------------------------------------------
+# KnobSpace numbering and subsampling targets
+# ---------------------------------------------------------------------------
+
+
+def _reference_shape(kernel, spec, overrides):
+    """What the enumeration reads from the local and global plans: the
+    sorted knob names with their (overridden) candidates, the forced
+    values and the fusion options."""
+    local = LocalOptimizer(spec.device_type).plan(kernel)
+    candidates = dict(local.candidates)
+    for name, values in (overrides or {}).items():
+        if name in candidates:
+            candidates[name] = tuple(values)
+    fused_options = (
+        (False, True) if GlobalOptimizer(spec).plan(kernel).worthwhile else (False,)
+    )
+    return (
+        tuple((n, candidates[n]) for n in sorted(candidates)),
+        tuple(sorted(local.forced.items())),
+        fused_options,
+    )
+
+
+def _reference_enumeration(shape):
+    """The enumeration as ``enumerate_configs`` wrote it out before the
+    space was numbered: ``itertools.product`` over the sorted knob
+    names' candidates, forced values applied, fusion innermost."""
+    knobs, forced, fused_options = shape
+    names = [n for n, _ in knobs]
+    configs = []
+    for values in itertools.product(*(v for _, v in knobs)):
+        assignment = dict(zip(names, values))
+        assignment.update(forced)
+        for fused in fused_options:
+            configs.append(ImplConfig(fused=fused, **assignment))
+    return configs
+
+
+_SETTING_PLATFORMS = list(
+    {
+        p.name: p
+        for s in ("I", "II", "III")
+        for p in runtime.setting(s, "Heter-Poly").platforms
+    }.values()
+)
+
+
+class TestKnobSpace:
+    @pytest.mark.parametrize("overrides", [None, ENLARGE], ids=["plain", "enlarged"])
+    def test_numbering_and_columns_match_product_order(self, overrides):
+        """On every kernel of the six apps x the Setting I-III
+        platforms, config(i), the full list and every column equal the
+        product-order reference.  A space is a function of its candidate
+        lists, forced values and fusion options, so each distinct shape
+        is checked config by config once; every other space of that
+        shape must carry the same lists and size.  config(i) is checked
+        at every index of spaces up to 4096 configs and at a seeded
+        sample of 4096 indices, plus the last, of larger ones."""
+        rng = np.random.default_rng(0)
+        checked = {}
+        for name in apps.APP_BUILDERS:
+            for kernel in apps.build(name).kernels:
+                for spec in _SETTING_PLATFORMS:
+                    space = KnobSpace(kernel, spec, overrides)
+                    shape = _reference_shape(kernel, spec, overrides)
+                    layout = (space.names, space.values, space.forced, space.fused_options)
+                    if shape in checked:
+                        assert layout == checked[shape]
+                        continue
+                    checked[shape] = layout
+                    reference = _reference_enumeration(shape)
+                    assert len(space) == len(reference) > 0
+                    assert space.configs() == reference
+                    sample = np.arange(len(space))
+                    if len(space) > 4096:
+                        sample = np.append(
+                            rng.choice(len(space), 4096, replace=False), len(space) - 1
+                        )
+                    assert [space.config(i) for i in sample] == [reference[i] for i in sample]
+                    index = np.arange(len(space))
+                    for field in FIELD_DTYPES:
+                        column = space.column(field, index)
+                        assert column.dtype == FIELD_DTYPES[field]
+                        expect = np.array(
+                            [getattr(c, field) for c in reference], FIELD_DTYPES[field]
+                        )
+                        assert np.array_equal(column, expect), (kernel.name, field)
+        assert len(checked) > 1
+
+    def test_config_values_are_python_scalars(self):
+        """Configs carry the candidate tuples' own values, so their repr
+        and hash match enumerated ones (not numpy scalars)."""
+        kernel = apps.build("WT").kernels[0]
+        space = KnobSpace(kernel, XILINX_7V3, ENLARGE)
+        config = space.config(np.int64(len(space) - 1))
+        assert config == space.configs()[-1]
+        assert all(type(v) in (int, float, bool) for v in config.astuple())
+
+    def test_out_of_range_index_rejected(self):
+        space = KnobSpace(apps.build("MF").kernels[0], AMD_W9100)
+        with pytest.raises(IndexError):
+            space.config(len(space))
+        with pytest.raises(IndexError):
+            space.config(-1)
+
+    def test_genes_list_varying_knobs_with_fusion_last(self):
+        space = KnobSpace(apps.build("ASR").kernels[0], XILINX_7V3, ENLARGE)
+        names, values = space.genes
+        assert names == list(space.names) + ["fused"]
+        assert values["fused"] == space.fused_options
+        assert values["freq_scale"] == ENLARGE["freq_scale"]
+
+
+class TestTargetPoints:
+    KERNEL = apps.build("ASR").kernels[0]
+
+    def test_exhaustive_target_one_keeps_lowest_latency(self):
+        full = explore_kernel(self.KERNEL, AMD_W9100)
+        [point] = explore_kernel(self.KERNEL, AMD_W9100, target_points=1).points
+        best = min(full.points, key=_point_order_key)
+        assert dataclasses.replace(point, index=-1) == dataclasses.replace(
+            best, index=-1
+        )
+        assert point.latency_ms == min(p.latency_ms for p in full)
+
+    def test_guided_target_one_keeps_lowest_latency(self):
+        kwargs = {
+            "search": SearchConfig(max_evals=64, seed=0),
+            "candidate_overrides": ENLARGE,
+        }
+        full, _ = explore_kernel_guided(self.KERNEL, AMD_W9100, **kwargs)
+        thinned, stats = explore_kernel_guided(
+            self.KERNEL, AMD_W9100, target_points=1, **kwargs
+        )
+        assert not stats.exhaustive_equivalent
+        [point] = thinned.points
+        assert point.config == min(full.points, key=_point_order_key).config
+
+    @pytest.mark.parametrize("target", [0, -3])
+    def test_target_below_one_rejected_on_both_paths(self, target):
+        match = f"{self.KERNEL.name}.*{target}"
+        with pytest.raises(ValueError, match=match):
+            explore_kernel(self.KERNEL, AMD_W9100, target_points=target)
+        with pytest.raises(ValueError, match=match):
+            explore_kernel_guided(
+                self.KERNEL,
+                AMD_W9100,
+                search=SearchConfig(max_evals=64, seed=0),
+                target_points=target,
+            )
