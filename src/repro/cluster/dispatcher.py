@@ -8,32 +8,51 @@ samples *two* distinct candidates from the serving set and scores each
 by
 
 * **queue depth** — the node's bottleneck backlog in ms (what a new
-  arrival would wait behind);
+  arrival would wait behind), read as the latest device horizon minus
+  the arrival time (see :meth:`~repro.cluster.simulation.ClusterNode.queue_ms`);
 * **plan-cache locality** — a node that has already scheduled this
   application's graph signature serves it from its warm operating
   plans; a cold node pays the scheduling passes first, modeled as a
   fixed penalty;
 * **node health** — a node with quarantined/degraded accelerators
   (``repro.faults`` :class:`~repro.faults.policy.DeviceHealth`) is
-  penalized proportionally to its unhealthy device fraction, and a
-  node with *no* schedulable device is never chosen while any
-  alternative exists.
+  penalized proportionally to its unhealthy device fraction.  Only a
+  fault-injected node can have such devices: without an injector a
+  leaf's devices never leave HEALTHY, so its fraction is 1.0 without
+  a count.  A node with *no* schedulable device scores infinity and is
+  never chosen while a node with one serves: when both sampled
+  candidates score infinity, the router falls back to the best-scoring
+  node of the whole serving set (no extra draw, so the stream stays
+  aligned).
 
 Sampling uses a dedicated child RNG stream spawned from the cluster's
 root seed, so routing decisions are deterministic under a seed and
-independent of the per-node execution-noise streams.
+independent of the per-node execution-noise streams.  A sample is
+``integers(n)`` then a shifted ``integers(n - 1)``; numpy draws nothing
+for a one-value range, so a request consumes no 32-bit draw with one
+serving node, one with two, and two with three or more.
+:meth:`ClusterDispatcher.sample_pairs` draws the pairs of many requests
+in one ``Generator.integers`` call over per-request highs ``n`` and
+``max(n - 1, 1)``.  That call walks the highs in order through the same
+bounded 32-bit draw as the scalar call, and a one-value range draws
+nothing there either, so the batch leaves the same pairs and the same
+generator state as the per-request loop.  The event-driven fleet replay
+draws each arrival chunk's pairs at once from the serving-set size
+each arrival will see.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs.tracer import NULL_TRACER
 
 __all__ = ["RouteDecision", "ClusterDispatcher"]
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -70,30 +89,43 @@ class ClusterDispatcher:
         """Routing score of one candidate (lower is better)."""
         healthy = node.schedulable_fraction
         if healthy <= 0.0:
-            return float("inf")
+            return _INF
         score = node.queue_ms(now_ms)
         if signature not in node.planned_signatures:
             score += self.locality_penalty_ms
         score += (1.0 - healthy) * self.health_penalty_ms
         return score
 
-    def _sample_two(self, n: int) -> Tuple[int, Optional[int]]:
-        """Two distinct indices in [0, n); the classic d=2 sample.
+    def sample_pairs(
+        self, sizes: Sequence[int]
+    ) -> List[Tuple[int, Optional[int]]]:
+        """Candidate pairs for requests meeting serving sets of ``sizes``.
 
-        Drawn as (first, shifted second): ``integers(n)`` then
-        ``integers(n - 1)``.  numpy draws nothing for a range of one
-        value, so a request consumes no 32-bit draw with one serving
-        node, one with two, and two with three or more (plus a rare
-        rejection redraw, probability below ``n / 2**32``).  The
-        stream's alignment therefore does not depend on the fleet size
-        once it is at least three, but does depend on how long the
-        fleet sat at one or two nodes.
+        Pair ``k`` holds two distinct indices in ``[0, sizes[k])``, the
+        second ``None`` when ``sizes[k]`` is 1.  One ``integers`` call
+        over highs ``n, max(n - 1, 1)`` per request draws exactly what
+        the scalar ``integers(n)``/``integers(n - 1)`` loop would, in
+        the same order (see the module docstring).
         """
-        i = int(self._rng.integers(n))
-        j = int(self._rng.integers(n - 1)) if n > 1 else None
-        if j is not None and j >= i:
-            j += 1
-        return i, j
+        n = np.asarray(sizes, dtype=np.int64)
+        if n.size == 0:
+            return []
+        smallest = int(n.min())
+        if smallest < 1:
+            raise RuntimeError("no serving nodes to route to")
+        highs = np.empty(2 * n.size, dtype=np.int64)
+        highs[0::2] = n
+        np.maximum(n - 1, 1, out=highs[1::2])
+        draws = self._rng.integers(0, highs)
+        first = draws[0::2]
+        second = draws[1::2]
+        second += second >= first
+        if smallest > 1:
+            return list(zip(first.tolist(), second.tolist()))
+        return [
+            (i, j if size > 1 else None)
+            for i, j, size in zip(first.tolist(), second.tolist(), n.tolist())
+        ]
 
     def route(
         self,
@@ -101,26 +133,44 @@ class ClusterDispatcher:
         signature: str,
         nodes: Sequence,
         req: int = 0,
+        pair: Optional[Tuple[int, Optional[int]]] = None,
     ):
         """Pick the serving node for one request.
 
         ``nodes`` is the routable (serving) subset in a deterministic
-        order; returns the chosen node.  Ties break on node id so equal
-        scores cannot depend on sampling order.
+        order; returns the chosen node.  ``pair`` is a candidate pair
+        drawn ahead by :meth:`sample_pairs` for ``len(nodes)``; without
+        one, the pair is drawn here.  Ties break on node id so equal
+        scores cannot depend on sampling order.  When both candidates
+        score infinity and some node of ``nodes`` scores finite, the
+        lowest ``(score, node_id)`` of ``nodes`` is chosen instead.
         """
         if not nodes:
             raise RuntimeError("no serving nodes to route to")
-        i, j = self._sample_two(len(nodes))
+        if pair is None:
+            [pair] = self.sample_pairs((len(nodes),))
+        i, j = pair
+        score = self.score
         first = nodes[i]
-        chosen, chosen_score = first, self.score(first, now_ms, signature)
-        candidates = [first.node_id]
+        chosen, chosen_score = first, score(first, now_ms, signature)
+        second = None
         if j is not None:
             second = nodes[j]
-            candidates.append(second.node_id)
-            second_score = self.score(second, now_ms, signature)
+            second_score = score(second, now_ms, signature)
             if (second_score, second.node_id) < (chosen_score, chosen.node_id):
                 chosen, chosen_score = second, second_score
+        fallback = None
+        if chosen_score == _INF and len(nodes) > 2:
+            best_score, _, best = min(
+                (score(node, now_ms, signature), node.node_id, k)
+                for k, node in enumerate(nodes)
+            )
+            if best_score < _INF:
+                chosen = fallback = nodes[best]
         if self.tracer.enabled:
+            candidates = [
+                n.node_id for n in (first, second, fallback) if n is not None
+            ]
             self.tracer.emit(
                 "cluster.route",
                 name=chosen.node_id,

@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -71,6 +72,9 @@ __all__ = [
 ]
 
 
+_HORIZON = attrgetter("horizon_ms")
+
+
 class NodeState(enum.Enum):
     """Lifecycle of one fleet node."""
 
@@ -98,16 +102,30 @@ class ClusterNode:
     served: int = 0
 
     def queue_ms(self, now_ms: float) -> float:
-        """Bottleneck backlog a new arrival would queue behind."""
-        return max((d.backlog_ms(now_ms) for d in self.leaf.devices), default=0.0)
+        """Bottleneck backlog a new arrival would queue behind.
+
+        The latest device horizon minus ``now_ms``, clamped at 0: equal
+        to the largest per-device :meth:`backlog_ms`, because
+        subtracting a common ``now_ms`` preserves the order of the
+        horizons (IEEE subtraction is monotone)."""
+        devices = self.leaf.devices
+        if not devices:
+            return 0.0
+        backlog = max(map(_HORIZON, devices)) - now_ms
+        return backlog if backlog > 0.0 else 0.0
 
     @property
     def schedulable_fraction(self) -> float:
         """Fraction of the node's accelerators a request can still use
-        (1.0 on a healthy node; driven by ``repro.faults`` states)."""
-        devices = self.leaf.devices
+        (driven by ``repro.faults`` states).  Only a fault injector
+        moves a device out of HEALTHY, so a leaf without one reads 1.0
+        uncounted — the rule the leaf's own live-device views apply."""
+        leaf = self.leaf
+        devices = leaf.devices
         if not devices:
             return 0.0
+        if leaf._injector is None:
+            return 1.0
         return sum(1 for d in devices if d.is_schedulable) / len(devices)
 
     def active_span_ms(self, horizon_ms: float) -> Tuple[float, float]:
@@ -342,6 +360,12 @@ class ClusterSimulation:
         self._fault_schedules = dict(fault_schedules or {})
         self._signature = app.graph.structural_signature()
         self._nodes: List[ClusterNode] = []
+        #: The serving and warming subsets of ``_nodes`` (launch order)
+        #: and the earliest warming ``ready_ms``, kept current at every
+        #: launch, promotion and termination.
+        self._serving: List[ClusterNode] = []
+        self._warming: List[ClusterNode] = []
+        self._next_ready = math.inf
         self._launch_count = 0
         self._timeline: List[ScalingEvent] = []
         self._capacity_cache: Dict[str, float] = {}
@@ -377,13 +401,22 @@ class ClusterSimulation:
             self._capacity_cache[template.codename] = cached
         return cached
 
-    def _live(self) -> List[ClusterNode]:
-        return [n for n in self._nodes if n.state is not NodeState.TERMINATED]
+    def _live_count(self) -> int:
+        return len(self._serving) + len(self._warming)
+
+    def _refresh_fleet(self) -> None:
+        """Recompute the kept serving/warming lists after a state change."""
+        self._serving = [n for n in self._nodes if n.state is NodeState.SERVING]
+        self._warming = [n for n in self._nodes if n.state is NodeState.WARMING]
+        self._next_ready = min((n.ready_ms for n in self._warming), default=math.inf)
 
     def _promote(self, now_ms: float) -> None:
-        for node in self._nodes:
-            if node.state is NodeState.WARMING and node.ready_ms <= now_ms:
+        if now_ms < self._next_ready:
+            return
+        for node in self._warming:
+            if node.ready_ms <= now_ms:
                 node.state = NodeState.SERVING
+        self._refresh_fleet()
 
     def _launch(self, request: LaunchRequest, reason: str = "scale_up") -> ClusterNode:
         index = self._launch_count
@@ -418,9 +451,10 @@ class ClusterSimulation:
 
             FaultInjector(schedule).bind(leaf)
         self._nodes.append(node)
+        self._refresh_fleet()
         self._timeline.append(
             ScalingEvent(
-                request.at_ms, "launch", node_id, reason, len(self._live())
+                request.at_ms, "launch", node_id, reason, self._live_count()
             )
         )
         if self.tracer.enabled:
@@ -442,13 +476,14 @@ class ClusterSimulation:
         )
         node.state = NodeState.TERMINATED
         node.terminated_ms = now_ms
+        self._refresh_fleet()
         self._timeline.append(
             ScalingEvent(
                 now_ms,
                 "terminate",
                 node.node_id,
                 request.reason.name,
-                len(self._live()),
+                self._live_count(),
             )
         )
         if self.tracer.enabled:
@@ -535,8 +570,8 @@ class ClusterSimulation:
         def evaluate(now_ms: float, n_arrivals: int) -> None:
             nonlocal pressure_since, relief_since, lag_recorded
             self._promote(now_ms)
-            serving = [n for n in self._nodes if n.state is NodeState.SERVING]
-            warming = [n for n in self._nodes if n.state is NodeState.WARMING]
+            serving = self._serving
+            warming = self._warming
             demand = n_arrivals * 1000.0 / eval_ms
             capacity = sum(
                 self._template_capacity(n.template) for n in serving + warming
@@ -594,7 +629,7 @@ class ClusterSimulation:
                     "cluster.scale",
                     name="autoscaler",
                     t_ms=now_ms,
-                    n_nodes=len(self._live()),
+                    n_nodes=self._live_count(),
                     demand_rps=round(demand, 6),
                     utilization=round(min(util, 1e9), 6),
                 )
@@ -604,34 +639,30 @@ class ClusterSimulation:
                     arrivals=n_arrivals,
                     demand_rps=demand,
                     utilization=util,
-                    n_serving=len(
-                        [n for n in self._nodes if n.state is NodeState.SERVING]
-                    ),
-                    n_warming=len(
-                        [n for n in self._nodes if n.state is NodeState.WARMING]
-                    ),
+                    n_serving=len(self._serving),
+                    n_warming=len(self._warming),
                     launched=len(reply.to_launch),
                     terminated=len(reply.to_terminate),
                 )
             )
 
         req_seq = 0
+        signature = self._signature
         if self.engine == "legacy":
+            # One candidate-pair draw per request (``route`` draws it),
+            # the reference the event driver's per-chunk draws match.
             for t in ordered:
                 while next_eval <= t:
                     evaluate(next_eval, window_arrivals)
                     window_arrivals = 0
                     next_eval += eval_ms
                 self._promote(t)
-                serving = [
-                    n for n in self._nodes if n.state is NodeState.SERVING
-                ]
                 req_seq += 1
                 node = self.dispatcher.route(
-                    t, self._signature, serving, req=req_seq
+                    t, signature, self._serving, req=req_seq
                 )
                 record = node.leaf.submit(t)
-                node.planned_signatures.add(self._signature)
+                node.planned_signatures.add(signature)
                 node.served += 1
                 records.append(record)
                 node_ids.append(node.node_id)
@@ -647,6 +678,11 @@ class ClusterSimulation:
             # chunked ARRIVAL events split at evaluation boundaries.
             # Same-time ties pop SCALE before ARRIVAL — the taxonomy
             # order mirrors the legacy ``while next_eval <= t`` drain.
+            # Launches and terminations happen only at SCALE events, so
+            # inside a chunk the serving set only grows, by promotions
+            # at known ``ready_ms``: each arrival's serving-set size is
+            # known before the chunk runs, and the chunk's candidate
+            # pairs are drawn in one call.
             heap = EventHeap()
             bounds: List[float] = []
             while next_eval <= horizon:
@@ -666,31 +702,32 @@ class ClusterSimulation:
             #: service life (fault-injected nodes auto-delegate to
             #: ``submit``, keeping chaos replays bit-identical).
             sessions: Dict[str, EventHeapEngine] = {}
+            route = self.dispatcher.route
+            sample_pairs = self.dispatcher.sample_pairs
             while heap:
                 ev = heap.pop()
                 if ev.kind is EventKind.SCALE:
                     evaluate(ev.t_ms, window_arrivals)
                     window_arrivals = 0
                     continue
-                for t in ev.payload:
+                chunk = ev.payload
+                sizes = np.full(len(chunk), len(self._serving))
+                if self._next_ready <= chunk[-1]:
+                    ready = sorted(n.ready_ms for n in self._warming)
+                    sizes += np.searchsorted(ready, chunk, side="right")
+                for t, pair in zip(chunk, sample_pairs(sizes)):
                     self._promote(t)
-                    serving = [
-                        n for n in self._nodes if n.state is NodeState.SERVING
-                    ]
                     req_seq += 1
-                    node = self.dispatcher.route(
-                        t, self._signature, serving, req=req_seq
-                    )
+                    node = route(t, signature, self._serving, req_seq, pair)
                     session = sessions.get(node.node_id)
                     if session is None:
                         session = EventHeapEngine(node.leaf)
                         sessions[node.node_id] = session
-                    record = session.process(t)
-                    node.planned_signatures.add(self._signature)
+                    records.append(session.process(t))
+                    node.planned_signatures.add(signature)
                     node.served += 1
-                    records.append(record)
                     node_ids.append(node.node_id)
-                    window_arrivals += 1
+                window_arrivals += len(chunk)
             for session in sessions.values():
                 session.finalize()
 

@@ -293,6 +293,145 @@ class TestDispatcher:
         with pytest.raises(ValueError):
             self.make(locality_penalty_ms=-1.0)
 
+    def test_dead_nodes_never_chosen_while_a_live_one_serves(self):
+        # Both sampled nodes dead: the router falls back to the best
+        # node of the whole serving set, drawing nothing extra.
+        nodes = [
+            StubNode("node0", healthy=0.0),
+            StubNode("node1", healthy=0.0),
+            StubNode("node2"),
+        ]
+        rng = np.random.default_rng(0)
+        dispatcher = ClusterDispatcher(rng)
+        chosen = [dispatcher.route(0.0, "sig", nodes).node_id for _ in range(300)]
+        assert set(chosen) == {"node2"}
+        reference = np.random.default_rng(0)
+        for _ in range(300):
+            reference.integers(3)
+            reference.integers(2)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_fallback_node_listed_among_candidates(self):
+        nodes = [
+            StubNode("node0", healthy=0.0),
+            StubNode("node1", healthy=0.0),
+            StubNode("node2"),
+        ]
+        tracer = SpanTracer()
+        dispatcher = ClusterDispatcher(np.random.default_rng(0), tracer=tracer)
+        dead_pair = (0, 1)
+        assert dispatcher.route(1.0, "sig", nodes, pair=dead_pair) is nodes[2]
+        [event] = tracer.events
+        assert event.args["candidates"] == ("node0", "node1", "node2")
+        assert event.args["node"] == "node2"
+
+    def test_all_dead_fleet_keeps_sampled_choice(self):
+        # No finite alternative: the sampled pair decides, by node id.
+        nodes = [StubNode(f"node{i}", healthy=0.0) for i in range(4)]
+        dispatcher = self.make()
+        assert dispatcher.route(0.0, "sig", nodes, pair=(3, 1)) is nodes[1]
+
+    def test_route_uses_pre_drawn_pair(self):
+        nodes = [StubNode(f"node{i}", queue_ms=float(i)) for i in range(5)]
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        dispatcher = ClusterDispatcher(rng)
+        assert dispatcher.route(0.0, "sig", nodes, pair=(4, 2)) is nodes[2]
+        assert dispatcher.route(0.0, "sig", nodes[:1], pair=(0, None)) is nodes[0]
+        assert rng.bit_generator.state == state
+
+
+def _sample_two_reference(rng, n):
+    """The per-request d=2 sample that ``sample_pairs`` replaced."""
+    i = int(rng.integers(n))
+    j = int(rng.integers(n - 1)) if n > 1 else None
+    if j is not None and j >= i:
+        j += 1
+    return i, j
+
+
+class TestSamplePairs:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scalar_loop(self, seed):
+        shape = np.random.default_rng(100 + seed)
+        sizes = shape.integers(1, 10, size=400).tolist()
+        # Runs at one and two serving nodes draw zero and one value.
+        sizes[50:90] = [1] * 40
+        sizes[200:260] = [2] * 60
+        sizes[300:320] = [1, 2] * 10
+        rng = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        pairs = ClusterDispatcher(rng).sample_pairs(sizes)
+        expected = [_sample_two_reference(reference, n) for n in sizes]
+        assert pairs == expected
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_empty_and_zero_sizes(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        dispatcher = ClusterDispatcher(rng)
+        assert dispatcher.sample_pairs([]) == []
+        with pytest.raises(RuntimeError, match="no serving nodes"):
+            dispatcher.sample_pairs([3, 0, 2])
+        assert rng.bit_generator.state == state
+
+
+class TestClusterNode:
+    @pytest.fixture
+    def make_node(self, fleet_env):
+        from repro.cluster import ClusterNode
+        from repro.runtime.node import LeafNode
+
+        app, system, spaces = fleet_env
+
+        def make():
+            leaf = LeafNode(system, app, spaces, seed=0)
+            return ClusterNode("node0", system, leaf, 0.0, 0.0)
+
+        return make
+
+    def test_queue_ms_equals_largest_device_backlog(self, make_node):
+        node = make_node()
+        devices = node.leaf.devices
+        assert len(devices) > 1
+        rng = np.random.default_rng(0)
+        cases = []
+        for _ in range(500):
+            now = float(rng.uniform(0.0, 100.0))
+            signs = rng.choice([-1.0, 0.0, 1.0], size=len(devices)).tolist()
+            cases.append(
+                (now, [now + s * float(rng.exponential(20.0)) for s in signs])
+            )
+        # Horizons one ulp either side of now, and equal to it.
+        for now in (0.0, 1e-300, 0.1, 1234.5678, 1e12):
+            above, below = np.nextafter(now, np.inf), np.nextafter(now, -np.inf)
+            rest = [now] * (len(devices) - 1)
+            cases += [
+                (now, [float(above)] + rest),
+                (now, [float(below)] * len(devices)),
+                (now, [now] * len(devices)),
+            ]
+        for now, horizons in cases:
+            for device, h in zip(devices, horizons):
+                device.horizon_ms = h
+            expected = max((d.backlog_ms(now) for d in devices), default=0.0)
+            assert repr(node.queue_ms(now)) == repr(expected)
+
+    def test_schedulable_fraction_counts_only_fault_injected_leaves(
+        self, make_node
+    ):
+        from repro.faults import FaultInjector, FaultSchedule
+
+        plain = make_node()
+        assert plain.schedulable_fraction == 1.0
+        injected = make_node()
+        devices = injected.leaf.devices
+        FaultInjector(FaultSchedule()).bind(injected.leaf)
+        assert injected.schedulable_fraction == 1.0
+        devices[0].mark_failed(0.0)
+        devices[0].failure_detected = True
+        assert injected.schedulable_fraction == (len(devices) - 1) / len(devices)
+
 
 # ---------------------------------------------------------------------------
 # loadgen satellites

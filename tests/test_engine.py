@@ -396,3 +396,78 @@ class TestClusterGolden:
                 config=AutoscalerConfig(min_nodes=1, max_nodes=2),
                 seed=0, engine="nope",
             )
+
+
+class TestFleetDriverIdentity:
+    """Event vs. legacy fleet drivers on the paths the golden replay
+    above leaves out: serving-set growth inside an arrival chunk, and a
+    fault-injected node the router must steer around."""
+
+    _fleet_sig = TestClusterGolden._fleet_sig
+
+    @pytest.mark.parametrize("warmup_ms", [1500.0, 1234.5])
+    def test_promotions_inside_arrival_chunks(self, asr, warmup_ms):
+        from repro.cluster import AutoscalerConfig, ClusterSimulation
+
+        app, system, spaces = asr
+        cfg = AutoscalerConfig(min_nodes=1, max_nodes=4, warmup_ms=warmup_ms)
+        spec = ArrivalSpec.flash_crowd(
+            80.0, 16_000.0, 6_000.0, 3_000.0, seed=0
+        )
+
+        def replay(engine):
+            sim = ClusterSimulation(
+                [system], app, spaces, config=cfg, seed=5, engine=engine
+            )
+            return sim.run(spec, horizon_ms=16_000.0)
+
+        legacy = replay("legacy")
+        event = replay("event")
+        assert self._fleet_sig(legacy) == self._fleet_sig(event)
+        # A warm-up off the 1000 ms evaluation grid promotes nodes
+        # between evaluations: the serving set grows inside an arrival
+        # chunk, and the new node takes requests before the next one.
+        eval_ms = cfg.eval_interval_ms
+        off_grid = {
+            n.node_id: (n.ready_ms // eval_ms + 1) * eval_ms
+            for n in event.nodes
+            if n.ready_ms % eval_ms
+        }
+        assert off_grid
+        early = [
+            r.arrival_ms
+            for node_id, r in zip(event.node_ids, event.requests)
+            if node_id in off_grid and r.arrival_ms < off_grid[node_id]
+        ]
+        assert early
+
+    def test_fault_injected_fleet(self, asr):
+        from repro.cluster import AutoscalerConfig, ClusterSimulation
+
+        app, system, spaces = asr
+        node0_devices = [
+            d.device_id for d in LeafNode(system, app, spaces, seed=0).devices
+        ]
+        schedule = FaultSchedule.from_mtbf(
+            node0_devices, 16_000.0, mtbf_ms=1_500.0, mttr_ms=1_500.0
+        )
+        cfg = AutoscalerConfig(min_nodes=2, max_nodes=4)
+        spec = ArrivalSpec.poisson(60.0, 16_000.0)
+
+        def replay(engine):
+            sim = ClusterSimulation(
+                [system], app, spaces, config=cfg, seed=3, engine=engine,
+                fault_schedules={"node0": schedule},
+            )
+            return sim.run(spec, horizon_ms=16_000.0)
+
+        legacy = replay("legacy")
+        event = replay("event")
+        assert self._fleet_sig(legacy) == self._fleet_sig(event)
+        assert [r.served for r in legacy.requests] == [
+            r.served for r in event.requests
+        ]
+        for result in (legacy, event):
+            node0 = result.nodes[0]
+            assert node0.node_id == "node0"
+            assert node0.schedulable_fraction < 1.0
