@@ -1,0 +1,236 @@
+"""Golden digests: short sha256 fingerprints of seeded simulation outputs.
+
+The JSON files under ``tests/golden/`` pin what the simulator produces
+for a fixed set of seeded runs, so behaviour stays fixed without a
+second, slower implementation kept alive to compare against:
+
+* ``sim_digests.json`` — one entry per application x Setting-I system x
+  mode (fault-free, a crash-and-recover of the system's first device,
+  traced), with separate digests of the request records, power bins,
+  monitor state, device execution records and (traced mode) the JSONL
+  event stream;
+* ``fleet_digests.json`` — the fleet replays and the traced fleet event
+  stream of ``tests/test_engine.py`` and ``tests/test_obs_pipeline.py``.
+
+Both files were recorded while the per-request reference loops still
+existed, and matched them.  Regenerate them only for a change that is
+meant to move simulated outputs::
+
+    PYTHONPATH=src python tests/golden_cases.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+from typing import Dict, Tuple
+
+import numpy as np
+
+from repro import apps as apps_mod
+from repro import runtime
+from repro.cluster import AutoscalerConfig, ClusterSimulation
+from repro.experiments import harness
+from repro.faults import FaultSchedule
+from repro.obs import SpanTracer
+from repro.obs.export import write_events_jsonl
+from repro.runtime import ArrivalSpec
+from repro.runtime.loadgen import flash_crowd_arrivals
+from repro.runtime.node import LeafNode
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SIM_FILE = GOLDEN_DIR / "sim_digests.json"
+FLEET_FILE = GOLDEN_DIR / "fleet_digests.json"
+
+APPS = tuple(apps_mod.APP_BUILDERS)
+SYSTEMS = ("Homo-GPU", "Homo-FPGA", "Heter-Poly")
+MODES = ("fault-free", "crash-recover", "traced")
+
+#: Single-node case shape: a 1.5 s Poisson stream at half the shared
+#: peak load (six replan intervals), a crash at 400 ms repaired at
+#: 1000 ms in the chaos mode.
+SIM_RPS = 0.5 * harness.PEAK_RPS
+SIM_MS = 1_500.0
+CRASH_MS = 400.0
+RECOVER_MS = 1_000.0
+
+
+def digest(obj) -> str:
+    """Fingerprint of a JSON-serializable value (floats by ``repr``,
+    so every bit counts)."""
+    text = json.dumps(obj, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def load(path: Path) -> Dict:
+    return json.loads(path.read_text())
+
+
+def jsonl_bytes(events) -> bytes:
+    """The events as ``repro obs`` writes them to ``events.jsonl``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return write_events_jsonl(events, Path(tmp) / "e.jsonl").read_bytes()
+
+
+# -- single-node cases ------------------------------------------------------
+
+
+def sim_case_id(app_name: str, system_name: str, mode: str) -> str:
+    return f"{app_name}/{system_name}/{mode}"
+
+
+def run_sim_case(app_name: str, system_name: str, mode: str):
+    """One seeded single-node run; returns ``(result, tracer)``."""
+    app = harness.get_app(app_name)
+    system = runtime.setting("I", system_name)
+    spaces = harness.spaces_for(app, system)
+    index = APPS.index(app_name) * len(SYSTEMS) + SYSTEMS.index(system_name)
+    arrivals = runtime.poisson_arrivals(
+        SIM_RPS, SIM_MS, rng=np.random.default_rng(index)
+    )
+    faults = None
+    if mode == "crash-recover":
+        first_device = system.device_inventory()[0][0]
+        faults = FaultSchedule.single_crash(
+            first_device, at_ms=CRASH_MS, recover_at_ms=RECOVER_MS
+        )
+    tracer = SpanTracer() if mode == "traced" else None
+    result = runtime.run_simulation(
+        system, app, spaces, arrivals, seed=index, faults=faults, tracer=tracer
+    )
+    return result, tracer
+
+
+def sim_digests(result, tracer=None) -> Dict[str, str]:
+    """Per-aspect digests of one single-node result."""
+    node = result.node
+    mon = node.monitor
+    out = {
+        "requests": digest(
+            [
+                (r.arrival_ms, r.completion_ms, r.predicted_ms, r.retries,
+                 r.dropped, r.failed)
+                for r in result.requests
+            ]
+        ),
+        "power": digest(result.power_bins_w.tolist()),
+        "monitor": digest(
+            (
+                mon._correction,
+                list(mon._latencies),
+                list(mon._arrival_times),
+                mon._queue_depth,
+            )
+        ),
+        "executions": digest(
+            [
+                (rec.device_id, rec.kernel_name, rec.point_index,
+                 rec.start_ms, rec.end_ms, rec.power_w, rec.batch)
+                for dev in node.devices
+                for rec in dev.records
+            ]
+        ),
+    }
+    if tracer is not None:
+        data = jsonl_bytes(tracer.events)
+        out["jsonl"] = hashlib.sha256(data).hexdigest()[:16]
+    return out
+
+
+# -- fleet cases ------------------------------------------------------------
+
+
+def fleet_sig(result) -> Tuple:
+    """Everything a fleet replay decides: per-request times, routing,
+    per-interval stats, the scaling timeline and fleet power."""
+    return (
+        [(r.arrival_ms, r.completion_ms, r.predicted_ms) for r in result.requests],
+        result.node_ids,
+        [(iv.t_ms, iv.arrivals, iv.p99_ms) for iv in result.intervals],
+        [(e.t_ms, e.action, e.node_id, e.fleet_size) for e in result.timeline],
+        result.power_bins_w.tolist(),
+    )
+
+
+def asr_heter():
+    app = apps_mod.build("ASR")
+    system = runtime.setting("I", "Heter-Poly")
+    return app, system, app.explore(system.platforms)
+
+
+def run_flash_crowd_fleet(asr, warmup_ms=None):
+    """Flash-crowd replay on a 1-4 node ASR fleet (seed 5)."""
+    app, system, spaces = asr
+    kw = {} if warmup_ms is None else {"warmup_ms": warmup_ms}
+    cfg = AutoscalerConfig(min_nodes=1, max_nodes=4, **kw)
+    spec = ArrivalSpec.flash_crowd(80.0, 16_000.0, 6_000.0, 3_000.0, seed=0)
+    sim = ClusterSimulation([system], app, spaces, config=cfg, seed=5)
+    return sim.run(spec, horizon_ms=16_000.0)
+
+
+def run_fault_injected_fleet(asr):
+    """A 2-4 node fleet whose first node runs an MTBF fault schedule."""
+    app, system, spaces = asr
+    node0_devices = [
+        d.device_id for d in LeafNode(system, app, spaces, seed=0).devices
+    ]
+    schedule = FaultSchedule.from_mtbf(
+        node0_devices, 16_000.0, mtbf_ms=1_500.0, mttr_ms=1_500.0
+    )
+    sim = ClusterSimulation(
+        [system], app, spaces,
+        config=AutoscalerConfig(min_nodes=2, max_nodes=4),
+        seed=3, fault_schedules={"node0": schedule},
+    )
+    return sim.run(ArrivalSpec.poisson(60.0, 16_000.0), horizon_ms=16_000.0)
+
+
+def run_traced_fleet(asr):
+    """Traced replay with per-node spans; returns ``(result, tracer)``."""
+    app, system, spaces = asr
+    tracer = SpanTracer()
+    sim = ClusterSimulation(
+        system, app, spaces,
+        config=AutoscalerConfig(min_nodes=1, max_nodes=4),
+        seed=5, tracer=tracer, trace_nodes=True,
+    )
+    arrivals = flash_crowd_arrivals(
+        80.0, 16_000.0, 6_000.0, 3_000.0, rng=np.random.default_rng(0)
+    )
+    return sim.run(arrivals, horizon_ms=16_000.0), tracer
+
+
+def fleet_digests(asr) -> Dict[str, str]:
+    out = {"flash_crowd": digest(fleet_sig(run_flash_crowd_fleet(asr)))}
+    for warmup_ms in (1500.0, 1234.5):
+        result = run_flash_crowd_fleet(asr, warmup_ms)
+        out[f"warmup_{warmup_ms}"] = digest(fleet_sig(result))
+    result = run_fault_injected_fleet(asr)
+    out["fault_injected"] = digest(
+        (fleet_sig(result), [r.served for r in result.requests])
+    )
+    result, tracer = run_traced_fleet(asr)
+    out["traced_latencies"] = digest(result.latencies_ms())
+    out["traced_jsonl"] = hashlib.sha256(
+        jsonl_bytes(tracer.events)
+    ).hexdigest()[:16]
+    return out
+
+
+def record() -> None:
+    """Rewrite both fixture files from the current code."""
+    sims = {
+        sim_case_id(a, s, m): sim_digests(*run_sim_case(a, s, m))
+        for a in APPS
+        for s in SYSTEMS
+        for m in MODES
+    }
+    SIM_FILE.write_text(json.dumps(sims, indent=2, sort_keys=True) + "\n")
+    fleet = fleet_digests(asr_heter())
+    FLEET_FILE.write_text(json.dumps(fleet, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    record()
