@@ -21,15 +21,14 @@ from .harness import SCHEMA_VERSION
 __all__ = ["BaselineComparison", "compare_to_baseline", "load_bench_json"]
 
 #: Sections of a per-app entry that are gated.  ``dse`` tracks the
-#: offline exploration cost; ``sched`` tracks the cached runtime hot
-#: path (``cold_s`` = plan-cache fill, ``median_s`` = warm steady state);
-#: ``sim`` tracks the event-heap engine (``cold_s`` = plan/code-cache
-#: fill, ``median_s`` = warm event-engine steady state); ``cluster``
-#: tracks the fleet replay (dispatcher + autoscaler loop); ``obs``
-#: tracks the traced event engine (native in-loop span emission);
-#: ``dse_search`` tracks the budgeted guided explorer on the enlarged
-#: synthetic space (``cold_s``/``median_s`` are the guided trials).
-GATED_SECTIONS = ("dse", "sched", "sim", "cluster", "obs", "dse_search")
+#: offline exploration cost; ``sim`` tracks the event-heap engine
+#: (``cold_s`` = first run, including the dispatch-code cache fill,
+#: ``median_s`` = warm steady state); ``cluster`` tracks the fleet
+#: replay (dispatcher + autoscaler loop); ``obs`` tracks the traced
+#: event engine (native in-loop span emission); ``dse_search`` tracks
+#: the budgeted guided explorer on the enlarged synthetic space
+#: (``cold_s``/``median_s`` are the guided trials).
+GATED_SECTIONS = ("dse", "sim", "cluster", "obs", "dse_search")
 
 #: Metrics gated within each section (when present in both documents).
 #: ``cold_s`` catches model-evaluation slowdowns the warm cache would

@@ -183,193 +183,44 @@ def _bench_simulation(
     }
 
 
-#: (requests/sec, stream duration ms) per sched-bench load level.
-_SCHED_LOADS = {"low": (60.0, 6_000.0), "high": (400.0, 10_000.0)}
-
-
-def _bench_sched(app, system, spaces, trials: int, seed: int) -> Dict:
-    """Steady-state ``run_simulation`` throughput, plan cache on vs off.
-
-    Replays the same seeded Poisson stream at a low and a high request
-    rate.  One cached run fills a fresh
-    :class:`~repro.scheduler.SchedulePlanCache` (the ``cached_cold_s``
-    fill cost), then each trial times an uncached run (the exact legacy
-    path, ``plan_cache=None``) back-to-back with a warm cached run
-    (plan-cache hits + compiled dispatch + process-wide model-eval
-    warmth).  Machine-speed noise (frequency scaling, a busy CI
-    neighbour) drifts on timescales longer than one trial, so the gated
-    ``speedup`` is the median of the *per-pair* ratios — each ratio
-    compares two runs milliseconds apart — which is far more stable
-    than a ratio of independent medians.  Both modes produce
-    bit-identical results (reported as ``identical``); plan-cache hit
-    accounting is read back from a bound :class:`MetricsRegistry`.
-    """
-    from ..obs.metrics import MetricsRegistry
-    from ..scheduler import SchedulePlanCache
-
-    loads: Dict = {}
-    for load_key, (rps, duration_ms) in _SCHED_LOADS.items():
-        arrivals = runtime.poisson_arrivals(
-            rps, duration_ms, rng=np.random.default_rng(seed)
-        )
-        results = {}
-
-        def run(plan_cache=None, mode=None):
-            res = runtime.run_simulation(
-                system, app, spaces, arrivals, seed=seed, plan_cache=plan_cache
-            )
-            if mode is not None and mode not in results:
-                results[mode] = res
-            return res
-
-        clear_model_cache()
-        registry = MetricsRegistry()
-        cache = SchedulePlanCache()
-        cache.bind_metrics(registry)
-        try:
-            cached_cold_s = _timed_trials(
-                lambda: run(plan_cache=cache, mode="cached"), 1
-            )[0]
-            uncached_s: List[float] = []
-            cached_warm_s: List[float] = []
-            for _ in range(trials):
-                uncached_s += _timed_trials(lambda: run(mode="uncached"), 1)
-                cached_warm_s += _timed_trials(
-                    lambda: run(plan_cache=cache), 1
-                )
-            hits = int(registry.value("plan_cache_hits_total"))
-            misses = int(registry.value("plan_cache_misses_total"))
-            evictions = int(registry.value("plan_cache_evictions_total"))
-        finally:
-            cache.bind_metrics(None)
-        total = hits + misses
-
-        uncached_median = statistics.median(uncached_s)
-        cached_warm = statistics.median(cached_warm_s)
-        pair_speedups = [
-            u / c for u, c in zip(uncached_s, cached_warm_s)
-        ]
-        n = len(arrivals)
-        identical = [
-            r.latency_ms for r in results["uncached"].requests
-        ] == [r.latency_ms for r in results["cached"].requests]
-        loads[load_key] = {
-            "rps": rps,
-            "duration_ms": duration_ms,
-            "requests": n,
-            "uncached_trial_s": uncached_s,
-            "uncached_median_s": uncached_median,
-            "uncached_req_per_s": n / uncached_median,
-            "cached_cold_s": cached_cold_s,
-            "cached_warm_trial_s": cached_warm_s,
-            "cached_warm_median_s": cached_warm,
-            "cached_warm_req_per_s": n / cached_warm,
-            "pair_speedups": pair_speedups,
-            "speedup": statistics.median(pair_speedups),
-            "p99_ms": round(results["cached"].p99_ms, 3),
-            "identical": identical,
-            "plan_cache": {
-                "hits": hits,
-                "misses": misses,
-                "evictions": evictions,
-                "hit_rate": round(hits / total, 4) if total else 0.0,
-            },
-        }
-
-    high = loads["high"]
-    return {
-        # Generic-gate keys (median_s / cold_s) describe the cached mode
-        # at high load — the steady state the CI baseline tracks.
-        "trial_s": [high["cached_cold_s"]] + high["cached_warm_trial_s"],
-        "median_s": high["cached_warm_median_s"],
-        "cold_s": high["cached_cold_s"],
-        "speedup": high["speedup"],
-        "loads": loads,
-    }
-
-
-#: (requests/sec, stream duration ms) per sim-bench load level — same
-#: levels as the sched bench so the two sections compose into one story
-#: (plan cache speedup x engine speedup).
+#: (requests/sec, stream duration ms) per sim/obs-bench load level.
 _SIM_LOADS = {"low": (60.0, 6_000.0), "high": (400.0, 10_000.0)}
 
 
 def _bench_sim(app, system, spaces, trials: int, seed: int) -> Dict:
-    """Event-heap engine throughput vs. the legacy per-request loop.
+    """Event-heap engine throughput at a low and a high request rate.
 
-    Replays the same seeded Poisson stream through
-    ``run_simulation(engine="legacy")`` (the pre-rewrite submit loop,
-    no plan cache — exactly what every caller ran before the engine
-    landed) and through ``engine="event"`` with a warm
-    :class:`~repro.scheduler.SchedulePlanCache` (the full fast path:
-    chunked arrival events, incremental EST tables, compiled per-plan
-    dispatch programs).  One warm-up event run fills the plan cache and
-    the process-wide code cache (``event_cold_s``); each trial then
-    times a legacy run back-to-back with a warm event run, and the
-    gated ``speedup`` is the median of the per-pair ratios — robust to
-    machine-speed drift, like the sched bench.  Both engines produce
-    float-identical request streams (``identical``), golden-tested in
-    ``tests/test_engine.py`` and re-checked here per load level.
+    Replays one seeded Poisson stream per load level through
+    ``run_simulation``: the first run (``event_cold_s``) also fills the
+    process-wide dispatch-code cache, the next ``trials`` runs are the
+    warm steady state.
     """
-    from ..scheduler import SchedulePlanCache
-
     loads: Dict = {}
     for load_key, (rps, duration_ms) in _SIM_LOADS.items():
         arrivals = runtime.poisson_arrivals(
             rps, duration_ms, rng=np.random.default_rng(seed)
         )
-        results = {}
+        p99 = float("nan")
 
-        def run(engine, plan_cache=None, mode=None):
-            res = runtime.run_simulation(
-                system, app, spaces, arrivals, seed=seed,
-                plan_cache=plan_cache, engine=engine,
-            )
-            if mode is not None and mode not in results:
-                results[mode] = res
-            return res
+        def one() -> None:
+            nonlocal p99
+            p99 = runtime.run_simulation(
+                system, app, spaces, arrivals, seed=seed
+            ).p99_ms
 
-        clear_model_cache()
-        cache = SchedulePlanCache()
-        event_cold_s = _timed_trials(
-            lambda: run("event", plan_cache=cache, mode="event"), 1
-        )[0]
-        legacy_s: List[float] = []
-        event_warm_s: List[float] = []
-        for _ in range(trials):
-            legacy_s += _timed_trials(lambda: run("legacy", mode="legacy"), 1)
-            event_warm_s += _timed_trials(
-                lambda: run("event", plan_cache=cache), 1
-            )
-
-        legacy_median = statistics.median(legacy_s)
+        event_cold_s = _timed_trials(one, 1)[0]
+        event_warm_s = _timed_trials(one, trials)
         event_warm = statistics.median(event_warm_s)
-        pair_speedups = [lg / ev for lg, ev in zip(legacy_s, event_warm_s)]
         n = len(arrivals)
-        identical = [
-            (r.arrival_ms, r.completion_ms, r.predicted_ms)
-            for r in results["legacy"].requests
-        ] == [
-            (r.arrival_ms, r.completion_ms, r.predicted_ms)
-            for r in results["event"].requests
-        ] and results["legacy"].power_bins_w.tolist() == results[
-            "event"
-        ].power_bins_w.tolist()
         loads[load_key] = {
             "rps": rps,
             "duration_ms": duration_ms,
             "requests": n,
-            "legacy_trial_s": legacy_s,
-            "legacy_median_s": legacy_median,
-            "legacy_req_per_s": n / legacy_median,
             "event_cold_s": event_cold_s,
             "event_warm_trial_s": event_warm_s,
             "event_warm_median_s": event_warm,
             "event_req_per_s": n / event_warm,
-            "pair_speedups": pair_speedups,
-            "speedup": statistics.median(pair_speedups),
-            "p99_ms": round(results["event"].p99_ms, 3),
-            "identical": identical,
+            "p99_ms": round(p99, 3),
         }
 
     high = loads["high"]
@@ -379,14 +230,9 @@ def _bench_sim(app, system, spaces, trials: int, seed: int) -> Dict:
         "trial_s": [high["event_cold_s"]] + high["event_warm_trial_s"],
         "median_s": high["event_warm_median_s"],
         "cold_s": high["event_cold_s"],
-        "speedup": high["speedup"],
         "loads": loads,
     }
 
-
-#: (requests/sec, stream duration ms) per obs-bench load level — the
-#: sim-bench levels, so retained-speedup composes with the engine story.
-_OBS_LOADS = {"low": (60.0, 6_000.0), "high": (400.0, 10_000.0)}
 
 #: Head-sampling policy exercised per load level to document the
 #: artifact-bounding ratio (tail criteria keep QoS violators).
@@ -394,96 +240,62 @@ _OBS_SAMPLE_RATE = 0.1
 
 
 def _bench_obs(app, system, spaces, trials: int, seed: int) -> Dict:
-    """Traced-engine overhead and retained speedup vs. the legacy loop.
+    """Tracing overhead of the event engine.
 
-    The sim bench times the *untraced* engines; this section answers
-    the observability question PR 7 left open — what does turning the
-    tracer on cost?  Per load level it replays the same seeded stream
-    three ways: traced legacy (the golden anchor), traced event engine
-    (native buffered emission), and untraced event engine.  Each trial
-    times the three back-to-back; the gated ``speedup`` is the median
-    per-pair traced-legacy / traced-event ratio (the *retained* engine
-    speedup with tracing on, CI-gated via ``--min-obs-retention``), and
-    ``overhead`` is traced-event / untraced-event.  Event-stream
-    construction stays inside the timed window (buffered raw records);
+    Per load level (the sim-bench levels) it replays the same seeded
+    stream traced and untraced, back-to-back per trial; ``overhead`` is
+    the traced / untraced median.  Event-stream construction stays
+    inside the timed window (buffered raw records);
     :class:`~repro.obs.tracer.TraceEvent` materialization is lazy and
-    happens at export for either engine, so it is excluded
-    symmetrically.  One traced pair per level is byte-compared
-    (``identical``) — the same golden contract ``tests/test_engine.py``
-    enforces — and the level's stream is head+tail sampled at
-    ``_OBS_SAMPLE_RATE`` to document the bounded-artifact ratio.
+    happens at export, so it is excluded.  The level's stream is
+    head+tail sampled at ``_OBS_SAMPLE_RATE`` to document the
+    bounded-artifact ratio.
     """
     from ..obs.sampling import SamplingPolicy, sample_events
     from ..obs.tracer import SpanTracer
-    from ..scheduler import SchedulePlanCache
 
     loads: Dict = {}
-    for load_key, (rps, duration_ms) in _OBS_LOADS.items():
+    for load_key, (rps, duration_ms) in _SIM_LOADS.items():
         arrivals = runtime.poisson_arrivals(
             rps, duration_ms, rng=np.random.default_rng(seed)
         )
-        tracers: Dict[str, SpanTracer] = {}
+        tracers: List[SpanTracer] = []
 
-        def run(engine, plan_cache=None, traced=True, mode=None):
+        def run(traced: bool = True) -> None:
             tracer = SpanTracer() if traced else None
             runtime.run_simulation(
-                system, app, spaces, arrivals, seed=seed,
-                plan_cache=plan_cache, engine=engine, tracer=tracer,
+                system, app, spaces, arrivals, seed=seed, tracer=tracer
             )
-            if mode is not None and mode not in tracers:
-                tracers[mode] = tracer
-            return tracer
+            if tracer is not None and not tracers:
+                tracers.append(tracer)
 
-        clear_model_cache()
-        cache = SchedulePlanCache()
-        event_cold_s = _timed_trials(
-            lambda: run("event", plan_cache=cache, mode="event"), 1
-        )[0]
-        legacy_s: List[float] = []
+        event_cold_s = _timed_trials(run, 1)[0]
         event_s: List[float] = []
         untraced_s: List[float] = []
         for _ in range(trials):
-            legacy_s += _timed_trials(
-                lambda: run("legacy", mode="legacy"), 1
-            )
-            event_s += _timed_trials(
-                lambda: run("event", plan_cache=cache), 1
-            )
-            untraced_s += _timed_trials(
-                lambda: run("event", plan_cache=cache, traced=False), 1
-            )
+            event_s += _timed_trials(run, 1)
+            untraced_s += _timed_trials(lambda: run(traced=False), 1)
 
-        legacy_median = statistics.median(legacy_s)
         event_median = statistics.median(event_s)
         untraced_median = statistics.median(untraced_s)
-        pair_speedups = [lg / ev for lg, ev in zip(legacy_s, event_s)]
-        identical = [
-            e.to_dict() for e in tracers["legacy"].events
-        ] == [e.to_dict() for e in tracers["event"].events]
-        events = tracers["event"].events
+        events = tracers[0].events
         sampled = sample_events(
             events,
             SamplingPolicy(
                 head_rate=_OBS_SAMPLE_RATE, seed=seed, tail_qos_ms=app.qos_ms
             ),
         )
-        n = len(arrivals)
         loads[load_key] = {
             "rps": rps,
             "duration_ms": duration_ms,
-            "requests": n,
+            "requests": len(arrivals),
             "events": len(events),
-            "legacy_trial_s": legacy_s,
-            "legacy_median_s": legacy_median,
             "event_cold_s": event_cold_s,
             "event_trial_s": event_s,
             "event_median_s": event_median,
             "untraced_trial_s": untraced_s,
             "untraced_median_s": untraced_median,
-            "pair_speedups": pair_speedups,
-            "speedup": statistics.median(pair_speedups),
             "overhead": round(event_median / untraced_median, 4),
-            "identical": identical,
             "sampling": {
                 "head_rate": _OBS_SAMPLE_RATE,
                 "kept_events": len(sampled.events),
@@ -501,7 +313,6 @@ def _bench_obs(app, system, spaces, trials: int, seed: int) -> Dict:
         "trial_s": [high["event_cold_s"]] + high["event_trial_s"],
         "median_s": high["event_median_s"],
         "cold_s": high["event_cold_s"],
-        "speedup": high["speedup"],
         "overhead": high["overhead"],
         "loads": loads,
     }
@@ -607,7 +418,7 @@ def _bench_dse_search(app, platforms, trials: int, n_jobs: int, seed: int) -> Di
       >=99% of the exhaustive hypervolume with a fraction of the model
       evaluations.  Each trial times exhaustive and guided
       back-to-back from a cold model cache, so the gated ``speedup``
-      is a median of per-pair ratios like the sched/sim benches;
+      is a median of per-pair ratios, robust to machine-speed drift;
       requested-evaluation counts come from the cache's own counters
       (hits + misses == evaluations the strategy asked for).
 
@@ -706,7 +517,7 @@ def _bench_dse_search(app, platforms, trials: int, n_jobs: int, seed: int) -> Di
 
 
 #: Section sets per bench suite.
-_SUITES = ("full", "sched", "sim", "cluster", "obs", "dse")
+_SUITES = ("full", "sim", "cluster", "obs", "dse")
 
 
 def run_bench(
@@ -724,14 +535,12 @@ def run_bench(
     """Run the harness; returns the BENCH document as a dict.
 
     ``suite`` selects the sections: ``"full"`` runs DSE + scheduler +
-    simulation + sched + sim + cluster + obs + dse-search (everything),
-    ``"sched"`` runs only the runtime sched benchmark (plan-cache
-    on/off throughput), ``"sim"`` runs only the engine benchmark
-    (event-heap vs. legacy loop throughput), ``"cluster"`` runs only
-    the fleet replay benchmark, ``"obs"`` runs only the
-    tracing-overhead benchmark (retained traced-engine speedup vs. the
-    legacy loop), and ``"dse"`` runs only the guided-vs-exhaustive
-    search benchmark (paired timing, eval counts, hypervolume ratio).
+    simulation + sim + cluster + obs + dse-search (everything),
+    ``"sim"`` runs only the event-engine throughput benchmark,
+    ``"cluster"`` runs only the fleet replay benchmark, ``"obs"`` runs
+    only the tracing-overhead benchmark, and ``"dse"`` runs only the
+    guided-vs-exhaustive search benchmark (paired timing, eval counts,
+    hypervolume ratio).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -766,8 +575,6 @@ def run_bench(
             row["simulation"] = _bench_simulation(
                 app, system, spaces, trials, rps, duration_ms, seed
             )
-        if suite in ("full", "sched"):
-            row["sched"] = _bench_sched(app, system, spaces, trials, seed)
         if suite in ("full", "sim"):
             row["sim"] = _bench_sim(app, system, spaces, trials, seed)
         if suite in ("full", "cluster"):
@@ -812,25 +619,14 @@ def render_bench(doc: Dict) -> str:
                 f"sched {sched['median_s']*1000:7.2f} ms  "
                 f"sim {sim['median_s']*1000:8.1f} ms (p99 {sim['p99_ms']:.1f} ms)"
             )
-        if "sched" in row:
-            s = row["sched"]
-            high = s["loads"]["high"]
-            lines.append(
-                f"  {name:4s} sched-rt {high['uncached_median_s']*1000:8.1f} ms uncached / "
-                f"{s['median_s']*1000:8.1f} ms cached warm "
-                f"({s['speedup']:.2f}x, {high['requests']} reqs, "
-                f"plan cache {high['plan_cache']['hit_rate']*100:.0f}% hits, "
-                f"identical={high['identical']})"
-            )
         if "sim" in row:
             s = row["sim"]
             high = s["loads"]["high"]
             lines.append(
-                f"  {name:4s} sim      {high['legacy_median_s']*1000:8.1f} ms legacy / "
+                f"  {name:4s} sim      {s['cold_s']*1000:8.1f} ms event cold / "
                 f"{s['median_s']*1000:8.1f} ms event warm "
-                f"({s['speedup']:.2f}x, {high['requests']} reqs, "
-                f"{high['event_req_per_s']:,.0f} req/s, "
-                f"identical={high['identical']})"
+                f"({high['requests']} reqs, "
+                f"{high['event_req_per_s']:,.0f} req/s)"
             )
         if "cluster" in row:
             c = row["cluster"]
@@ -849,12 +645,11 @@ def render_bench(doc: Dict) -> str:
             high = o["loads"]["high"]
             samp = high["sampling"]
             lines.append(
-                f"  {name:4s} obs     {high['legacy_median_s']*1000:8.1f} ms traced legacy / "
+                f"  {name:4s} obs     {high['untraced_median_s']*1000:8.1f} ms untraced / "
                 f"{o['median_s']*1000:8.1f} ms traced event "
-                f"({o['speedup']:.2f}x retained, {o['overhead']:.2f}x overhead, "
+                f"({o['overhead']:.2f}x overhead, "
                 f"{high['events']:,} events, "
-                f"sampled {samp['kept_events']:,}, "
-                f"identical={high['identical']})"
+                f"sampled {samp['kept_events']:,})"
             )
         if "dse_search" in row:
             d = row["dse_search"]

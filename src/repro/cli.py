@@ -54,33 +54,27 @@ Commands
     ``--system`` to rotate launches through heterogeneous node
     templates.  The autoscaler config is linted (RT007) before the run.
 
-``bench [--app NAME] [--suite full|sched|sim|cluster|obs|dse]
+``bench [--app NAME] [--suite full|sim|cluster|obs|dse]
         [--trials 3] [--n-jobs 1] [--label L] [--check BASELINE]
-        [--max-ratio 2.0] [--min-sched-speedup X] [--min-sim-speedup X]
-        [--min-obs-retention X] [--min-dse-speedup X]
+        [--max-ratio 2.0] [--min-dse-speedup X]
         [--min-hypervolume-ratio X]``
     Deterministic performance benchmark: time per-app DSE (cold and
     cache-warm), the two-step scheduler, a fixed seeded simulation, the
-    runtime ``sched`` suite (steady-state throughput with the
-    schedule-plan cache on vs off, bit-identical results), the ``sim``
-    suite (event-heap engine vs. the legacy per-request loop,
-    float-identical results), the ``cluster`` fleet replay (mini
-    diurnal profile: throughput, p99, scale lag), the ``obs``
-    tracing-overhead suite (traced event engine vs. traced legacy
-    loop, byte-identical streams) and the ``dse`` search suite
-    (guided vs. exhaustive exploration on a >=10x-enlarged knob
-    space: paired timing, evaluation counts, hypervolume ratio, and
-    exact-front parity on the real space) over repeated trials; write
-    ``BENCH_<label>.json``.  ``--suite sched``/``--suite sim``/
-    ``--suite cluster``/``--suite obs``/``--suite dse`` run only that
-    suite.  ``--check`` gates the run against a baseline document
-    (CI's ``perf-smoke`` job) and exits nonzero on a >``--max-ratio``
-    normalized regression; ``--min-sched-speedup`` /
-    ``--min-sim-speedup`` / ``--min-obs-retention`` /
-    ``--min-dse-speedup`` additionally fail when the warm plan-cached
-    (resp. event-engine, traced-engine, guided-search) speedup drops
-    below X, and ``--min-hypervolume-ratio`` fails when the guided
-    front recovers less than X of the exhaustive hypervolume.
+    ``sim`` suite (event-heap engine throughput at low and high load),
+    the ``cluster`` fleet replay (mini diurnal profile: throughput,
+    p99, scale lag), the ``obs`` tracing-overhead suite (traced vs.
+    untraced event engine) and the ``dse`` search suite (guided vs.
+    exhaustive exploration on a >=10x-enlarged knob space: paired
+    timing, evaluation counts, hypervolume ratio, and exact-front
+    parity on the real space) over repeated trials; write
+    ``BENCH_<label>.json``.  ``--suite sim``/``--suite cluster``/
+    ``--suite obs``/``--suite dse`` run only that suite.  ``--check``
+    gates the run against a baseline document (CI's ``perf-smoke``
+    job) and exits nonzero on a >``--max-ratio`` normalized
+    regression; ``--min-dse-speedup`` additionally fails when the
+    guided-search speedup drops below X, and
+    ``--min-hypervolume-ratio`` fails when the guided front recovers
+    less than X of the exhaustive hypervolume.
 
 ``obs APP [--rps 20] [--ms 4000] [--seed 0] [--out-dir obs_out]
         [--summary] [--crash DEV@MS] [--recover DEV@MS]``
@@ -98,6 +92,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import apps as apps_mod
@@ -776,22 +771,16 @@ def _cmd_bench(args) -> int:
         comparison = compare_to_baseline(doc, baseline, max_ratio=args.max_ratio)
         print(comparison.render())
         failed = failed or not comparison.ok
-    for section, gate in (
-        ("sched", args.min_sched_speedup),
-        ("sim", args.min_sim_speedup),
-        ("obs", args.min_obs_retention),
-        ("dse_search", args.min_dse_speedup),
-    ):
-        if gate is None:
-            continue
+    if args.min_dse_speedup is not None:
+        gate = args.min_dse_speedup
         for app, row in sorted(doc["apps"].items()):
-            sec = row.get(section)
+            sec = row.get("dse_search")
             if sec is None:
                 continue
             speedup = sec["speedup"]
             ok = speedup >= gate
             print(
-                f"  {app:4s} {section} speedup {speedup:5.2f}x "
+                f"  {app:4s} dse_search speedup {speedup:5.2f}x "
                 f"(gate >= {gate:.1f}x) "
                 f"[{'OK' if ok else 'REGRESSION'}]"
             )
@@ -1061,10 +1050,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="full",
-        choices=("full", "sched", "sim", "cluster", "obs", "dse"),
-        help="'full' = DSE+scheduler+simulation+sched+sim+cluster+obs+dse, "
-        "'sched' = runtime plan-cache benchmark only, "
-        "'sim' = event-heap engine vs legacy loop benchmark only, "
+        choices=("full", "sim", "cluster", "obs", "dse"),
+        help="'full' = DSE+scheduler+simulation+sim+cluster+obs+dse, "
+        "'sim' = event-heap engine throughput benchmark only, "
         "'cluster' = fleet replay benchmark only, "
         "'obs' = tracing-overhead benchmark only, "
         "'dse' = guided-vs-exhaustive search benchmark only",
@@ -1083,29 +1071,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=2.0,
         help="fail when normalized DSE median exceeds baseline by this factor",
-    )
-    p.add_argument(
-        "--min-sched-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="fail when any app's warm plan-cached speedup is below X",
-    )
-    p.add_argument(
-        "--min-sim-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="fail when any app's event-engine speedup over the legacy "
-        "loop is below X",
-    )
-    p.add_argument(
-        "--min-obs-retention",
-        type=float,
-        default=None,
-        metavar="X",
-        help="fail when any app's traced event-engine speedup over the "
-        "traced legacy loop is below X",
     )
     p.add_argument(
         "--min-dse-speedup",
@@ -1197,7 +1162,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        rc = args.fn(args)
+        # Flush inside the guard: buffered output otherwise hits a
+        # closed pipe only at interpreter exit, outside any handler.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro lint --json | head``).  Point
+        # stdout at devnull so the exit-time flush cannot raise again.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            fd = None
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 1
+    return rc
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from ..faults.events import FaultSchedule
 from ..faults.injector import FaultInjector
 from ..faults.policy import RetryPolicy
 from ..scheduler.kernel_graph import KernelGraph
-from ..scheduler.scheduler import PolyScheduler
 from .core import Diagnostic, LintContext, Severity, register_rule
 
 __all__: List[str] = []
@@ -296,43 +295,6 @@ def check_retry_policy_bounded(
                 "execution; no failover can happen"
             ),
             hint="allow at least one retry to exercise failover",
-        )
-
-
-@register_rule(
-    "RT006",
-    Severity.WARNING,
-    (PolyScheduler,),
-    "plan cache enabled without an invalidation hook bound",
-)
-def check_plan_cache_invalidation(
-    scheduler: PolyScheduler, ctx: LintContext
-) -> Iterator[Diagnostic]:
-    """A :class:`~repro.scheduler.SchedulePlanCache` keys plans on the
-    graph structure and the *live* device set, deliberately excluding
-    anything only :meth:`invalidate` can refresh (device health flips,
-    swapped design spaces).  A cache nobody invalidates serves stale
-    plans across exactly the fault/recovery transitions the runtime
-    replans for — ``LeafNode`` wires the hook automatically
-    (``invalidate_plans()``); a standalone cache-enabled scheduler must
-    call ``plan_cache.bind_invalidation(owner)`` from whoever owns the
-    replan loop."""
-    cache = scheduler.plan_cache
-    if cache is not None and not cache.has_invalidation_hook:
-        yield Diagnostic(
-            rule="RT006",
-            severity=Severity.WARNING,
-            location=ctx.prefix("scheduler"),
-            message=(
-                "scheduler carries a plan cache with no invalidation hook "
-                "bound; fault/recovery transitions would keep serving "
-                "plans computed against the old device view"
-            ),
-            hint=(
-                "bind the cache to the replan owner "
-                "(plan_cache.bind_invalidation(node)) or build the node "
-                "with plan_cache=... which wires invalidate_plans()"
-            ),
         )
 
 

@@ -24,8 +24,8 @@ first-class tracing/metrics layer:
   never touches simulation RNG; QoS violators, faulted requests and
   the top-k latency spans are always retained).
 * :mod:`repro.obs.timeseries` — fixed-window rollups (latency
-  percentiles, QoS attainment, power, queue depth, plan-cache hit
-  rate) fed from simulation/cluster outcomes.
+  percentiles, QoS attainment, power, queue depth, fleet size and
+  utilization) fed from simulation/cluster outcomes.
 * :mod:`repro.obs.slo` — declarative :class:`~repro.obs.slo.SLO`
   objects with multi-window burn-rate alerting over the rollups,
   surfaced by ``repro obs --report``.

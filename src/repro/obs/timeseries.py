@@ -21,9 +21,8 @@ series names (:data:`SERIES`):
 
 * :func:`feed_simulation_result` — single-node
   :class:`~repro.runtime.simulation.SimulationResult`: per-completion
-  latency and QoS attainment, per-bin node power, an in-flight
-  queue-depth census at window boundaries, and the plan-cache hit rate
-  when a cache is bound.
+  latency and QoS attainment, per-bin node power, and an in-flight
+  queue-depth census at window boundaries.
 * :func:`feed_cluster_result` — fleet
   :class:`~repro.cluster.simulation.ClusterResult`: the same request
   series plus per-interval fleet power, serving fleet size and
@@ -54,7 +53,6 @@ SERIES: Tuple[str, ...] = (
     "qos_attained",
     "power_w",
     "queue_depth",
-    "plan_cache_hit_rate",
     "fleet_size",
     "utilization",
 )
@@ -289,16 +287,6 @@ def feed_simulation_result(
     _feed_queue_depth(store, result.requests)
     for i, p in enumerate(result.power_bins_w):
         store.observe("power_w", i * result.bin_ms, float(p))
-    node = result.node
-    if node is not None and node.plan_cache is not None:
-        cache = node.plan_cache
-        total = cache.hits + cache.misses
-        if total:
-            store.observe(
-                "plan_cache_hit_rate",
-                result.duration_ms,
-                cache.hits / total,
-            )
     return store
 
 

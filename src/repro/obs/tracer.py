@@ -203,8 +203,8 @@ class SpanTracer(NullTracer):
     position in the combined stream either way.  The event-heap engine
     leans on the same staging: its native traced fast path flushes
     whole buffers of raw records (tags 1-3 below) straight into the
-    tracer, producing a stream byte-identical to the legacy per-request
-    loop — golden-tested in ``tests/test_engine.py``.
+    tracer, producing a stream byte-identical to a traced
+    ``LeafNode.submit`` loop — tested in ``tests/test_engine.py``.
 
     Raw-record tags (first tuple element):
 
@@ -215,7 +215,7 @@ class SpanTracer(NullTracer):
       point, start_ms, end_ms)``.
     * ``3`` — request complete: ``(3, completion_ms, req, latency_ms)``.
 
-    Tags 1-3 carry raw floats; rounding to the legacy emission's six
+    Tags 1-3 carry raw floats; rounding to ``submit``'s six emitted
     decimals happens at materialization, off the timed path.
     """
 

@@ -1,9 +1,10 @@
 """Global event-heap simulation engine.
 
-The simulator's original inner loop dispatched every request through
-``LeafNode.submit`` — a per-request tower of method calls, dict plumbing
-and dataclass construction.  This module replaces that loop with a
-single global event heap and an incremental-EST fast path:
+``LeafNode.submit`` is the reference request path: one request at a
+time through replanning, allocation, dispatch and monitor bookkeeping,
+in plain method calls.  This module drives whole arrival streams
+through a single global event heap and an incremental-EST fast path
+that makes exactly the same decisions:
 
 * **One event stream.** All simulation time advances through an
   :class:`EventHeap` of typed :class:`EventKind` events — arrivals
@@ -22,32 +23,30 @@ single global event heap and an incremental-EST fast path:
   external readers (cluster dispatcher queue depths, the load signal)
   always see fresh state.
 
-* **The bit-identity contract.** Seeded runs are float-identical to the
-  legacy loop: the fast path replays the exact float expressions of
-  ``LeafNode._execute_kernel_fast`` (itself golden-tested against the
-  plain path), draws noise from the same buffered log-normal stream
-  (numpy's vectorized draws match scalar draws bit-for-bit — the
-  PR 5 replay technique), and folds the monitor's EWMA correction
-  inline with identical arithmetic.  Runs the fast path cannot replay
-  exactly — fault injection (extra RNG consumers, heartbeats) — are
-  *delegated*: the heap still orders the arrivals, but each one
-  executes through ``LeafNode.submit`` itself, which is trivially
-  identical.
+* **The bit-identity contract.** Seeded runs are float-identical to a
+  ``LeafNode.submit`` loop over the same stream: the fast path replays
+  the float expressions of ``LeafNode._allocate`` and
+  ``AcceleratorInstance.dispatch`` in their operation order, draws
+  noise from a buffered log-normal stream (numpy's vectorized draws
+  match scalar draws bit-for-bit), and folds the monitor's EWMA
+  correction inline with identical arithmetic.  Runs the fast path
+  cannot replay exactly — fault injection (extra RNG consumers,
+  heartbeats) — are *delegated*: the heap still orders the arrivals,
+  but each one executes through ``LeafNode.submit`` itself.
 
-* **Native tracing.** An enabled tracer no longer delegates: the
-  engine swaps a :class:`_BufferTracer` onto the node (and its
-  scheduler) for the run's lifetime, the compiled dispatch program
-  appends compact per-request tuples (admit / kernel dispatch /
-  complete) next to the buffered control-plane emissions (replans,
-  scheduler placements, monitor snapshots), and every chunk flushes
-  the buffer to the real tracer in legacy emission order — so traced
-  seeded runs produce byte-identical span streams to the legacy loop
-  while keeping most of the engine speedup (gated by ``repro bench
-  --suite obs``).
+* **Native tracing.** An enabled tracer does not delegate: the engine
+  swaps a :class:`_BufferTracer` onto the node (and its scheduler) for
+  the run's lifetime, the compiled dispatch program appends compact
+  per-request tuples (admit / kernel dispatch / complete) next to the
+  buffered control-plane emissions (replans, scheduler placements,
+  monitor snapshots), and every chunk flushes the buffer to the real
+  tracer in ``submit``'s emission order — so traced seeded runs
+  produce the span stream a traced ``submit`` loop would.
 
-Golden A/B tests (``tests/test_engine.py``) hold the two engines
-bit-identical on seeded fault-free and chaos runs; ``repro bench
---suite sim`` gates the speedup.
+``tests/test_engine.py`` holds seeded runs float-identical to a
+``submit`` loop, fault-free, traced and under chaos;
+``tests/test_golden.py`` and ``tests/golden/`` pin the outputs of every
+app on the three Setting-I systems and of the fleet replays.
 """
 
 from __future__ import annotations
@@ -79,8 +78,8 @@ _CODE_CACHE: Dict[str, object] = {}
 class EventKind(IntEnum):
     """Typed simulation events.  The integer value doubles as the
     tie-break priority at equal timestamps: scale evaluations run
-    before the arrivals of the same instant (matching the legacy
-    ``while next_eval <= t`` drain), completions free devices before
+    before the arrivals of the same instant (an evaluation due at ``t``
+    runs before the arrivals at ``t``), completions free devices before
     same-time arrivals see them, dispatches trail their arrival."""
 
     SCALE = 0
@@ -153,8 +152,8 @@ class _BufferTracer:
     snapshots — land in the engine's trace buffer as passthrough
     records, interleaved with the compact per-request tuples the
     dispatch program appends, so :meth:`EventHeapEngine._flush_trace`
-    can replay the whole stream to the real tracer in legacy emission
-    order.  Timestamps resolve at emit time (``now_ms`` is mutable and
+    can replay the whole stream to the real tracer in ``submit``'s
+    emission order.  Timestamps resolve at emit time (``now_ms`` is mutable and
     advanced by ``maybe_replan`` exactly as on a real tracer)."""
 
     __slots__ = ("_append", "now_ms")
@@ -180,8 +179,8 @@ class _BufferTracer:
 
 def _make_fill(node, platform, name, point, lats, pows):
     """Lazy GPU-ladder cell fill: evaluates the hardware model for one
-    batch size on first use (exactly the sizes the legacy loop's
-    ``_latency_fn`` cache would see) and memoizes it in the ladder."""
+    batch size on first use (exactly the sizes ``submit``'s
+    ``_latency_fn`` lookups would see) and memoizes it in the ladder."""
 
     def fill(size: int) -> float:
         lat, power = node._latency_of_platform(platform, name, point, size)
@@ -205,7 +204,7 @@ class EventHeapEngine:
     ``node.submit`` per arrival (``delegated`` is True); everything the
     engine promises about bit-identity then holds trivially.  An
     enabled tracer runs *natively*: emissions buffer as compact tuples
-    and flush per chunk in legacy order, byte-identical to the
+    and flush per chunk in ``submit``'s order, byte-identical to the
     delegated stream (golden-tested) at a fraction of its cost.
     """
 
@@ -238,7 +237,7 @@ class EventHeapEngine:
         self._max_comp = 0.0
 
         #: Integer tie-break ranks, ordered by device_id — isomorphic to
-        #: the legacy string comparisons (ids are unique).
+        #: ``submit``'s device-id string comparisons (ids are unique).
         self._ranks = {
             d.device_id: i
             for i, d in enumerate(
@@ -363,7 +362,7 @@ class EventHeapEngine:
         sliding windows (deque ``maxlen`` truncates identically to
         per-request appends), the EWMA correction, and the noise-buffer
         cursor — after this the node is indistinguishable from one that
-        ran the legacy loop.  Traced runs additionally flush the trace
+        ran a ``submit`` loop.  Traced runs additionally flush the trace
         buffer, restore the real tracer onto the node/scheduler, and
         write the request-sequence cursor back."""
         if self._finalized or self.delegated:
@@ -465,10 +464,11 @@ class EventHeapEngine:
     def _compile(self, plan) -> list:
         """Compile the active plan into per-kernel dispatch steps.
 
-        Same sources as ``LeafNode._compiled_table`` (live platform
-        pools, the shared latency cache), extended with the full
-        per-batch GPU ladder so joins never call back into the model,
-        and with predecessor/transfer indices resolved to integers.
+        Same sources as ``LeafNode._allocate`` (live platform pools in
+        the plan's platform order, the node's shared latency cache),
+        with the constants ``_allocate`` recomputes per request hoisted
+        out, a per-batch GPU ladder so joins never call back into the
+        model, and predecessor/transfer indices resolved to integers.
         """
         node = self._node
         live = node._live_by_platform()
@@ -490,8 +490,8 @@ class EventHeapEngine:
                     if is_gpu:
                         # Lazy ladder: only batch-1 up front, higher
                         # sizes filled on first join — the same model
-                        # evaluations, in the same order, as the legacy
-                        # loop's per-size ``_latency_fn`` cache.
+                        # evaluations, in the same order, as ``submit``'s
+                        # per-size ``_latency_fn`` lookups.
                         lats = [0.0] * (MAX_GPU_BATCH + 1)
                         pows = [0.0] * (MAX_GPU_BATCH + 1)
                         lats[1], pows[1] = lat1, power1
@@ -925,7 +925,7 @@ class EventHeapEngine:
         program (or the generic interpreter in validation mode).
 
         Both paths are float-expression-identical to
-        ``LeafNode._execute_kernel_fast`` per kernel, with the
+        ``LeafNode._execute_kernel`` per kernel, with the
         monitor's bookkeeping inlined (EWMA correction folded
         sequentially; queue depth nets to zero per request; the sliding
         windows are rebuilt at finalize).  ``prios`` only matters for
@@ -976,7 +976,7 @@ class EventHeapEngine:
     def _flush_monitor(self) -> None:
         """Sync the inlined monitor state onto the node before a traced
         replan: ``monitor.snapshot`` inside ``maybe_replan`` must see
-        exactly the arrivals/latencies/correction a legacy run would —
+        exactly the arrivals/latencies/correction a ``submit`` loop would —
         every prior request completed, the triggering one not yet
         recorded.  ``clear()`` (never rebinding) keeps the compiled
         program's bound ``append`` methods valid."""
@@ -994,7 +994,7 @@ class EventHeapEngine:
     ) -> None:
         """Traced twin of the fast chunk loop.
 
-        Differences from the untraced body, each forced by legacy
+        Differences from the untraced body, each forced by ``submit``'s
         emission order: the admit of a replan-triggering request is
         emitted *before* the replan's own buffered emissions (``sk=1``
         tells the compiled runner to skip it); the monitor buffers

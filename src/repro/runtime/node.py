@@ -37,17 +37,10 @@ from ..apps.base import Application
 from ..faults.events import FaultKind
 from ..faults.policy import DeviceHealth
 from ..hardware import DVFSPolicy, PCIeLink, model_for
-from ..hardware.model_cache import evaluate_cached
 from ..hardware.specs import DeviceType
 from ..obs.tracer import NULL_TRACER
 from ..optim.design_point import DesignPoint, KernelDesignSpace
-from ..scheduler import (
-    DeviceSlot,
-    PolyScheduler,
-    SchedulePlanCache,
-    StaticScheduler,
-    SystemMonitor,
-)
+from ..scheduler import DeviceSlot, PolyScheduler, StaticScheduler, SystemMonitor
 from .cluster import SchedulingPolicy, SystemConfig
 
 __all__ = [
@@ -127,7 +120,7 @@ class AcceleratorInstance:
         """Realized executions, materializing any engine rows first.
 
         The returned list is the live backing store (callers append to
-        it on the legacy dispatch path).  Materialization keeps row
+        it on the ``submit`` dispatch path).  Materialization keeps row
         order, so record-major consumers (the power timeline) see the
         same dispatch-ordered sequence either way.  Reading this while
         the event engine still holds an open GPU batch on a pending row
@@ -407,7 +400,6 @@ class LeafNode:
         seed: int = 0,
         pcie: Optional[PCIeLink] = None,
         tracer=None,
-        plan_cache: Optional[SchedulePlanCache] = None,
     ) -> None:
         self.system = system
         self.app = app
@@ -417,17 +409,10 @@ class LeafNode:
         #: Observability hook; the inert default keeps the request path
         #: byte-identical to an uninstrumented build.
         self.tracer = NULL_TRACER if tracer is None else tracer
-        #: Opt-in schedule-plan memoization.  ``None`` keeps the exact
-        #: legacy request path; with a cache, fault-free requests take a
-        #: compiled dispatch fast path (seeded runs stay bit-identical —
-        #: golden-tested) and the node's model-latency lookups fill
-        #: through the process-wide :func:`evaluate_cached` table.
-        self._plan_cache = plan_cache
-        if plan_cache is not None:
-            plan_cache.bind_invalidation(self)
         self.monitor = SystemMonitor()
         self._rng = np.random.default_rng(seed)
-        #: Buffered log-normal noise draws (fast path only).  numpy's
+        #: The event-heap engine's buffered log-normal noise draws and
+        #: cursor, kept on the node between engine sessions.  numpy's
         #: ``Generator.lognormal(size=N)`` yields the bit-identical
         #: sequence to N scalar draws, so buffering cannot change a
         #: seeded run — it only amortizes the per-draw call overhead.
@@ -447,11 +432,7 @@ class LeafNode:
 
         if system.policy == SchedulingPolicy.POLY:
             self._scheduler = PolyScheduler(
-                design_spaces,
-                app.qos_ms,
-                self.pcie,
-                tracer=self.tracer,
-                plan_cache=plan_cache,
+                design_spaces, app.qos_ms, self.pcie, tracer=self.tracer
             )
         else:
             self._scheduler = StaticScheduler(design_spaces, app.qos_ms, self.pcie)
@@ -486,10 +467,6 @@ class LeafNode:
         #: Poly's loaded-mode GPU batching window (see :meth:`_gpu_window`).
         self._win_loaded = min(0.04 * app.qos_ms, 10.0)
         self._is_poly = system.policy == SchedulingPolicy.POLY
-        #: Compiled per-kernel dispatch table (fast path), rebuilt when
-        #: the active plan object changes.
-        self._dispatch_table: Optional[Dict[str, list]] = None
-        self._compiled_for: Optional[object] = None
         #: Fault-injection hooks; ``None`` keeps the request path on the
         #: exact healthy-device code (bit-identical to a fault-free run).
         self._injector = None
@@ -497,11 +474,6 @@ class LeafNode:
         self._req_seq = 0
         self._current_req = 0
         self._traced_mode: Optional[str] = None
-
-    @property
-    def plan_cache(self) -> Optional[SchedulePlanCache]:
-        """The bound schedule-plan cache, if any (read by RT006)."""
-        return self._plan_cache
 
     # -- fault hooks ----------------------------------------------------------
 
@@ -515,22 +487,12 @@ class LeafNode:
     def invalidate_plans(self) -> None:
         """Drop the precomputed operating plans; the next
         :meth:`maybe_replan` re-runs the latency/energy scheduling
-        passes over the currently schedulable (surviving) device set.
-
-        With a plan cache attached, the cached schedules for this
-        application are dropped too — they were computed against the
-        previous live-device view (this is the invalidation hook the
-        fault/recovery path depends on; see
-        :class:`~repro.scheduler.SchedulePlanCache`)."""
+        passes over the currently schedulable (surviving) device set."""
         self._light_plan = None
         self._heavy_plan = None
         self._plan = {}
         self._plan_makespan_ms = 0.0
         self._last_replan_ms = -float("inf")
-        self._dispatch_table = None
-        self._compiled_for = None
-        if self._plan_cache is not None:
-            self._plan_cache.invalidate(self.app.graph.structural_signature())
 
     def _live_by_platform(self) -> Dict[str, List[AcceleratorInstance]]:
         """Platform pools restricted to schedulable devices (platforms
@@ -548,26 +510,23 @@ class LeafNode:
     # -- planning -------------------------------------------------------------
 
     def _latency_of(self, spec):
+        """The memoized ``(latency, power)`` lookup one device uses.
+
+        The closure holds the model and the node's kernel and latency
+        tables, never the node itself: a device referring back to its
+        node would make every finished node cyclic garbage."""
         model = self._models[spec.name]
+        platform = spec.name
+        kernels = self._kernels
+        cache = self._latency_cache
 
         def fn(kernel_name: str, point: DesignPoint, batch: int):
-            key = (spec.name, kernel_name, point.index, batch)
-            cached = self._latency_cache.get(key)
+            key = (platform, kernel_name, point.index, batch)
+            cached = cache.get(key)
             if cached is None:
-                if self._plan_cache is not None:
-                    # Cache-enabled nodes fill misses through the
-                    # process-wide model-eval table: identical floats
-                    # (same model classes), but a fresh node on a warm
-                    # process skips the model math entirely.
-                    est = evaluate_cached(
-                        self._kernels[kernel_name], spec, point.config, batch
-                    )
-                else:
-                    est = model.estimate(
-                        self._kernels[kernel_name], point.config, batch
-                    )
+                est = model.estimate(kernels[kernel_name], point.config, batch)
                 cached = (est.latency_ms, est.active_power_w)
-                self._latency_cache[key] = cached
+                cache[key] = cached
             return cached
 
         return fn
@@ -930,16 +889,6 @@ class LeafNode:
                     )
                     retries += used
                     ends[name] = (end, device_id)
-            elif self._plan_cache is not None:
-                # Compiled dispatch: same decisions as _execute_kernel,
-                # minus the per-request plan/pool bookkeeping (golden
-                # tests hold the two paths bit-identical).
-                table = self._compiled_table()
-                for name in self._topo_order:
-                    device_id, end = self._execute_kernel_fast(
-                        name, ends, arrival_ms, table
-                    )
-                    ends[name] = (end, device_id)
             else:
                 for name in self._topo_order:
                     device, _, _, end = self._execute_kernel(
@@ -1037,246 +986,6 @@ class LeafNode:
             )
         return device, point, start, end
 
-    # -- compiled dispatch fast path (plan-cache mode, healthy devices) -------
-
-    def _next_noise(self) -> float:
-        """Next execution-noise draw, buffered.
-
-        Bit-identical to a scalar ``rng.lognormal(0.0, NOISE_SIGMA)``
-        per call: numpy draws vectorized log-normals in the same stream
-        order as repeated scalar draws.
-        """
-        buf = self._noise_buf
-        pos = self._noise_pos
-        if pos >= len(buf):
-            buf = self._noise_buf = self._rng.lognormal(
-                0.0, NOISE_SIGMA, size=2048
-            )
-            pos = 0
-        self._noise_pos = pos + 1
-        return float(buf[pos])
-
-    def _compiled_table(self) -> Dict[str, list]:
-        """Per-kernel dispatch entries compiled from the active plan.
-
-        Each entry is ``(point, devices, lat1_ms, impl_key, is_gpu,
-        overflow_ms, power1_w)`` in the plan's platform order (preferred
-        first) — everything :meth:`_allocate` recomputes per request
-        that is in fact constant for the plan's lifetime.  ``lat1_ms``/
-        ``power1_w`` are the exact batch-1 tuple the device's
-        ``_latency_fn`` serves (same shared latency cache), so the
-        inlined dispatch below reproduces its floats bit-for-bit.  The
-        table is keyed to the plan *object*, so light/heavy toggles swap
-        between two compiled tables and :meth:`invalidate_plans` drops
-        both.
-        """
-        plan = self._plan
-        if plan is self._compiled_for and self._dispatch_table is not None:
-            return self._dispatch_table
-        table: Dict[str, list] = {}
-        live = self._live_by_platform()
-        for name, per_platform in plan.items():
-            entries = []
-            for platform, point in per_platform.items():
-                devs = live.get(platform)
-                if not devs:
-                    continue
-                lat1, power1 = self._latency_of_platform(
-                    platform, name, point, 1
-                )
-                entries.append(
-                    (
-                        point,
-                        list(devs),
-                        lat1,
-                        (name, point.index),
-                        devs[0].device_type == DeviceType.GPU,
-                        self._OVERFLOW_FACTOR * point.latency_ms,
-                        power1,
-                    )
-                )
-            if entries:
-                table[name] = entries
-        self._dispatch_table = table
-        self._compiled_for = plan
-        return table
-
-    def _execute_kernel_fast(
-        self,
-        name: str,
-        ends: Dict[str, Tuple[float, str]],
-        arrival_ms: float,
-        table: Dict[str, list],
-    ) -> Tuple[str, float]:
-        """Healthy-path kernel execution over the compiled table.
-
-        Decision-for-decision the same as :meth:`_execute_kernel` +
-        :meth:`_allocate` (same finish estimates, same ``(finish,
-        device_id)`` tie-breaks, same overflow rule, same noise stream),
-        with :meth:`DeviceSim.dispatch`'s bookkeeping inlined — the
-        same state mutations and float expressions, minus the per-call
-        dispatch plumbing; returns (device_id, end_ms).
-        """
-        entries = table.get(name)
-        if not entries:
-            raise RuntimeError(f"kernel {name!r} has no planned platform")
-        preds = self._preds[name]
-        base_ready = arrival_ms
-        for pred in preds:
-            e = ends[pred][0]
-            if e > base_ready:
-                base_ready = e
-
-        point, devs, lat1, impl_key, is_gpu, overflow_ms, power1 = entries[0]
-        best_fin = float("inf")
-        best_id = ""
-        device = None
-        for d in devs:
-            if is_gpu:
-                b = d._open_batches.get(impl_key)
-                if (
-                    b is not None
-                    and b.launch_ms >= base_ready
-                    and b.size < MAX_GPU_BATCH
-                ):
-                    fin = b.launch_ms + d._latency_fn(name, point, b.size + 1)[0]
-                else:
-                    h = d.horizon_ms
-                    fin = (h if h > base_ready else base_ready) + lat1
-            else:
-                h = d.horizon_ms
-                s = h if h > base_ready else base_ready
-                li = d.loaded_impl
-                if li is not None and li != impl_key:
-                    s += d.reconfig_ms
-                fin = s + lat1
-            if fin < best_fin or (fin == best_fin and d.device_id < best_id):
-                best_fin = fin
-                best_id = d.device_id
-                device = d
-        chosen_point = point
-        chosen_gpu = is_gpu
-        chosen_key = impl_key
-        chosen_lat1 = lat1
-        chosen_power1 = power1
-
-        if len(entries) > 1 and best_fin - base_ready > overflow_ms:
-            best_key = (best_fin, best_id)
-            for alt in entries[1:]:
-                a_point, a_devs, a_lat1, a_key, a_gpu, _, a_power1 = alt
-                for d in a_devs:
-                    if a_gpu:
-                        b = d._open_batches.get(a_key)
-                        if (
-                            b is not None
-                            and b.launch_ms >= base_ready
-                            and b.size < MAX_GPU_BATCH
-                        ):
-                            fin = b.launch_ms + d._latency_fn(
-                                name, a_point, b.size + 1
-                            )[0]
-                        else:
-                            h = d.horizon_ms
-                            fin = (h if h > base_ready else base_ready) + a_lat1
-                    else:
-                        h = d.horizon_ms
-                        s = h if h > base_ready else base_ready
-                        li = d.loaded_impl
-                        if li is not None and li != a_key:
-                            s += d.reconfig_ms
-                        fin = s + a_lat1
-                    cand = (fin, d.device_id)
-                    if cand < best_key:
-                        best_key = cand
-                        device = d
-                        chosen_point = a_point
-                        chosen_gpu = a_gpu
-                        chosen_key = a_key
-                        chosen_lat1 = a_lat1
-                        chosen_power1 = a_power1
-
-        dev_id = device.device_id
-        ready = arrival_ms
-        for pred in preds:
-            pe, pd = ends[pred]
-            if pd != dev_id:
-                pe += self._xfer_ms[(pred, name)]
-            if pe > ready:
-                ready = pe
-        noise = self._next_noise()
-        if device.slowdown != 1.0:
-            noise *= device.slowdown
-
-        # Inlined DeviceSim.dispatch: identical mutations and float
-        # expressions as _dispatch_gpu/_dispatch_fpga, with the batch-1
-        # (latency, power) read from the compiled table instead of a
-        # _latency_fn call (same cached tuple).
-        if chosen_gpu:
-            b = device._open_batches.get(chosen_key)
-            if (
-                b is not None
-                and b.launch_ms >= ready
-                and b.size < MAX_GPU_BATCH
-            ):
-                old_end = b.end_ms
-                b.size += 1
-                latency, power = device._latency_fn(
-                    name, chosen_point, b.size
-                )
-                b.end_ms = b.launch_ms + latency * b.noise
-                b.record.end_ms = b.end_ms
-                b.record.power_w = power
-                b.record.batch = b.size
-                device.horizon_ms = max(
-                    device.horizon_ms + (b.end_ms - old_end), b.end_ms
-                )
-                start, end = b.launch_ms, b.end_ms
-            else:
-                if self._is_poly:
-                    win = self._win_loaded if self._was_loaded else 0.0
-                else:
-                    win = self.system.batch_window_ms
-                launch = max(device.horizon_ms, ready + win)
-                end = launch + chosen_lat1 * noise
-                record = ExecutionRecord(
-                    dev_id, name, chosen_point.index, launch, end,
-                    chosen_power1, 1,
-                )
-                device.records.append(record)
-                device.horizon_ms = end
-                device._open_batches[chosen_key] = _OpenBatch(
-                    name, chosen_point, launch, end, 1, record, noise
-                )
-                start = launch
-        else:
-            h = device.horizon_ms
-            start = h if h > ready else ready
-            li = device.loaded_impl
-            if li is not None and li != chosen_key:
-                start += device.reconfig_ms
-            device.loaded_impl = chosen_key
-            end = start + chosen_lat1 * noise
-            device.records.append(
-                ExecutionRecord(
-                    dev_id, name, chosen_point.index, start, end,
-                    chosen_power1, 1,
-                )
-            )
-            device.horizon_ms = end
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "kernel.dispatch",
-                name=name,
-                t_ms=ready,
-                req=self._current_req,
-                kernel=name,
-                device=dev_id,
-                point=chosen_point.index,
-                start_ms=round(start, 6),
-                end_ms=round(end, 6),
-            )
-        return dev_id, end
-
     def _execute_kernel_resilient(
         self,
         name: str,
@@ -1340,12 +1049,12 @@ class LeafNode:
     def _gpu_window(self, device: AcceleratorInstance) -> float:
         if device.device_type != DeviceType.GPU:
             return 0.0
-        if self.system.policy == SchedulingPolicy.POLY:
+        if self._is_poly:
             # Poly opens a batching window only in high-performance mode:
             # a small admission delay keeps the GPU in its efficient
             # batched regime under load, while light load stays
             # latency-optimal with immediate launches.
-            return min(0.04 * self.app.qos_ms, 10.0) if self._was_loaded else 0.0
+            return self._win_loaded if self._was_loaded else 0.0
         return self.system.batch_window_ms
 
     def _allocate(
@@ -1468,5 +1177,4 @@ class LeafNode:
         return rps
 
     def _latency_of_platform(self, platform, name, point, batch):
-        spec = self._by_platform[platform][0].spec
-        return self._latency_of(spec)(name, point, batch)
+        return self._by_platform[platform][0]._latency_fn(name, point, batch)

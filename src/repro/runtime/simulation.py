@@ -126,18 +126,17 @@ def run_simulation(
     priorities: Optional[Sequence[float]] = None,
     tracer=None,
     metrics=None,
-    plan_cache=None,
-    engine: str = "event",
 ) -> SimulationResult:
     """Replay ``arrivals_ms`` (sorted timestamps) on a fresh leaf node.
 
     ``faults`` (a :class:`FaultSchedule`, or a pre-built
     :class:`FaultInjector` for custom retry/heartbeat settings) turns
-    the run into a chaos experiment; ``priorities`` optionally assigns a
-    per-request priority in [0, 1] (parallel to the *sorted* arrival
-    stream) consulted by graceful-degradation load shedding.  With
-    ``faults=None`` the run is bit-identical to the pre-fault-injection
-    simulator.
+    the run into a chaos experiment; ``retry_policy`` applies to a
+    schedule only (a pre-built injector carries its own).
+    ``priorities`` optionally assigns a per-request priority in [0, 1]
+    (parallel to the *sorted* arrival stream) consulted by
+    graceful-degradation load shedding.  With ``faults=None`` the run is
+    bit-identical to the pre-fault-injection simulator.
 
     ``tracer`` (a :class:`repro.obs.SpanTracer`) records the typed
     event stream of the run — request lifecycle, scheduling decisions,
@@ -147,30 +146,25 @@ def run_simulation(
     counters/gauges/histograms.  Both default to off, leaving the run
     bit-identical to an uninstrumented build.
 
-    ``plan_cache`` (a :class:`repro.scheduler.SchedulePlanCache`)
-    memoizes the node's schedule plans and enables the compiled
-    dispatch fast path; seeded runs are bit-identical with the cache on
-    or off (golden-tested), the cache only removes recomputation.
-
     ``arrivals_ms`` may also be an :class:`ArrivalSpec` — the
     declarative stream description shared with the cluster driver —
     realized here through its own seed.
 
-    ``engine`` selects the simulation core: ``"event"`` (default)
-    drives the run through the global event-heap engine
-    (:class:`repro.runtime.engine.EventHeapEngine`, ≥10x request
-    throughput at high load); ``"legacy"`` keeps the original
-    per-request submit loop.  Seeded runs are float-identical across
-    the two (golden-tested); traced runs emit byte-identical event
-    streams natively from the engine's loop (chaos runs delegate each
-    arrival to the node, so the equivalence is structural there).
+    The run is driven by the global event-heap engine
+    (:class:`repro.runtime.engine.EventHeapEngine`): seeded runs are
+    float-identical to a :meth:`LeafNode.submit` loop over the same
+    stream, and traced runs emit the same event stream natively from
+    the engine's loop (chaos runs delegate each arrival to ``submit``).
     """
-    if engine not in ("event", "legacy"):
-        raise ValueError(f"unknown engine {engine!r}")
     if isinstance(arrivals_ms, ArrivalSpec):
         arrivals_ms = arrivals_ms.generate()
     if not arrivals_ms:
         raise ValueError("empty arrival stream")
+    if retry_policy is not None and not isinstance(faults, FaultSchedule):
+        raise ValueError(
+            "retry_policy applies to a fault schedule only "
+            "(a pre-built FaultInjector carries its own)"
+        )
     if tracer is None and isinstance(faults, FaultInjector):
         # A pre-built injector constructed with its own tracer traces
         # the whole run, not just the fault path.
@@ -183,7 +177,6 @@ def run_simulation(
         replan_interval_ms=replan_interval_ms,
         seed=seed,
         tracer=tracer,
-        plan_cache=plan_cache,
     )
     injector: Optional[FaultInjector] = None
     if faults is not None:
@@ -192,20 +185,11 @@ def run_simulation(
         else:
             injector = FaultInjector(faults, retry_policy=retry_policy)
         injector.bind(node)
-    elif retry_policy is not None:
-        raise ValueError("retry_policy given without a fault schedule")
 
     ordered = sorted(arrivals_ms)
     if priorities is not None and len(priorities) != len(ordered):
         raise ValueError("priorities must match the arrival stream length")
-    if engine == "event":
-        requests = EventHeapEngine(node).run(ordered, priorities=priorities)
-    elif priorities is None:
-        requests = [node.submit(t) for t in ordered]
-    else:
-        requests = [
-            node.submit(t, priority=p) for t, p in zip(ordered, priorities)
-        ]
+    requests = EventHeapEngine(node).run(ordered, priorities=priorities)
 
     # Latency statistics run to the last completion; power is accounted
     # over the *offered-load* window only — in overload the post-arrival

@@ -5,21 +5,11 @@ from .energy_opt import EnergyOptimizer, EnergyStep
 from .kernel_graph import KernelGraph
 from .latency_opt import LatencyOptimizer
 from .monitor import SystemMonitor
-from .plan_cache import (
-    CachedPlan,
-    SchedulePlanCache,
-    clear_plan_cache,
-    plan_cache,
-)
 from .priority import latency_priorities, min_latency_ms, priority_order
 from .scheduler import AdmissionError, PolyScheduler, StaticScheduler
 from .types import Assignment, DeviceSlot, Schedule
 
 __all__ = [
-    "CachedPlan",
-    "SchedulePlanCache",
-    "plan_cache",
-    "clear_plan_cache",
     "AdmissionError",
     "KernelGraph",
     "DeviceSlot",

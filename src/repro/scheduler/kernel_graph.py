@@ -72,9 +72,10 @@ class KernelGraph:
         """Stable digest of the graph *structure*: name, kernel names,
         and byte-annotated edges.
 
-        This is the cache-key component the schedule-plan cache and the
-        priority-rank memo use: two graphs with equal signatures present
-        the identical scheduling problem (given equal design spaces).
+        This is the key the priority-rank memo and the cluster
+        dispatcher's locality signal use: two graphs with equal
+        signatures present the identical scheduling problem (given equal
+        design spaces).
         The digest is memoized against :attr:`version`, so repeated
         lookups cost a tuple compare, not a hash of the whole graph.
         """

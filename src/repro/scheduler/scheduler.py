@@ -22,7 +22,6 @@ from ..optim.design_point import DesignPoint, KernelDesignSpace
 from .energy_opt import EnergyOptimizer, EnergyStep
 from .kernel_graph import KernelGraph
 from .latency_opt import LatencyOptimizer
-from .plan_cache import SchedulePlanCache
 from .types import Assignment, DeviceSlot, Schedule
 
 __all__ = ["PolyScheduler", "StaticScheduler", "AdmissionError"]
@@ -52,7 +51,6 @@ class PolyScheduler:
         latency_bound_ms: float,
         pcie: Optional[PCIeLink] = None,
         tracer=None,
-        plan_cache: Optional[SchedulePlanCache] = None,
     ) -> None:
         if latency_bound_ms <= 0:
             raise ValueError("latency bound must be positive")
@@ -61,11 +59,6 @@ class PolyScheduler:
         #: Observability hook; inert by default so untraced scheduling
         #: stays on the exact pre-instrumentation code path.
         self.tracer = NULL_TRACER if tracer is None else tracer
-        #: Optional memo table for full two-step plans; ``None`` keeps
-        #: the exact uncached code path.  Whoever owns the fault/replan
-        #: loop must wire invalidation (see
-        #: :class:`~repro.scheduler.plan_cache.SchedulePlanCache`).
-        self.plan_cache = plan_cache
         self.latency_optimizer = LatencyOptimizer(design_spaces, pcie)
         self.energy_optimizer = EnergyOptimizer(
             design_spaces, self.latency_optimizer
@@ -111,30 +104,13 @@ class PolyScheduler:
             report = self.admission_check(graph, devices)
             if not report.ok:
                 raise AdmissionError(report)
-        cache = self.plan_cache
-        if cache is not None:
-            cached = cache.lookup(
-                graph, devices, self.latency_bound_ms, optimize_energy
-            )
-            if cached is not None:
-                schedule, steps = cached
-                self._trace_schedule(schedule, steps)
-                return schedule, steps
         step1 = self.latency_optimizer.schedule(graph, devices)
         if not optimize_energy:
-            if cache is not None:
-                cache.store(
-                    graph, devices, self.latency_bound_ms, False, step1, ()
-                )
             self._trace_schedule(step1, [])
             return step1, []
         final, steps = self.energy_optimizer.optimize(
             graph, devices, step1, self.latency_bound_ms
         )
-        if cache is not None:
-            cache.store(
-                graph, devices, self.latency_bound_ms, True, final, steps
-            )
         self._trace_schedule(final, steps)
         return final, steps
 
@@ -173,24 +149,8 @@ class PolyScheduler:
     def min_latency_schedule(
         self, graph: KernelGraph, devices: Sequence[DeviceSlot]
     ) -> Schedule:
-        """Step 1 only (used for capacity probing).
-
-        Shares cache entries with ``schedule(optimize_energy=False)`` —
-        both are the pure Step-1 result for the same key.
-        """
-        cache = self.plan_cache
-        if cache is not None:
-            cached = cache.lookup(
-                graph, devices, self.latency_bound_ms, False
-            )
-            if cached is not None:
-                return cached[0]
-        step1 = self.latency_optimizer.schedule(graph, devices)
-        if cache is not None:
-            cache.store(
-                graph, devices, self.latency_bound_ms, False, step1, ()
-            )
-        return step1
+        """Step 1 only (used for capacity probing)."""
+        return self.latency_optimizer.schedule(graph, devices)
 
 
 class StaticScheduler:

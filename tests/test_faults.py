@@ -172,6 +172,26 @@ class TestInjectorWiring:
         assert by_id["fpga1"].health == DeviceHealth.HEALTHY
         assert by_id["fpga0"].health == DeviceHealth.DEGRADED  # still throttled
 
+    def test_retry_policy_needs_a_schedule(self, heter_setup):
+        """A retry policy beside a pre-built injector (or no faults at
+        all) would be silently ignored; it is rejected instead."""
+        app, system, spaces = heter_setup
+        schedule = FaultSchedule.single_crash(
+            "fpga0", at_ms=100.0, recover_at_ms=300.0
+        )
+        policy = RetryPolicy(max_retries=0)
+        for faults in (FaultInjector(schedule), None):
+            with pytest.raises(ValueError, match="retry_policy"):
+                runtime.run_simulation(
+                    system, app, spaces, [1.0, 2.0],
+                    faults=faults, retry_policy=policy,
+                )
+        result = runtime.run_simulation(
+            system, app, spaces, _arrivals(60.0, 500.0),
+            faults=schedule, retry_policy=policy,
+        )
+        assert result.faults is not None
+
     def test_transient_consumed_once(self, heter_setup):
         app, system, spaces = heter_setup
         node = LeafNode(system, app, spaces)

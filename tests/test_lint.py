@@ -6,7 +6,10 @@ scheduler, the CLI subcommand, and a property test that lint-clean PPGs
 never raise inside DSE.
 """
 
+import errno
+import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +42,6 @@ from repro.scheduler import (
     DeviceSlot,
     KernelGraph,
     PolyScheduler,
-    SchedulePlanCache,
 )
 
 EXPECTED_RULES = {
@@ -441,34 +443,6 @@ class TestRuntimeRules:
         assert not run_lint(graph, ctx, expand=False).by_rule("RT003")
 
 
-class TestPlanCacheInvalidationRule:
-    def _scheduler(self, cache):
-        spaces = _spaces_for(chain_graph(n=2), AMD_W9100.name, latency_ms=10.0)
-        return PolyScheduler(spaces, 200.0, plan_cache=cache)
-
-    def test_rt006_unbound_cache_warns(self):
-        report = run_lint(self._scheduler(SchedulePlanCache()), LintContext())
-        diags = report.by_rule("RT006")
-        assert len(diags) == 1
-        assert diags[0].severity == Severity.WARNING
-        assert "invalidation" in diags[0].message
-        assert report.ok  # a warning, not an error
-
-    def test_rt006_bound_cache_clean(self):
-        class Owner:
-            pass
-
-        owner = Owner()
-        cache = SchedulePlanCache()
-        cache.bind_invalidation(owner)
-        report = run_lint(self._scheduler(cache), LintContext())
-        assert not report.by_rule("RT006")
-
-    def test_rt006_cacheless_scheduler_clean(self):
-        report = run_lint(self._scheduler(None), LintContext())
-        assert not report.by_rule("RT006")
-
-
 class TestAutoscalerConfigRule:
     def test_rt007_defaults_clean(self):
         report = run_lint(AutoscalerConfig(), LintContext())
@@ -632,6 +606,17 @@ class TestLintCLI:
 
     def test_lint_unknown_app_exits_2(self, capsys):
         assert main(["lint", "--app", "nope"]) == 2
+
+    def test_broken_pipe_exits_without_traceback(self, monkeypatch):
+        """``repro lint --json | head``: the reader closing the pipe
+        ends the command with exit code 1, not a BrokenPipeError."""
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["lint", "--app", "asr", "--json"]) == 1
 
     def test_lint_bad_app_exits_nonzero_with_error(self, capsys, monkeypatch):
         def build_bad():

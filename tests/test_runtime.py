@@ -1,6 +1,9 @@
 """Unit tests for the runtime substrate: cluster, loadgen, node, sim,
 metrics, trace and TCO."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -215,3 +218,29 @@ class TestTCO:
             TCOParameters(pue=0.9)
         with pytest.raises(ValueError):
             TCOModel().monthly_energy_usd(-1.0)
+
+
+class TestNodeLifetime:
+    def test_finished_node_freed_without_cycle_collector(self):
+        """A device's latency lookup must not refer back to its node:
+        dropping the result frees the node by reference counting alone,
+        with the cyclic collector switched off."""
+        from repro import apps as apps_mod
+        from repro.runtime import run_simulation
+
+        app = apps_mod.build("WT")
+        system = setting("I", "Heter-Poly")
+        spaces = app.explore(system.platforms)
+        arrivals = poisson_arrivals(
+            60.0, 1_000.0, rng=np.random.default_rng(1)
+        )
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = run_simulation(system, app, spaces, arrivals, seed=1)
+            node = weakref.ref(result.node)
+            del result
+            assert node() is None
+        finally:
+            if was_enabled:
+                gc.enable()

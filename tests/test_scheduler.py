@@ -97,6 +97,14 @@ class TestKernelGraph:
         assert order.index("K1") < order.index("K4")
         assert order.index("K2") < order.index("K3") < order.index("K4")
 
+    def test_structural_signature_tracks_topology(self):
+        a, b = chain_graph(n=3), chain_graph(n=3)
+        assert a.structural_signature() == b.structural_signature()
+        c = chain_graph(n=3)
+        c.add_kernel(small_kernel("tail", elements=128))
+        c.connect("K2", "tail")
+        assert c.structural_signature() != a.structural_signature()
+
 
 class TestPriorities:
     def test_min_latency_across_platforms(self):
@@ -257,3 +265,43 @@ class TestSchedulers:
         a = next(iter(sched))
         with pytest.raises(ValueError, match="twice"):
             Schedule("x", [a, a])
+
+
+class TestStaticSchedulerPolicyIsolation:
+    def test_two_graphs_keep_their_frozen_policies(self):
+        """Regression: interleaving a second application through one
+        StaticScheduler must not clobber the first one's offline
+        max-efficiency/min-latency decision."""
+        spaces = _diamond_spaces()
+        scheduler = StaticScheduler(spaces, 500.0)
+        diamond = _diamond_graph()
+        first = scheduler.schedule(diamond, _devices())
+
+        # A serial chain over the same kernels busts 60% of the bound at
+        # zero load, freezing the *other* policy (min-latency).
+        serial = KernelGraph("serial")
+        for i in range(1, 5):
+            serial.add_kernel(small_kernel(f"K{i}", elements=256))
+        for a, b in (("K1", "K2"), ("K2", "K3"), ("K3", "K4")):
+            serial.connect(a, b, nbytes=1024)
+        scheduler.schedule(serial, _devices())
+        assert (
+            scheduler._fixed_choice["diamond"]
+            != scheduler._fixed_choice["serial"]
+        )
+
+        replay = scheduler.schedule(diamond, _devices())
+        assert [
+            (a.kernel_name, a.point.index, a.device_id) for a in first
+        ] == [
+            (a.kernel_name, a.point.index, a.device_id) for a in replay
+        ]
+
+    def test_policy_frozen_per_graph_name(self):
+        spaces = _diamond_spaces()
+        scheduler = StaticScheduler(spaces, 1_000.0)
+        scheduler.schedule(_diamond_graph(), _devices())
+        small = KernelGraph("tiny")
+        small.add_kernel(small_kernel("K1", elements=256))
+        scheduler.schedule(small, _devices())
+        assert set(scheduler._fixed_choice) == {"diamond", "tiny"}
