@@ -10,7 +10,7 @@ by
 * **queue depth** — the node's bottleneck backlog in ms (what a new
   arrival would wait behind), read as the latest device horizon minus
   the arrival time (see :meth:`~repro.cluster.simulation.ClusterNode.queue_ms`);
-* **plan-cache locality** — a node that has already scheduled this
+* **plan locality** — a node that has already scheduled this
   application's graph signature serves it from its warm operating
   plans; a cold node pays the scheduling passes first, modeled as a
   fixed penalty;

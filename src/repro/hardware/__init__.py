@@ -16,7 +16,6 @@ from .model_cache import (
     ModelEvalCache,
     cache_stats,
     clear_model_cache,
-    evaluate_cached,
     evaluate_many_cached,
     kernel_signature,
     model_cache,
@@ -61,7 +60,6 @@ __all__ = [
     "CachedEstimate",
     "ModelEvalCache",
     "model_cache",
-    "evaluate_cached",
     "evaluate_many_cached",
     "cache_stats",
     "clear_model_cache",

@@ -32,7 +32,6 @@ __all__ = [
     "CachedEstimate",
     "ModelEvalCache",
     "kernel_signature",
-    "evaluate_cached",
     "evaluate_many_cached",
     "cache_stats",
     "clear_model_cache",
@@ -302,13 +301,6 @@ class ModelEvalCache:
 
 #: Process-wide cache instance the DSE routes through.
 model_cache = ModelEvalCache()
-
-
-def evaluate_cached(
-    kernel: Kernel, spec, config: ImplConfig, batch: int = 1
-) -> CachedEstimate:
-    """Evaluate one (kernel, spec, config) candidate via the shared cache."""
-    return model_cache.evaluate(kernel, spec, config, batch)
 
 
 def evaluate_many_cached(
