@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
+import numpy as np
+
 from .. import apps as apps_mod
 from ..apps.base import Application
 from ..runtime import (
@@ -82,8 +84,11 @@ def run_at(
     duration_ms: float = 9000.0,
     seed: int = 0,
 ) -> SimulationResult:
-    """Simulate one load point."""
-    arrivals = poisson_arrivals(rps, duration_ms)
+    """Simulate one load point; ``seed`` draws both the arrival stream
+    and the node's device noise."""
+    arrivals = poisson_arrivals(
+        rps, duration_ms, rng=np.random.default_rng(seed)
+    )
     return run_simulation(
         system, app, spaces_for(app, system), arrivals, seed=seed
     )

@@ -150,7 +150,7 @@ def run_simulation(
     declarative stream description shared with the cluster driver —
     realized here through its own seed.
 
-    The run is driven by the global event-heap engine
+    The run is driven by the simulation engine
     (:class:`repro.runtime.engine.EventHeapEngine`): seeded runs are
     float-identical to a :meth:`LeafNode.submit` loop over the same
     stream, and traced runs emit the same event stream natively from

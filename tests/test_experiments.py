@@ -9,6 +9,7 @@ import pytest
 
 from repro.experiments import fig08, fig10, fig11, harness
 from repro.experiments.fig09 import normalized_gap
+from repro.runtime import poisson_arrivals
 
 
 class TestHarness:
@@ -36,6 +37,17 @@ class TestHarness:
     def test_default_loads_cover_paper_range(self):
         assert harness.DEFAULT_LOADS[0] == pytest.approx(0.1)
         assert harness.DEFAULT_LOADS[-1] == pytest.approx(1.0)
+
+    def test_run_at_seeds_its_arrivals(self):
+        app = harness.get_app("WT")
+        system = harness.systems("I")["Homo-GPU"]
+
+        def stream(seed):
+            result = harness.run_at(app, system, 20.0, 1_000.0, seed=seed)
+            return [r.arrival_ms for r in result.requests]
+
+        assert stream(1) != stream(2)
+        assert stream(0) == poisson_arrivals(20.0, 1_000.0)
 
 
 class TestFig08Summary:
