@@ -6,9 +6,11 @@ second, slower implementation kept alive to compare against:
 
 * ``sim_digests.json`` — one entry per application x Setting-I system x
   mode (fault-free, a crash-and-recover of the system's first device,
-  traced), with separate digests of the request records, power bins,
-  monitor state, device execution records and (traced mode) the JSONL
-  event stream;
+  traced, and a seeded MTBF/MTTR chaos schedule with transients,
+  slowdowns and request priorities, untraced and traced), with
+  separate digests of the request records, power bins, monitor state,
+  device execution records, the resilience report (chaos modes) and
+  the JSONL event stream (traced modes);
 * ``fleet_digests.json`` — the fleet replays and the traced fleet event
   stream of ``tests/test_engine.py`` and ``tests/test_obs_pipeline.py``.
 
@@ -46,15 +48,27 @@ FLEET_FILE = GOLDEN_DIR / "fleet_digests.json"
 
 APPS = tuple(apps_mod.APP_BUILDERS)
 SYSTEMS = ("Homo-GPU", "Homo-FPGA", "Heter-Poly")
-MODES = ("fault-free", "crash-recover", "traced")
+MODES = ("fault-free", "crash-recover", "traced", "chaos", "chaos-traced")
+#: Modes whose run carries a fault injector.
+FAULT_MODES = ("crash-recover", "chaos", "chaos-traced")
+#: Modes whose run is traced (their entries pin the JSONL bytes).
+TRACED_MODES = ("traced", "chaos-traced")
+#: Modes whose entries also pin the resilience report.
+CHAOS_MODES = ("chaos", "chaos-traced")
 
 #: Single-node case shape: a 1.5 s Poisson stream at half the shared
 #: peak load (six replan intervals), a crash at 400 ms repaired at
-#: 1000 ms in the chaos mode.
+#: 1000 ms in the crash-and-recover mode.
 SIM_RPS = 0.5 * harness.PEAK_RPS
 SIM_MS = 1_500.0
 CRASH_MS = 400.0
 RECOVER_MS = 1_000.0
+#: Chaos-mode schedule: MTBF 600 ms / MTTR 300 ms on every device, 5
+#: transients/s per device, 30% of failures thermal slowdowns.
+CHAOS_MTBF_MS = 600.0
+CHAOS_MTTR_MS = 300.0
+CHAOS_TRANSIENTS_PER_S = 5.0
+CHAOS_SLOWDOWN_PROB = 0.3
 
 
 def digest(obj) -> str:
@@ -87,24 +101,54 @@ def run_sim_case(app_name: str, system_name: str, mode: str):
     system = runtime.setting("I", system_name)
     spaces = harness.spaces_for(app, system)
     index = APPS.index(app_name) * len(SYSTEMS) + SYSTEMS.index(system_name)
-    arrivals = runtime.poisson_arrivals(
-        SIM_RPS, SIM_MS, rng=np.random.default_rng(index)
-    )
-    faults = None
+    rng = np.random.default_rng(index)
+    arrivals = runtime.poisson_arrivals(SIM_RPS, SIM_MS, rng=rng)
+    faults = priorities = None
     if mode == "crash-recover":
         first_device = system.device_inventory()[0][0]
         faults = FaultSchedule.single_crash(
             first_device, at_ms=CRASH_MS, recover_at_ms=RECOVER_MS
         )
-    tracer = SpanTracer() if mode == "traced" else None
+    elif mode in CHAOS_MODES:
+        faults = FaultSchedule.from_mtbf(
+            [d for d, _ in system.device_inventory()],
+            SIM_MS,
+            CHAOS_MTBF_MS,
+            CHAOS_MTTR_MS,
+            seed=index,
+            transient_rate_per_s=CHAOS_TRANSIENTS_PER_S,
+            slowdown_prob=CHAOS_SLOWDOWN_PROB,
+        )
+        priorities = rng.uniform(size=len(arrivals))
+    tracer = SpanTracer() if mode in TRACED_MODES else None
     result = runtime.run_simulation(
-        system, app, spaces, arrivals, seed=index, faults=faults, tracer=tracer
+        system,
+        app,
+        spaces,
+        arrivals,
+        seed=index,
+        faults=faults,
+        priorities=priorities,
+        tracer=tracer,
     )
     return result, tracer
 
 
-def sim_digests(result, tracer=None) -> Dict[str, str]:
-    """Per-aspect digests of one single-node result."""
+def resilience_sig(report) -> Tuple:
+    """Everything a resilience report records: the summary counters and
+    every applied event and recovery episode."""
+    return (
+        report.summary(),
+        [(e.time_ms, e.kind.value, e.device_id, e.magnitude)
+         for e in report.applied],
+        [(r.device_id, r.failed_ms, r.detected_ms, r.replanned_ms)
+         for r in report.recoveries],
+    )
+
+
+def sim_digests(result, tracer=None, chaos=False) -> Dict[str, str]:
+    """Per-aspect digests of one single-node result; ``chaos`` adds the
+    resilience report's digest."""
     node = result.node
     mon = node.monitor
     out = {
@@ -133,6 +177,8 @@ def sim_digests(result, tracer=None) -> Dict[str, str]:
             ]
         ),
     }
+    if chaos:
+        out["faults"] = digest(resilience_sig(result.faults))
     if tracer is not None:
         data = jsonl_bytes(tracer.events)
         out["jsonl"] = hashlib.sha256(data).hexdigest()[:16]
@@ -222,7 +268,9 @@ def fleet_digests(asr) -> Dict[str, str]:
 def record() -> None:
     """Rewrite both fixture files from the current code."""
     sims = {
-        sim_case_id(a, s, m): sim_digests(*run_sim_case(a, s, m))
+        sim_case_id(a, s, m): sim_digests(
+            *run_sim_case(a, s, m), chaos=m in CHAOS_MODES
+        )
         for a in APPS
         for s in SYSTEMS
         for m in MODES

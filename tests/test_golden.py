@@ -1,19 +1,24 @@
 """Golden single-node runs: every app x Setting-I system x mode against
 the digests pinned in ``tests/golden/sim_digests.json``.
 
-The three modes cover the three ways a request runs today: the
-event-heap engine (fault-free), the fault-injected path a crash of the
-system's first device delegates to ``LeafNode.submit``
-(crash-and-recover), and the engine's native tracing (traced, which
-also pins the JSONL event stream).  A digest names the aspect that
-moved: request records, power bins, monitor state, device executions
-or the JSONL bytes.
+Every mode runs on the event-heap engine's generated dispatch programs:
+fault-free, a crash of the system's first device repaired later
+(crash-and-recover), native tracing (traced, which also pins the JSONL
+event stream), and a seeded MTBF/MTTR chaos schedule with transients,
+thermal slowdowns and request priorities, untraced and traced (chaos,
+chaos-traced), whose entries also pin the resilience report.  A digest
+names the aspect that moved: request records, power bins, monitor
+state, device executions, the resilience report or the JSONL bytes.
 """
+
+import functools
 
 import pytest
 
 from golden_cases import (
     APPS,
+    CHAOS_MODES,
+    FAULT_MODES,
     MODES,
     SIM_FILE,
     SYSTEMS,
@@ -27,6 +32,10 @@ GOLDEN = load(SIM_FILE)
 
 CASES = [(a, s, m) for a in APPS for s in SYSTEMS for m in MODES]
 
+#: Each case runs once per session: the coverage check below reads the
+#: same results the digest tests do.
+run_case = functools.lru_cache(maxsize=None)(run_sim_case)
+
 
 def test_fixture_covers_every_case():
     assert set(GOLDEN) == {sim_case_id(*case) for case in CASES}
@@ -36,11 +45,36 @@ def test_fixture_covers_every_case():
     "app_name,system_name,mode", CASES, ids=["-".join(c) for c in CASES]
 )
 def test_sim_digests(app_name, system_name, mode):
-    result, tracer = run_sim_case(app_name, system_name, mode)
-    assert sim_digests(result, tracer) == GOLDEN[
+    result, tracer = run_case(app_name, system_name, mode)
+    assert sim_digests(result, tracer, chaos=mode in CHAOS_MODES) == GOLDEN[
         sim_case_id(app_name, system_name, mode)
     ]
-    if mode == "crash-recover":
+    if mode in FAULT_MODES:
         assert result.faults is not None
     else:
         assert result.faults is None
+
+
+def test_chaos_cases_cover_every_fault_kind():
+    """The chaos fixtures exercise every fault behaviour: failovers and
+    crash recoveries, transient and slowdown injections, and requests
+    shed at admission or abandoned after their retries."""
+    counted = {
+        "fault.failover": "failovers",
+        "fault.recover": "recoveries",
+        "fault.inject:transient": "transients",
+        "fault.inject:slowdown": "slowdowns",
+        "request.shed": "shed",
+        "request.abandon": "abandoned",
+    }
+    totals = dict.fromkeys(counted.values(), 0)
+    for app_name in APPS:
+        for system_name in SYSTEMS:
+            _, tracer = run_case(app_name, system_name, "chaos-traced")
+            for event in tracer.events:
+                key = event.kind
+                if key == "fault.inject":
+                    key = f"{key}:{event.args['fault']}"
+                if key in counted:
+                    totals[counted[key]] += 1
+    assert all(totals.values()), totals
