@@ -669,8 +669,8 @@ class ClusterSimulation:
                 heap.push(ordered[i], EventKind.ARRIVAL, ordered[i:k])
                 i = k
         #: One engine session per node, living across its whole service
-        #: life (fault-injected nodes delegate each arrival to
-        #: ``LeafNode.submit``).
+        #: life (a fault-injected node runs the fault variant of its
+        #: dispatch programs).
         sessions: Dict[str, EventHeapEngine] = {}
         route = self.dispatcher.route
         sample_pairs = self.dispatcher.sample_pairs

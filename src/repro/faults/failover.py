@@ -67,6 +67,7 @@ class FailoverPlanner:
         self.recoveries: List[RecoveryRecord] = []
         self.shed_level = 0.0
         self._down: Set[str] = set()
+        self._by_id = {d.device_id: d for d in node.devices}
 
     # -- detection ------------------------------------------------------------
 
@@ -83,11 +84,10 @@ class FailoverPlanner:
         """Confirm failures whose heartbeats have lapsed past the timeout."""
         from .policy import DeviceHealth
 
-        by_id = {d.device_id: d for d in self.node.devices}
         for device_id in self.monitor.missed_heartbeats(
             now_ms, self.heartbeat_timeout_ms
         ):
-            dev = by_id.get(device_id)
+            dev = self._by_id.get(device_id)
             if (
                 dev is not None
                 and dev.health == DeviceHealth.FAILED

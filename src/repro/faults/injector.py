@@ -88,6 +88,7 @@ class FaultInjector:
         self._cursor = 0
         self._consumed: Set[int] = set()
         self._node = None
+        self._by_id: Dict[str, object] = {}
         self.planner: Optional[FailoverPlanner] = None
 
     # -- wiring ---------------------------------------------------------------
@@ -104,6 +105,7 @@ class FaultInjector:
                 f"node has {sorted(known)}"
             )
         self._node = node
+        self._by_id = {d.device_id: d for d in node.devices}
         if not self.tracer.enabled and node.tracer.enabled:
             # A traced node traces its faults too, even when the
             # injector was constructed before the tracer existed.
@@ -120,7 +122,7 @@ class FaultInjector:
         """Apply all events due at ``now_ms``; heartbeat; detect."""
         if self._node is None:
             raise RuntimeError("injector is not bound to a node")
-        by_id = {d.device_id: d for d in self._node.devices}
+        by_id = self._by_id
         events = self.schedule.events
         while self._cursor < len(events) and events[self._cursor].time_ms <= now_ms:
             event = events[self._cursor]
@@ -181,10 +183,10 @@ class FaultInjector:
             device.device_id, start_ms, end_ms
         )
         transient: Optional[Tuple[int, float]] = None
-        for index, event in self.schedule.transients_for(device.device_id):
-            if index in self._consumed:
-                continue
-            if start_ms < event.time_ms <= end_ms:
+        for index, event in self.schedule.transients_within(
+            device.device_id, start_ms, end_ms
+        ):
+            if index not in self._consumed:
                 transient = (index, event.time_ms)
                 break
         if crash_ms is not None and (transient is None or crash_ms <= transient[1]):

@@ -11,7 +11,9 @@ aligned with the device work they explain.
 
 All writers serialize with sorted keys and a trailing newline, so a
 seeded run exports byte-identical artifacts every time (the CI golden
-test depends on this).
+test depends on this).  The trace writers encode one record per line
+through the json module's C encoder (an ``indent`` would force its
+pure-Python encoder).
 """
 
 from __future__ import annotations
@@ -142,10 +144,15 @@ def chrome_trace(events: Sequence[TraceEvent]) -> Dict[str, Any]:
 def write_perfetto_json(
     events: Sequence[TraceEvent], path: Union[str, Path]
 ) -> Path:
-    """Write the Chrome/Perfetto trace JSON (open at ui.perfetto.dev)."""
+    """Write the Chrome/Perfetto trace JSON (open at ui.perfetto.dev),
+    one trace event per line."""
+    doc = chrome_trace(events)
+    encode = json.JSONEncoder(sort_keys=True).encode
+    lines = ",\n".join(map(encode, doc["traceEvents"]))
     out = Path(path)
     out.write_text(
-        json.dumps(chrome_trace(events), indent=2, sort_keys=True) + "\n"
+        f'{{"displayTimeUnit": {encode(doc["displayTimeUnit"])}, '
+        f'"traceEvents": [\n{lines}\n]}}\n'
     )
     return out
 
@@ -154,10 +161,9 @@ def write_events_jsonl(
     events: Iterable[TraceEvent], path: Union[str, Path]
 ) -> Path:
     """Write the structured event stream: one sorted-key JSON per line."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    lines = [encode(e.to_dict()) for e in events]
     out = Path(path)
-    lines = [
-        json.dumps(e.to_dict(), sort_keys=True) for e in events
-    ]
     out.write_text("\n".join(lines) + ("\n" if lines else ""))
     return out
 

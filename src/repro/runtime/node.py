@@ -29,7 +29,7 @@ hinges on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -55,6 +55,8 @@ __all__ = [
 MAX_GPU_BATCH = 10
 #: Log-normal sigma of the execution-time noise (paper: <6% model error).
 NOISE_SIGMA = 0.04
+#: Noise draws buffered per refill of a node's noise stream.
+NOISE_BLOCK = 2048
 
 
 @dataclass
@@ -70,21 +72,17 @@ class ExecutionRecord:
     batch: int = 1
 
 
-@dataclass
-class _OpenBatch:
-    """A GPU batch that has not launched yet and may accept joiners."""
-
-    kernel_name: str
-    point: DesignPoint
-    launch_ms: float
-    end_ms: float
-    size: int
-    record: ExecutionRecord
-    noise: float
-
-
 class AcceleratorInstance:
-    """One physical accelerator with its reservation timeline."""
+    """One physical accelerator with its reservation timeline.
+
+    Realized executions live as compact rows ``(kernel, point, start,
+    end, power, batch)`` and open GPU batches as cells ``[launch_ms,
+    end_ms, size, row, noise]`` keyed by implementation; the row of an
+    open batch is a list, grown in place as requests join.  The event
+    engine's generated dispatch programs append and mutate the same
+    rows and cells, so a request can move between a program and these
+    methods mid-flight.
+    """
 
     def __init__(self, device_id: str, spec, latency_fn) -> None:
         self.device_id = device_id
@@ -93,14 +91,11 @@ class AcceleratorInstance:
         self.dvfs = DVFSPolicy(spec)
         self.horizon_ms = 0.0
         self._records: List[ExecutionRecord] = []
-        #: Columnar execution rows appended by the event-heap engine
-        #: (``[kernel, point, start, end, power, batch]`` per realized
-        #: execution), materialized into :class:`ExecutionRecord`s only
-        #: when :attr:`records` is read — the engine's hot path never
-        #: constructs dataclasses.
-        self._pending_rows: Optional[List[list]] = None
+        #: Execution rows not yet read through :attr:`records`.
+        self._rows: List[Sequence] = []
         self._latency_fn = latency_fn
-        self._open_batches: Dict[Tuple[str, int], _OpenBatch] = {}
+        #: Open GPU batches: ``(kernel_name, point_index) -> cell``.
+        self._open: Dict[Tuple[str, int], list] = {}
         #: (kernel_name, point_index) currently configured on an FPGA.
         self.loaded_impl: Optional[Tuple[str, int]] = None
         self.reconfig_ms = getattr(spec, "reconfig_ms", 0.0)
@@ -117,18 +112,15 @@ class AcceleratorInstance:
 
     @property
     def records(self) -> List[ExecutionRecord]:
-        """Realized executions, materializing any engine rows first.
+        """Realized executions, materializing any pending rows first.
 
-        The returned list is the live backing store (callers append to
-        it on the ``submit`` dispatch path).  Materialization keeps row
-        order, so record-major consumers (the power timeline) see the
-        same dispatch-ordered sequence either way.  Reading this while
-        the event engine still holds an open GPU batch on a pending row
-        would detach that batch's future join mutations — the engine
-        only exposes rows between requests, and every consumer of
-        ``records`` reads post-run.
+        Materialization keeps row order, so record-major consumers (the
+        power timeline) see the same dispatch-ordered sequence either
+        way.  The rows stay authoritative until this is read; every
+        consumer reads it post-run (an open GPU batch read here stops
+        tracking later joins).
         """
-        rows = self._pending_rows
+        rows = self._rows
         if rows:
             did = self.device_id
             self._records.extend(
@@ -138,18 +130,12 @@ class AcceleratorInstance:
             rows.clear()
         return self._records
 
-    @records.setter
-    def records(self, value: List[ExecutionRecord]) -> None:
-        self._records = value
-        if self._pending_rows:
-            self._pending_rows.clear()
-
     def record_columns(self) -> Tuple[List[float], List[float], List[float]]:
         """Parallel ``(start, end, power)`` lists of every realized
         execution — the power-timeline reader, which never needs the
         dataclass view."""
-        rows = self._pending_rows
-        if rows and not self._records:
+        rows = self._rows
+        if not self._records:
             return (
                 [r[2] for r in rows],
                 [r[3] for r in rows],
@@ -162,11 +148,10 @@ class AcceleratorInstance:
             [r.power_w for r in recs],
         )
 
-    def adopt_row_store(self) -> List[list]:
-        """The engine's append target for this device's executions."""
-        if self._pending_rows is None:
-            self._pending_rows = []
-        return self._pending_rows
+    def _cut(self, index: int, end_ms: float) -> None:
+        """Shorten execution row ``index`` to end at ``end_ms``."""
+        r = self._rows[index]
+        self._rows[index] = (r[0], r[1], r[2], end_ms, r[4], r[5])
 
     # -- health ---------------------------------------------------------------
 
@@ -182,10 +167,13 @@ class AcceleratorInstance:
         self.health = DeviceHealth.FAILED
         self.failed_at_ms = now_ms
         self.failure_detected = False
-        for rec in self.records:
+        for rec in self._records:
             if rec.end_ms > now_ms:
                 rec.end_ms = max(rec.start_ms, now_ms)
-        self._open_batches.clear()
+        for i, r in enumerate(self._rows):
+            if r[3] > now_ms:
+                self._cut(i, max(r[2], now_ms))
+        self._open.clear()
         self.horizon_ms = min(self.horizon_ms, now_ms)
 
     def mark_degraded(self, factor: float) -> None:
@@ -204,7 +192,7 @@ class AcceleratorInstance:
         self.failure_detected = False
         self.horizon_ms = max(self.horizon_ms, now_ms)
         self.loaded_impl = None
-        self._open_batches.clear()
+        self._open.clear()
 
     def abort_execution(
         self, kernel_name: str, point_index: int, end_ms: float, fault_ms: float
@@ -212,19 +200,29 @@ class AcceleratorInstance:
         """Cut short the just-reserved execution lost at ``fault_ms``:
         its record stops accruing power there and the device's timeline
         is wound back to what its surviving reservations need."""
-        for rec in reversed(self.records):
-            if (
-                rec.kernel_name == kernel_name
-                and rec.point_index == point_index
-                and rec.end_ms == end_ms
-            ):
-                rec.end_ms = max(rec.start_ms, min(rec.end_ms, fault_ms))
+        rows = self._rows
+        for i in range(len(rows) - 1, -1, -1):
+            r = rows[i]
+            if r[0] == kernel_name and r[1] == point_index and r[3] == end_ms:
+                self._cut(i, max(r[2], min(r[3], fault_ms)))
                 break
+        else:
+            for rec in reversed(self._records):
+                if (
+                    rec.kernel_name == kernel_name
+                    and rec.point_index == point_index
+                    and rec.end_ms == end_ms
+                ):
+                    rec.end_ms = max(rec.start_ms, min(rec.end_ms, fault_ms))
+                    break
         key = (kernel_name, point_index)
-        batch = self._open_batches.get(key)
-        if batch is not None and batch.end_ms == end_ms:
-            del self._open_batches[key]
-        self.horizon_ms = max((r.end_ms for r in self.records), default=0.0)
+        batch = self._open.get(key)
+        if batch is not None and batch[1] == end_ms:
+            del self._open[key]
+        self.horizon_ms = max(
+            max((r.end_ms for r in self._records), default=0.0),
+            max((r[3] for r in rows), default=0.0),
+        )
 
     # -- dispatch -------------------------------------------------------------
 
@@ -255,12 +253,12 @@ class AcceleratorInstance:
         return self._dispatch_fpga(kernel_name, point, ready_ms, noise)
 
     def _joinable(self, key: Tuple[str, int], ready_ms: float):
-        """The open batch this execution could join, if any."""
-        batch = self._open_batches.get(key)
+        """The open batch cell this execution could join, if any."""
+        batch = self._open.get(key)
         if (
             batch is not None
-            and batch.launch_ms >= ready_ms
-            and batch.size < MAX_GPU_BATCH
+            and batch[0] >= ready_ms
+            and batch[2] < MAX_GPU_BATCH
         ):
             return batch
         return None
@@ -280,28 +278,25 @@ class AcceleratorInstance:
             # Growing the batch extends its end; any work already queued
             # behind it is pushed back by the same delta (approximation:
             # the already-recorded timestamps of that work are kept).
-            old_end = batch.end_ms
-            batch.size += 1
-            latency, power = self._latency_fn(kernel_name, point, batch.size)
-            batch.end_ms = batch.launch_ms + latency * batch.noise
-            batch.record.end_ms = batch.end_ms
-            batch.record.power_w = power
-            batch.record.batch = batch.size
-            self.horizon_ms = max(self.horizon_ms + (batch.end_ms - old_end),
-                                  batch.end_ms)
-            return batch.launch_ms, batch.end_ms
+            old_end = batch[1]
+            batch[2] += 1
+            latency, power = self._latency_fn(kernel_name, point, batch[2])
+            end = batch[0] + latency * batch[4]
+            batch[1] = end
+            row = batch[3]
+            row[3] = end
+            row[4] = power
+            row[5] = batch[2]
+            self.horizon_ms = max(self.horizon_ms + (end - old_end), end)
+            return batch[0], end
 
         launch = max(self.horizon_ms, ready_ms + batch_window_ms)
         latency, power = self._latency_fn(kernel_name, point, 1)
         end = launch + latency * noise
-        record = ExecutionRecord(
-            self.device_id, kernel_name, point.index, launch, end, power, 1
-        )
-        self.records.append(record)
+        row = [kernel_name, point.index, launch, end, power, 1]
+        self._rows.append(row)
         self.horizon_ms = end
-        self._open_batches[key] = _OpenBatch(
-            kernel_name, point, launch, end, 1, record, noise
-        )
+        self._open[key] = [launch, end, 1, row, noise]
         return launch, end
 
     def _dispatch_fpga(
@@ -316,11 +311,7 @@ class AcceleratorInstance:
         self.loaded_impl = impl_key
         latency, power = self._latency_fn(kernel_name, point, 1)
         end = start + latency * noise
-        self.records.append(
-            ExecutionRecord(
-                self.device_id, kernel_name, point.index, start, end, power, 1
-            )
-        )
+        self._rows.append((kernel_name, point.index, start, end, power, 1))
         self.horizon_ms = end
         return start, end
 
@@ -333,8 +324,8 @@ class AcceleratorInstance:
         if self.device_type == DeviceType.GPU:
             batch = self._joinable(impl_key, ready_ms)
             if batch is not None:
-                latency, _ = self._latency_fn(kernel_name, point, batch.size + 1)
-                return batch.launch_ms + latency
+                latency, _ = self._latency_fn(kernel_name, point, batch[2] + 1)
+                return batch[0] + latency
         latency, _ = self._latency_fn(kernel_name, point, 1)
         return self.effective_start(ready_ms, impl_key) + latency
 
@@ -411,12 +402,13 @@ class LeafNode:
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.monitor = SystemMonitor()
         self._rng = np.random.default_rng(seed)
-        #: The event-heap engine's buffered log-normal noise draws and
-        #: cursor, kept on the node between engine sessions.  numpy's
+        #: Buffered log-normal noise draws and their cursor: the one
+        #: noise stream of the node, read by :meth:`_next_noise` and
+        #: adopted by the event engine's dispatch programs.  numpy's
         #: ``Generator.lognormal(size=N)`` yields the bit-identical
         #: sequence to N scalar draws, so buffering cannot change a
         #: seeded run — it only amortizes the per-draw call overhead.
-        self._noise_buf = np.empty(0)
+        self._noise_buf: List[float] = []
         self._noise_pos = 0
         self._models = {spec.name: model_for(spec) for spec in system.platforms}
         self._kernels = {k.name: k for k in app.kernels}
@@ -847,6 +839,26 @@ class LeafNode:
         load, the failover planner sheds the lowest-priority requests at
         admission so the rest still meet the QoS bound.
         """
+        shed = self._admit(arrival_ms, priority)
+        if shed is not None:
+            return shed
+        if self._injector is not None:
+            return self._run_resilient(arrival_ms, {})
+        ends: Dict[str, Tuple[float, str]] = {}  # kernel -> (end, device_id)
+        for name in self._topo_order:
+            device, _, _, end = self._execute_kernel(name, ends, arrival_ms)
+            ends[name] = (end, device.device_id)
+        return self._complete(
+            arrival_ms, max(ends[s][0] for s in self._sinks), 0
+        )
+
+    def _admit(
+        self, arrival_ms: float, priority: float
+    ) -> Optional[RequestRecord]:
+        """A request's admission steps, in order: the admit event, the
+        fault clock, the replan check, the arrival record and the
+        load-shedding decision.  Returns the record of a shed request,
+        else ``None``."""
         tr = self.tracer
         if tr.enabled:
             tr.now_ms = arrival_ms
@@ -863,38 +875,48 @@ class LeafNode:
             self._injector.advance(arrival_ms)
         self.maybe_replan(arrival_ms)
         self.monitor.record_arrival(arrival_ms)
-        if self._planner is not None and self._planner.should_shed(
+        if self._planner is None or not self._planner.should_shed(
             priority, arrival_ms
         ):
-            self.monitor.record_drop()
-            self._injector.report.shed += 1
-            if tr.enabled:
-                tr.emit(
-                    "request.shed",
-                    name=f"req-{self._current_req}",
-                    t_ms=arrival_ms,
-                    req=self._current_req,
-                )
-            return RequestRecord(
-                arrival_ms, arrival_ms, self._plan_makespan_ms, dropped=True
+            return None
+        self.monitor.record_drop()
+        self._injector.report.shed += 1
+        if tr.enabled:
+            tr.emit(
+                "request.shed",
+                name=f"req-{self._current_req}",
+                t_ms=arrival_ms,
+                req=self._current_req,
             )
+        return RequestRecord(
+            arrival_ms, arrival_ms, self._plan_makespan_ms, dropped=True
+        )
 
-        ends: Dict[str, Tuple[float, str]] = {}  # kernel -> (end, device_id)
+    def _run_resilient(
+        self,
+        arrival_ms: float,
+        ends: Dict[str, Tuple[float, str]],
+        first: int = 0,
+        lost=None,
+    ) -> RequestRecord:
+        """Run kernels ``_topo_order[first:]`` of an admitted request
+        under fault injection, then complete or abandon it.
+
+        ``ends`` holds the kernels already executed.  ``lost`` is a
+        faulted first attempt of kernel ``first`` that the caller made
+        itself (see :meth:`_execute_kernel_resilient`): the event
+        engine's dispatch programs hand a request over here at its
+        first faulted reservation.
+        """
         retries = 0
         try:
-            if self._injector is not None:
-                for name in self._topo_order:
-                    end, device_id, used = self._execute_kernel_resilient(
-                        name, ends, arrival_ms
-                    )
-                    retries += used
-                    ends[name] = (end, device_id)
-            else:
-                for name in self._topo_order:
-                    device, _, _, end = self._execute_kernel(
-                        name, ends, arrival_ms
-                    )
-                    ends[name] = (end, device.device_id)
+            for name in self._topo_order[first:]:
+                end, device_id, used = self._execute_kernel_resilient(
+                    name, ends, arrival_ms, lost
+                )
+                lost = None
+                retries += used
+                ends[name] = (end, device_id)
         except _RequestAbandoned as abandoned:
             self._injector.report.failed_requests += 1
             completion = max(abandoned.when_ms, arrival_ms)
@@ -906,8 +928,8 @@ class LeafNode:
                 failed=True,
             )
             self.monitor.record_completion(record.latency_ms, None)
-            if tr.enabled:
-                tr.emit(
+            if self.tracer.enabled:
+                self.tracer.emit(
                     "request.abandon",
                     name=f"req-{self._current_req}",
                     t_ms=completion,
@@ -916,21 +938,40 @@ class LeafNode:
                     retries=retries,
                 )
             return record
+        return self._complete(
+            arrival_ms, max(ends[s][0] for s in self._sinks), retries
+        )
 
-        completion = max(ends[s][0] for s in self._sinks)
+    def _complete(
+        self, arrival_ms: float, completion_ms: float, retries: int
+    ) -> RequestRecord:
+        """Completion bookkeeping of a served request."""
         predicted = self._plan_makespan_ms
-        record = RequestRecord(arrival_ms, completion, predicted, retries=retries)
+        record = RequestRecord(
+            arrival_ms, completion_ms, predicted, retries=retries
+        )
         self.monitor.record_completion(record.latency_ms, predicted or None)
-        if tr.enabled:
-            tr.emit(
+        if self.tracer.enabled:
+            self.tracer.emit(
                 "request.complete",
                 name=f"req-{self._current_req}",
-                t_ms=completion,
+                t_ms=completion_ms,
                 req=self._current_req,
                 latency_ms=round(record.latency_ms, 6),
                 retries=retries,
             )
         return record
+
+    def _next_noise(self) -> float:
+        """The next draw of the node's execution-noise stream."""
+        pos = self._noise_pos
+        if pos >= len(self._noise_buf):
+            self._noise_buf = self._rng.lognormal(
+                0.0, NOISE_SIGMA, NOISE_BLOCK
+            ).tolist()
+            pos = 0
+        self._noise_pos = pos + 1
+        return self._noise_buf[pos]
 
     def _execute_kernel(
         self,
@@ -963,7 +1004,7 @@ class LeafNode:
             ready = max(ready, pred_end)
         if floor_ms > ready:
             ready = floor_ms
-        noise = float(self._rng.lognormal(0.0, NOISE_SIGMA))
+        noise = self._next_noise()
         if device.slowdown != 1.0:
             noise *= device.slowdown
         start, end = device.dispatch(
@@ -991,6 +1032,7 @@ class LeafNode:
         name: str,
         ends: Dict[str, Tuple[float, str]],
         arrival_ms: float,
+        lost=None,
     ) -> Tuple[float, str, int]:
         """Execute one kernel under fault injection.
 
@@ -1001,6 +1043,8 @@ class LeafNode:
         the dead device from this request's further attempts, so retries
         naturally fail over — to another instance, or to another
         accelerator family via the plan's per-platform alternates.
+        ``lost`` — ``(device, point_index, end_ms, fault)`` — starts the
+        loop at a first attempt already reserved and found faulted.
         Returns (end, device_id, retries_used).
         """
         injector = self._injector
@@ -1010,21 +1054,29 @@ class LeafNode:
         first_device: Optional[str] = None
         attempt = 0
         while True:
-            try:
-                device, point, start, end = self._execute_kernel(
-                    name, ends, arrival_ms, floor_ms, frozenset(exclude)
-                )
-            except _NoEligibleDevice:
-                raise _RequestAbandoned(
-                    name, max(floor_ms, arrival_ms)
-                ) from None
-            fault = injector.execution_fault(device, start, end)
-            if fault is None:
-                if first_device is not None and device.device_id != first_device:
-                    injector.report.failovers += 1
-                return end, device.device_id, attempt
+            if lost is None:
+                try:
+                    device, point, start, end = self._execute_kernel(
+                        name, ends, arrival_ms, floor_ms, frozenset(exclude)
+                    )
+                except _NoEligibleDevice:
+                    raise _RequestAbandoned(
+                        name, max(floor_ms, arrival_ms)
+                    ) from None
+                fault = injector.execution_fault(device, start, end)
+                if fault is None:
+                    if (
+                        first_device is not None
+                        and device.device_id != first_device
+                    ):
+                        injector.report.failovers += 1
+                    return end, device.device_id, attempt
+                point_index = point.index
+            else:
+                device, point_index, end, fault = lost
+                lost = None
             fault_ms, kind = fault
-            device.abort_execution(name, point.index, end, fault_ms)
+            device.abort_execution(name, point_index, end, fault_ms)
             if first_device is None:
                 first_device = device.device_id
             injector.report.retries += 1
@@ -1049,6 +1101,10 @@ class LeafNode:
     def _gpu_window(self, device: AcceleratorInstance) -> float:
         if device.device_type != DeviceType.GPU:
             return 0.0
+        return self._batch_window_ms()
+
+    def _batch_window_ms(self) -> float:
+        """How long a new GPU batch stays open for joiners."""
         if self._is_poly:
             # Poly opens a batching window only in high-performance mode:
             # a small admission delay keeps the GPU in its efficient

@@ -153,8 +153,9 @@ def run_simulation(
     The run is driven by the simulation engine
     (:class:`repro.runtime.engine.EventHeapEngine`): seeded runs are
     float-identical to a :meth:`LeafNode.submit` loop over the same
-    stream, and traced runs emit the same event stream natively from
-    the engine's loop (chaos runs delegate each arrival to ``submit``).
+    stream, fault-free and under chaos, and traced runs emit the same
+    event stream natively from the engine's generated dispatch
+    programs.
     """
     if isinstance(arrivals_ms, ArrivalSpec):
         arrivals_ms = arrivals_ms.generate()

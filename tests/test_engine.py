@@ -7,7 +7,8 @@ schedules are property-tested in ``tests/test_properties.py``.
 The contract: seeded ``run_simulation`` runs are float-identical to
 feeding the same stream through ``LeafNode.submit`` one request at a
 time — same request latencies, same power bins, same monitor state,
-same obs event stream, fault-free and under chaos.  Fleet replays have
+same obs event stream, fault-free and under chaos (the fault-injected
+A/B property test lives in ``tests/test_properties.py``).  Fleet replays have
 no per-request reference driver, so they are held to the digests in
 ``tests/golden/fleet_digests.json``.
 """
@@ -90,10 +91,14 @@ def node_sig(result):
     )
 
 
-def submit_loop(system, app, spaces, arrivals, seed=0, faults=None, tracer=None):
+def submit_loop(
+    system, app, spaces, arrivals, seed=0, faults=None, tracer=None,
+    priorities=None,
+):
     """The reference path: every arrival through ``LeafNode.submit`` in
     order, with ``run_simulation``'s default power binning and span
-    accounting."""
+    accounting.  ``priorities`` parallels the sorted stream, as in
+    ``run_simulation``."""
     bin_ms = 1000.0
     node = LeafNode(system, app, spaces, seed=seed, tracer=tracer)
     injector = None
@@ -101,7 +106,9 @@ def submit_loop(system, app, spaces, arrivals, seed=0, faults=None, tracer=None)
         injector = FaultInjector(faults)
         injector.bind(node)
     ordered = sorted(arrivals)
-    requests = [node.submit(t) for t in ordered]
+    if priorities is None:
+        priorities = [1.0] * len(ordered)
+    requests = [node.submit(t, p) for t, p in zip(ordered, priorities)]
     if tracer is not None:
         emit_execution_spans(tracer, node)
     span_ms = max(ordered[-1], bin_ms)
@@ -282,9 +289,11 @@ class TestGoldenFaultFree:
 
 class TestGoldenChaos:
     def test_chaos_identity(self, asr):
-        """Chaos runs delegate arrivals to the node (the injector owns
-        retries/failover), so identity is structural — but the whole
-        result must still match the submit loop exactly."""
+        """A crash-and-recover run on the engine's fault variant —
+        detection, failover replans, retries handed back to the
+        reference retry path — matches the submit loop exactly.
+        Random DAGs under MTBF schedules with transients, slowdowns and
+        priorities are A/B-tested in ``tests/test_properties.py``."""
         app, system, spaces = asr
         arrivals = poisson_arrivals(
             60.0, 4_000.0, rng=np.random.default_rng(8)

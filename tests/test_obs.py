@@ -233,6 +233,22 @@ class TestChromeTrace:
         assert instants["request.admit"]["tid"] == 1
         assert all(e["s"] == "t" for e in instants.values())
 
+    def test_perfetto_file_one_sorted_event_per_line(self, tmp_path):
+        """The written file parses to the ``chrome_trace`` document and
+        holds one sorted-key trace event per line."""
+        events = self._events()
+        path = write_perfetto_json(events, tmp_path / "trace.json")
+        text = path.read_text()
+        doc = chrome_trace(events)
+        assert json.loads(text) == doc
+        lines = text.splitlines()
+        assert lines[0] == '{"displayTimeUnit": "ms", "traceEvents": ['
+        assert lines[-1] == "]}" and text.endswith("]}\n")
+        body = [line.rstrip(",") for line in lines[1:-1]]
+        assert body == [
+            json.dumps(e, sort_keys=True) for e in doc["traceEvents"]
+        ]
+
 
 class TestDisabledParity:
     """Acceptance: tracing disabled -> bit-identical to an untraced run."""

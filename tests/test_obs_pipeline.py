@@ -3,10 +3,11 @@ sampling, the windowed time-series/SLO layer, and the OBS002 lint gate.
 
 Contracts under test:
 
-* **Native tracing stays on the fast path** — an enabled tracer does
-  not delegate the event engine to the per-arrival ``submit`` loop, and
-  the traced cluster replay (``trace_nodes=True``) matches the JSONL
-  digest in ``tests/golden/fleet_digests.json``.
+* **Native tracing stays on the fast path** — neither an enabled
+  tracer nor a fault injector sends the event engine through the
+  per-arrival ``submit`` loop, and the traced cluster replay
+  (``trace_nodes=True``) matches the JSONL digest in
+  ``tests/golden/fleet_digests.json``.
 * **Sampling is a pure post-hoc pass** — head/tail decisions consume
   zero simulation RNG, so sampled and unsampled runs are
   float-identical; decisions are deterministic in (seed, req).
@@ -23,7 +24,7 @@ import pytest
 from repro import apps as apps_mod
 from repro import runtime
 from repro.cluster import AutoscalerConfig, ClusterSimulation
-from repro.faults import FaultInjector, FaultSchedule
+from repro.faults import FaultSchedule
 from repro.lint import LintContext, Severity, run_lint
 from repro.lint.runtime_rules import OBS002_FLEET_NODES
 from repro.obs import (
@@ -40,7 +41,7 @@ from repro.obs import (
     render_slo_json,
     sample_events,
 )
-from repro.runtime import EventHeapEngine, poisson_arrivals, run_simulation
+from repro.runtime import poisson_arrivals, run_simulation
 from repro.runtime.node import LeafNode
 
 from golden_cases import FLEET_FILE, digest, jsonl_bytes, load, run_traced_fleet
@@ -67,31 +68,58 @@ def _traced_run(asr, arrivals, seed=3, tracer=None):
 
 
 # ---------------------------------------------------------------------------
-# satellite: tracing must not push the engine off the fast path
+# satellite: tracing and faults must not push the engine off the fast path
 # ---------------------------------------------------------------------------
 
 
+def _no_submit(self, *args, **kwargs):
+    raise AssertionError("the engine called LeafNode.submit")
+
+
 class TestTracedEngineNotDelegated:
-    def test_enabled_tracer_keeps_native_loop(self, asr):
+    """``LeafNode.submit`` is the reference path only: the engine runs
+    traced and fault-injected nodes through its generated programs."""
+
+    def test_enabled_tracer_keeps_native_loop(self, asr, monkeypatch):
         """Regression for the PR-7 predicate: an enabled tracer used to
         force per-arrival delegation; native emission must keep the
         event engine on its compiled fast path."""
-        app, system, spaces = asr
-        node = LeafNode(system, app, spaces, seed=3, tracer=SpanTracer())
-        engine = EventHeapEngine(node)
-        assert node.tracer.enabled
-        assert engine.delegated is False
+        monkeypatch.setattr(LeafNode, "submit", _no_submit)
+        result, tracer = _traced_run(asr, _arrivals())
+        assert len(tracer.events) > 0
+        assert all(r.served for r in result.requests)
 
-    def test_injector_still_delegates(self, asr):
+    def test_injector_never_calls_submit(self, asr, monkeypatch):
+        """A fault-injected node, alone or in a fleet, runs natively:
+        retries, failovers and shedding all happen without ``submit``."""
         app, system, spaces = asr
-        node = LeafNode(system, app, spaces, seed=3, tracer=SpanTracer())
-        injector = FaultInjector(
-            FaultSchedule.single_crash(
-                "fpga0", at_ms=500.0, recover_at_ms=900.0
-            )
+        monkeypatch.setattr(LeafNode, "submit", _no_submit)
+        devices = [d for d, _ in system.device_inventory()]
+        schedule = FaultSchedule.from_mtbf(
+            devices, 3_000.0, 600.0, 300.0, seed=2,
+            transient_rate_per_s=5.0, slowdown_prob=0.3,
         )
-        injector.bind(node)
-        assert EventHeapEngine(node).delegated is True
+        arrivals = _arrivals(rps=60.0)
+        priorities = np.random.default_rng(2).uniform(size=len(arrivals))
+        result = run_simulation(
+            system, app, spaces, arrivals, seed=3, faults=schedule,
+            priorities=priorities, tracer=SpanTracer(),
+        )
+        assert result.faults.retries > 0
+        assert result.faults.recoveries
+
+        sim = ClusterSimulation(
+            [system], app, spaces,
+            config=AutoscalerConfig(min_nodes=2, max_nodes=2),
+            seed=3, fault_schedules={"node0": schedule},
+        )
+        fleet = sim.run(_arrivals(rps=60.0), horizon_ms=3_000.0)
+        served_by_node0 = [
+            r for node_id, r in zip(fleet.node_ids, fleet.requests)
+            if node_id == "node0"
+        ]
+        assert served_by_node0
+        assert fleet.nodes[0].leaf._injector.report.retries > 0
 
     def test_traced_event_run_emits_native_stream(self, asr):
         result, tracer = _traced_run(asr, _arrivals())

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import small_kernel, synthetic_space
+from golden_cases import resilience_sig
+from test_engine import submit_loop
 from repro import apps as apps_mod
 from repro.apps.base import Application
 from repro.faults import FaultSchedule
@@ -233,13 +235,14 @@ class EngineCase(NamedTuple):
     faulty: bool
     mtbf_ms: float
     transients_per_s: float
+    slowdown_prob: float
 
 
 @st.composite
 def engine_cases(draw):
     """A random DAG of 2-6 kernels with forward edges, one Setting-I
     system, a seeded Poisson stream, and with or without a seeded
-    MTBF/MTTR fault schedule with transients."""
+    MTBF/MTTR fault schedule with transients and thermal slowdowns."""
     n = draw(st.integers(min_value=2, max_value=6))
     shapes = draw(
         st.lists(
@@ -257,6 +260,7 @@ def engine_cases(draw):
         faulty=draw(st.booleans()),
         mtbf_ms=draw(st.floats(min_value=200.0, max_value=3000.0)),
         transients_per_s=draw(st.floats(min_value=0.5, max_value=20.0)),
+        slowdown_prob=draw(st.floats(min_value=0.0, max_value=1.0)),
     )
 
 
@@ -295,10 +299,10 @@ def _case_app(case: EngineCase, kernel_spaces):
     return app, system, spaces
 
 
-def _simulate(case: EngineCase, kernel_spaces):
-    """One traced ``run_simulation`` of the case on a shuffled copy of
-    its stream; returns (app, arrivals, result, tracer)."""
-    app, system, spaces = _case_app(case, kernel_spaces)
+def _case_inputs(case: EngineCase, system):
+    """The case's sorted arrival stream, fault schedule and priorities
+    (the priorities parallel the sorted stream), plus the generator
+    that drew them."""
     rng = np.random.default_rng(case.seed)
     arrivals = poisson_arrivals(case.rps, case.horizon_ms, rng=rng)
     assume(arrivals)
@@ -311,8 +315,17 @@ def _simulate(case: EngineCase, kernel_spaces):
             case.mtbf_ms / 2,
             seed=case.seed,
             transient_rate_per_s=case.transients_per_s,
+            slowdown_prob=case.slowdown_prob,
         )
         priorities = rng.uniform(size=len(arrivals))
+    return arrivals, faults, priorities, rng
+
+
+def _simulate(case: EngineCase, kernel_spaces):
+    """One traced ``run_simulation`` of the case on a shuffled copy of
+    its stream; returns (app, arrivals, result, tracer)."""
+    app, system, spaces = _case_app(case, kernel_spaces)
+    arrivals, faults, priorities, rng = _case_inputs(case, system)
     tracer = SpanTracer()
     result = run_simulation(
         system,
@@ -345,7 +358,8 @@ def _dispatched_edges(graph, tracer):
 
 class TestEngineProperties:
     """DESIGN.md section 6's engine invariants, over random DAGs on the
-    three Setting-I systems, fault-free and fault-injected."""
+    three Setting-I systems, fault-free and fault-injected, and the
+    engine's identity with the ``LeafNode.submit`` reference loop."""
 
     @given(case=engine_cases())
     @settings(max_examples=25, deadline=None)
@@ -402,6 +416,52 @@ class TestEngineProperties:
             )
             for (_, end), (start, _) in zip(live, live[1:]):
                 assert start >= end, dev.device_id
+
+    @given(case=engine_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_engine_equals_submit_loop(self, kernel_spaces, case):
+        """``run_simulation`` (the generated dispatch programs, with the
+        fault variant on a fault-injected node) against a traced
+        ``LeafNode.submit`` loop: identical request records (retries,
+        shed and failed flags included), device execution rows, power
+        bins, monitor state, resilience report and traced events."""
+        app, system, spaces = _case_app(case, kernel_spaces)
+        arrivals, faults, priorities, _ = _case_inputs(case, system)
+        runs = []
+        for simulate in (submit_loop, run_simulation):
+            tracer = SpanTracer()
+            result = simulate(
+                system, app, spaces, arrivals, seed=case.seed,
+                faults=faults, priorities=priorities, tracer=tracer,
+            )
+            node = result.node
+            mon = node.monitor
+            runs.append((
+                [
+                    (r.arrival_ms, r.completion_ms, r.predicted_ms,
+                     r.retries, r.dropped, r.failed)
+                    for r in result.requests
+                ],
+                [
+                    (r.device_id, r.kernel_name, r.point_index, r.start_ms,
+                     r.end_ms, r.power_w, r.batch)
+                    for dev in node.devices
+                    for r in dev.records
+                ],
+                result.power_bins_w.tolist(),
+                (mon._correction, list(mon._latencies),
+                 list(mon._arrival_times), mon._queue_depth),
+                None if result.faults is None
+                else repr(resilience_sig(result.faults)),
+                [e.to_dict() for e in tracer.events],
+            ))
+        reference, engine = runs
+        for aspect, a, b in zip(
+            ("requests", "executions", "power", "monitor", "faults", "trace"),
+            reference,
+            engine,
+        ):
+            assert a == b, aspect
 
     @pytest.mark.xfail(
         strict=True,
