@@ -6,15 +6,31 @@ ASR/Setting-I, quantifying the contribution of:
 * the **energy-optimization step** (Step 2) — schedule energy;
 * **pattern fusion** in the DSE — best achievable latency;
 * the **DVFS/low-power idle management** — low-load node power;
-* **GPU batching** — sustained throughput under QoS.
+* **GPU batching** — sustained throughput under QoS;
+* the **guided search** in place of exhaustive enumeration — DSE wall
+  time and model evaluations at a bounded hypervolume loss.
 """
 
+import statistics
+import time
+
+import numpy as np
 import pytest
 from conftest import run_once
 
 from repro import apps, runtime
-from repro.hardware import ImplConfig, model_for
+from repro.hardware import ImplConfig, clear_model_cache, model_cache, model_for
+from repro.optim import SearchConfig, explore_application, space_hypervolume
 from repro.scheduler import DeviceSlot, PolyScheduler
+
+#: Knob-space enlargement for the guided-search ablation: a 20-step
+#: frequency ladder and 8 work-group sizes, the inputs of the guided ops
+#: of ``bench/workloads.py`` (``SEARCH_OVERRIDES``).  Both knobs exist
+#: on every device family, so each per-device space grows >=10x.
+GUIDED_OVERRIDES = {
+    "freq_scale": tuple(round(float(v), 4) for v in np.linspace(0.3, 1.0, 20)),
+    "work_group_size": (32, 64, 96, 128, 192, 256, 384, 512),
+}
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +166,57 @@ def test_ablation_gpu_batching(benchmark, asr):
     # The recurrent kernels amortize several-fold.
     lstm1, lstm8 = costs["LSTM_acoustic"]
     assert lstm1 / lstm8 > 2.0
+
+
+def test_ablation_guided_search(benchmark, asr):
+    """Guided-search ablation: exhaustive enumeration vs. the budgeted
+    successive-halving + genetic search on the enlarged ASR space.
+
+    Three exhaustive/guided pairs each time both sides from a cleared
+    model cache, so the speedup is a median of paired ratios.  Every
+    guided front is scored against 1.05x the worst corner of its
+    exhaustive space.
+    """
+    app, system, _ = asr
+    search = SearchConfig(max_evals=512, seed=0)
+
+    def timed(strategy, **kwargs):
+        clear_model_cache()
+        start = time.perf_counter()
+        spaces = explore_application(
+            app.kernels, system.platforms, strategy=strategy,
+            candidate_overrides=GUIDED_OVERRIDES, **kwargs,
+        )
+        return time.perf_counter() - start, spaces
+
+    def run():
+        speedups = []
+        for _ in range(3):
+            exhaustive_s, exhaustive = timed("exhaustive")
+            exhaustive_evals = model_cache.hits + model_cache.misses
+            guided_s, guided = timed("guided", search=search)
+            speedups.append(exhaustive_s / guided_s)
+        return speedups, exhaustive, exhaustive_evals, guided
+
+    speedups, exhaustive, exhaustive_evals, guided = run_once(benchmark, run)
+    ratios = {}
+    for key, ex_space in exhaustive.items():
+        reference = (
+            1.05 * max(p.latency_ms for p in ex_space),
+            1.05 * max(p.power_w for p in ex_space),
+        )
+        ratios[key] = space_hypervolume(guided[key], reference) / space_hypervolume(
+            ex_space, reference
+        )
+    guided_evals = sum(s.search_stats.evaluations for s in guided.values())
+    speedup = statistics.median(speedups)
+    print(
+        f"\nAblation (guided search): {speedup:.2f}x median speedup "
+        f"(pairs {', '.join(f'{x:.2f}x' for x in speedups)}), "
+        f"evaluations {exhaustive_evals} -> {guided_evals} "
+        f"({exhaustive_evals / guided_evals:.1f}x fewer), "
+        f"min hypervolume ratio {min(ratios.values()):.4f}"
+    )
+    assert speedup >= 1.2
+    for key, ratio in ratios.items():
+        assert ratio >= 0.99, (key, ratio)

@@ -67,7 +67,6 @@ class Application:
         self,
         specs: Sequence,
         validate: bool = False,
-        n_jobs: int = 1,
         strategy: str = "exhaustive",
         search=None,
         metrics=None,
@@ -76,16 +75,14 @@ class Application:
         """Run the offline DSE for this application on the given platforms.
 
         ``validate=True`` lints every kernel and prunes lint-rejected
-        design points before model evaluation; ``n_jobs`` parallelizes
-        across (kernel, platform) pairs with a bit-identical product.
-        ``strategy="guided"`` runs the budgeted successive-halving +
-        genetic explorer under ``search``; ``metrics``/``tracer``
-        forward to :func:`repro.optim.dse.explore_application`.
+        design points before model evaluation; ``strategy="guided"``
+        runs the budgeted successive-halving + genetic explorer under
+        ``search``; ``metrics``/``tracer`` forward to
+        :func:`repro.optim.dse.explore_application`.
         """
         return explore_application(
             self.kernels, specs, self.dse_targets(), validate=validate,
-            n_jobs=n_jobs, strategy=strategy, search=search,
-            metrics=metrics, tracer=tracer,
+            strategy=strategy, search=search, metrics=metrics, tracer=tracer,
         )
 
     def table2_row(self) -> List[Tuple[str, str, int, int]]:

@@ -54,28 +54,6 @@ Commands
     ``--system`` to rotate launches through heterogeneous node
     templates.  The autoscaler config is linted (RT007) before the run.
 
-``bench [--app NAME] [--suite full|sim|cluster|obs|dse]
-        [--trials 3] [--n-jobs 1] [--label L] [--check BASELINE]
-        [--max-ratio 2.0] [--min-dse-speedup X]
-        [--min-hypervolume-ratio X]``
-    Deterministic performance benchmark: time per-app DSE (cold and
-    cache-warm), the two-step scheduler, a fixed seeded simulation, the
-    ``sim`` suite (event-heap engine throughput at low and high load),
-    the ``cluster`` fleet replay (mini diurnal profile: throughput,
-    p99, scale lag), the ``obs`` tracing-overhead suite (traced vs.
-    untraced event engine) and the ``dse`` search suite (guided vs.
-    exhaustive exploration on a >=10x-enlarged knob space: paired
-    timing, evaluation counts, hypervolume ratio, and exact-front
-    parity on the real space) over repeated trials; write
-    ``BENCH_<label>.json``.  ``--suite sim``/``--suite cluster``/
-    ``--suite obs``/``--suite dse`` run only that suite.  ``--check``
-    gates the run against a baseline document (CI's ``perf-smoke``
-    job) and exits nonzero on a >``--max-ratio`` normalized
-    regression; ``--min-dse-speedup`` additionally fails when the
-    guided-search speedup drops below X, and
-    ``--min-hypervolume-ratio`` fails when the guided front recovers
-    less than X of the exhaustive hypervolume.
-
 ``obs APP [--rps 20] [--ms 4000] [--seed 0] [--out-dir obs_out]
         [--summary] [--crash DEV@MS] [--recover DEV@MS]``
     Traced simulation: serve a seeded Poisson stream with the span
@@ -130,10 +108,7 @@ def _cmd_dse(args) -> int:
         from .optim import SearchConfig
 
         search = SearchConfig(max_evals=args.budget, seed=args.search_seed)
-    spaces = app.explore(
-        system.platforms, n_jobs=args.n_jobs, strategy=args.strategy,
-        search=search,
-    )
+    spaces = app.explore(system.platforms, strategy=args.strategy, search=search)
     print(f"{app} on Setting-{args.setting} ({args.strategy})")
     for kernel in app.kernels:
         for spec in system.platforms:
@@ -434,7 +409,7 @@ def _cmd_obs(args) -> int:
     model_cache.bind_metrics(registry)
     # The DSE reports its own counters (dse_design_points_total,
     # dse_pruned_invalid_total) through the registry — identical for
-    # serial, pooled and guided paths.
+    # the exhaustive and guided paths.
     spaces = app.explore(system.platforms, metrics=registry)
     model_cache.bind_metrics(None)
     arrivals = runtime.poisson_arrivals(
@@ -732,76 +707,6 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from .benchref import (
-        compare_to_baseline,
-        default_output_path,
-        load_bench_json,
-        render_bench,
-        run_bench,
-        write_bench_json,
-    )
-
-    try:
-        doc = run_bench(
-            app_names=args.app,
-            setting=args.setting,
-            system_name=args.system,
-            trials=args.trials,
-            n_jobs=args.n_jobs,
-            rps=args.rps,
-            duration_ms=args.ms,
-            seed=args.seed,
-            label=args.label,
-            suite=args.suite,
-        )
-    except KeyError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    out = args.out or default_output_path(args.label)
-    write_bench_json(doc, out)
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(render_bench(doc))
-        print(f"wrote {out}")
-    failed = False
-    if args.check:
-        baseline = load_bench_json(args.check)
-        comparison = compare_to_baseline(doc, baseline, max_ratio=args.max_ratio)
-        print(comparison.render())
-        failed = failed or not comparison.ok
-    if args.min_dse_speedup is not None:
-        gate = args.min_dse_speedup
-        for app, row in sorted(doc["apps"].items()):
-            sec = row.get("dse_search")
-            if sec is None:
-                continue
-            speedup = sec["speedup"]
-            ok = speedup >= gate
-            print(
-                f"  {app:4s} dse_search speedup {speedup:5.2f}x "
-                f"(gate >= {gate:.1f}x) "
-                f"[{'OK' if ok else 'REGRESSION'}]"
-            )
-            failed = failed or not ok
-    if args.min_hypervolume_ratio is not None:
-        for app, row in sorted(doc["apps"].items()):
-            sec = row.get("dse_search")
-            if sec is None:
-                continue
-            ratio = sec["hypervolume_ratio"]
-            ok = ratio >= args.min_hypervolume_ratio and sec["front_identical"]
-            print(
-                f"  {app:4s} dse_search hypervolume {ratio:.4f} "
-                f"(gate >= {args.min_hypervolume_ratio:.2f}, "
-                f"front_identical={sec['front_identical']}) "
-                f"[{'OK' if ok else 'REGRESSION'}]"
-            )
-            failed = failed or not ok
-    return 1 if failed else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Poly (HPCA 2019) reproduction toolkit"
@@ -815,12 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dse", help="offline design-space exploration")
     p.add_argument("app")
     p.add_argument("--setting", default="I", choices=("I", "II", "III"))
-    p.add_argument(
-        "--n-jobs",
-        type=int,
-        default=1,
-        help="DSE worker processes (-1 = all CPUs); any count is bit-identical",
-    )
     p.add_argument(
         "--strategy",
         default="exhaustive",
@@ -1020,76 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(fn=_cmd_cluster)
-
-    p = sub.add_parser(
-        "bench", help="deterministic DSE/scheduler/simulation benchmark"
-    )
-    p.add_argument(
-        "--app",
-        action="append",
-        help="benchmark short name (repeatable); all six when omitted",
-    )
-    p.add_argument("--setting", default="I", choices=("I", "II", "III"))
-    p.add_argument(
-        "--system",
-        default="Heter-Poly",
-        choices=("Homo-GPU", "Homo-FPGA", "Heter-Poly"),
-    )
-    p.add_argument("--trials", type=int, default=3, help="timed trials per stage")
-    p.add_argument(
-        "--n-jobs",
-        type=int,
-        default=1,
-        help="DSE worker processes (-1 = all CPUs)",
-    )
-    p.add_argument("--rps", type=float, default=20.0, help="simulation load")
-    p.add_argument(
-        "--ms", type=float, default=2_000.0, help="simulated duration per trial"
-    )
-    p.add_argument("--seed", type=int, default=0, help="arrival-stream seed")
-    p.add_argument(
-        "--suite",
-        default="full",
-        choices=("full", "sim", "cluster", "obs", "dse"),
-        help="'full' = DSE+scheduler+simulation+sim+cluster+obs+dse, "
-        "'sim' = event-heap engine throughput benchmark only, "
-        "'cluster' = fleet replay benchmark only, "
-        "'obs' = tracing-overhead benchmark only, "
-        "'dse' = guided-vs-exhaustive search benchmark only",
-    )
-    p.add_argument("--label", default="local", help="BENCH_<label>.json tag")
-    p.add_argument(
-        "--out", help="output path (default ./BENCH_<label>.json)"
-    )
-    p.add_argument(
-        "--check",
-        metavar="BASELINE",
-        help="gate against a baseline BENCH json; exit 1 on regression",
-    )
-    p.add_argument(
-        "--max-ratio",
-        type=float,
-        default=2.0,
-        help="fail when normalized DSE median exceeds baseline by this factor",
-    )
-    p.add_argument(
-        "--min-dse-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="fail when any app's guided-search speedup over exhaustive "
-        "enumeration (enlarged space) is below X",
-    )
-    p.add_argument(
-        "--min-hypervolume-ratio",
-        type=float,
-        default=None,
-        metavar="X",
-        help="fail when any app's guided front recovers less than X of "
-        "the exhaustive hypervolume, or the real-space fronts differ",
-    )
-    p.add_argument("--json", action="store_true", help="print the full document")
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser(
         "obs", help="traced simulation with Perfetto/metrics artifacts"

@@ -14,9 +14,7 @@ from .gpu_model import GPUModel, GPUPerformanceEstimate
 from .model_cache import (
     CachedEstimate,
     ModelEvalCache,
-    cache_stats,
     clear_model_cache,
-    evaluate_many_cached,
     kernel_signature,
     model_cache,
 )
@@ -60,8 +58,6 @@ __all__ = [
     "CachedEstimate",
     "ModelEvalCache",
     "model_cache",
-    "evaluate_many_cached",
-    "cache_stats",
     "clear_model_cache",
     "kernel_signature",
 ]

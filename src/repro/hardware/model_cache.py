@@ -10,10 +10,7 @@ of the kernel's *model-relevant signature*, the platform name and the
 Keying on a structural signature rather than object identity means a
 kernel rebuilt from the same annotations hits the cache, while any
 change to workload, tensors or calibration bias misses it (natural
-invalidation).  The cache is per-process; forked DSE workers inherit a
-copy-on-write snapshot of whatever the parent had already evaluated,
-and ship their new entries back for the parent to :meth:`merge
-<ModelEvalCache.merge>` — so repeated parallel explorations stay warm.
+invalidation).  The cache is per-process.
 """
 
 from __future__ import annotations
@@ -32,8 +29,6 @@ __all__ = [
     "CachedEstimate",
     "ModelEvalCache",
     "kernel_signature",
-    "evaluate_many_cached",
-    "cache_stats",
     "clear_model_cache",
     "model_cache",
 ]
@@ -71,7 +66,6 @@ class ModelEvalCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self.merges = 0
         #: Counters in a bound obs registry, updated alongside the ints
         #: (``None`` until :meth:`bind_metrics`).
         self._metrics = None
@@ -211,47 +205,10 @@ class ModelEvalCache:
                         results[i] = self._entries[(sig, spec.name, configs[i], batch)]
         return results  # type: ignore[return-value]
 
-    # -- parallel write-back -------------------------------------------------
-
-    def known_keys(self) -> set:
-        """Snapshot of the current entry keys (for delta computation)."""
-        with self._lock:
-            return set(self._entries)
-
-    def delta(
-        self, known: set
-    ) -> Dict[Tuple[str, str, ImplConfig, int], CachedEstimate]:
-        """Entries added since ``known`` was snapshotted.
-
-        A forked DSE worker inherits the parent's entries copy-on-write
-        but its additions die with the process; the worker ships this
-        delta back so the parent can :meth:`merge` it.
-        """
-        with self._lock:
-            return {k: v for k, v in self._entries.items() if k not in known}
-
-    def merge(
-        self,
-        entries: Dict[Tuple[str, str, ImplConfig, int], CachedEstimate],
-        hits: int = 0,
-        misses: int = 0,
-    ) -> None:
-        """Fold a worker's cache delta and counters into this cache."""
-        with self._lock:
-            self._entries.update(entries)
-            self.hits += hits
-            self.misses += misses
-            self.merges += 1
-            if self._metrics is not None:
-                hit_c, miss_c, merge_c = self._metrics
-                hit_c.inc(hits)
-                miss_c.inc(misses)
-                merge_c.inc()
-
     # -- bookkeeping ---------------------------------------------------------
 
     def bind_metrics(self, registry) -> None:
-        """Mirror the hit/miss/merge counters into an obs registry.
+        """Mirror the hit/miss counters into an obs registry.
 
         The registry's counters advance *alongside* the plain ints from
         the moment of binding (they do not backfill earlier activity —
@@ -266,7 +223,6 @@ class ModelEvalCache:
         counters = (
             registry.counter("model_cache_hits_total"),
             registry.counter("model_cache_misses_total"),
-            registry.counter("model_cache_merges_total"),
         )
         with self._lock:
             self._metrics = counters
@@ -276,7 +232,6 @@ class ModelEvalCache:
         return {
             "hits": float(self.hits),
             "misses": float(self.misses),
-            "merges": float(self.merges),
             "size": float(len(self._entries)),
             "hit_rate": self.hits / total if total else 0.0,
         }
@@ -286,7 +241,6 @@ class ModelEvalCache:
             self._entries.clear()
             self.hits = 0
             self.misses = 0
-            self.merges = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -301,18 +255,6 @@ class ModelEvalCache:
 
 #: Process-wide cache instance the DSE routes through.
 model_cache = ModelEvalCache()
-
-
-def evaluate_many_cached(
-    kernel: Kernel, spec, configs: Sequence[ImplConfig], batch: int = 1
-) -> List[CachedEstimate]:
-    """Bulk-evaluate candidates via the shared cache (vectorized misses)."""
-    return model_cache.evaluate_many(kernel, spec, configs, batch)
-
-
-def cache_stats() -> Dict[str, float]:
-    """Hit/miss/size counters of the shared cache."""
-    return model_cache.stats()
 
 
 def clear_model_cache() -> None:

@@ -60,9 +60,8 @@ __all__ = [
 #:   multi-window burn-rate alerts at their firing edge.
 #: * ``dse.*``     — guided design-space exploration: per-rung
 #:   successive-halving pool sizes, per-generation genetic progress,
-#:   and the per-(kernel, platform) search summary.  Emitted by the
-#:   *parent* process from worker-returned stats, so the trace is
-#:   identical across ``n_jobs``.
+#:   and the per-(kernel, platform) search summary, emitted once the
+#:   whole application is explored.
 EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
     "request.admit": ("req", "priority"),
     "request.shed": ("req",),

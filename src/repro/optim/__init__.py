@@ -12,7 +12,6 @@ from .dse import (
     enumerate_configs,
     explore_application,
     explore_kernel,
-    resolve_n_jobs,
 )
 from .global_opt import FusionDecision, GlobalOptimizer, GlobalPlan
 from .knobs import applicable_knobs, knob_candidates
@@ -41,7 +40,6 @@ __all__ = [
     "explore_kernel_guided",
     "enumerate_configs",
     "KnobSpace",
-    "resolve_n_jobs",
     "LocalOptimizer",
     "LocalPlan",
     "GlobalOptimizer",

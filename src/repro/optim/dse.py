@@ -8,24 +8,16 @@ evaluate every combination with the GPU/FPGA analytical model, drop
 infeasible FPGA points, and optionally subsample to a target size (the
 per-kernel design counts of Table II).
 
-Two mechanisms keep the sweep fast at application scale:
-
-* model evaluations are memoized behind the process-wide
-  :mod:`repro.hardware.model_cache`, so re-exploring an unchanged
-  kernel (repeated experiments, figure regeneration, the bench
-  harness's warm trials) costs dictionary lookups instead of model math;
-* ``explore_application(n_jobs=N)`` fans the independent
-  (kernel, platform) explorations out over a ``ProcessPoolExecutor``.
-  Each pair's exploration is self-contained and deterministic, so the
-  parallel product is bit-identical to the ``n_jobs=1`` serial path;
-  workers ship their cache deltas back so the parent stays warm.
+Model evaluations go through the process-wide
+:mod:`repro.hardware.model_cache`, so re-exploring an unchanged kernel
+(repeated experiments, figure regeneration) costs dictionary lookups
+instead of model math.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -219,7 +211,7 @@ def _point_order_key(point: DesignPoint) -> Tuple:
     model identically — so sorting by it leaves tie order at the mercy
     of the input ordering.  Appending the config fields makes subsample
     selection a pure function of the point *set*, independent of
-    enumeration or worker completion order.
+    enumeration order.
     """
     return (point.latency_ms, point.power_w) + point.config.astuple()
 
@@ -299,88 +291,17 @@ def explore_kernel(
     )
 
 
-def _explore_one(
-    kernel: Kernel,
-    spec,
-    target: Optional[int],
-    validate: bool,
-    strategy: str,
-    search,
-    overrides: Optional[Dict[str, Sequence]],
-) -> Tuple[KernelDesignSpace, Optional["SearchStats"]]:
-    """One (kernel, platform) exploration under either strategy.
-
-    Returns the space plus the guided-search stats (``None`` on the
-    exhaustive path) so callers — serial loop and pool workers alike —
-    report identically.
-    """
-    if strategy == "guided":
-        from .search import explore_kernel_guided
-
-        return explore_kernel_guided(
-            kernel,
-            spec,
-            search=search,
-            target_points=target,
-            validate=validate,
-            candidate_overrides=overrides,
-        )
-    if strategy != "exhaustive":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    space = explore_kernel(
-        kernel,
-        spec,
-        target_points=target,
-        validate=validate,
-        candidate_overrides=overrides,
-    )
-    return space, None
-
-
-def _explore_task(task: Tuple) -> Tuple:
-    """Worker entry: one (kernel, platform) exploration (picklable).
-
-    Returns the space and search stats plus the model-cache delta (new
-    entries, hit/miss counts) this exploration produced: a forked
-    worker inherits the parent's cache copy-on-write, but its additions
-    die with the process unless the parent writes them back.
-    """
-    kernel, spec, target, validate, strategy, search, overrides = task
-    known = model_cache.known_keys()
-    hits, misses = model_cache.hits, model_cache.misses
-    space, stats = _explore_one(
-        kernel, spec, target, validate, strategy, search, overrides
-    )
-    return (
-        space,
-        stats,
-        model_cache.delta(known),
-        model_cache.hits - hits,
-        model_cache.misses - misses,
-    )
-
-
-def resolve_n_jobs(n_jobs: Optional[int]) -> int:
-    """Normalize a worker count: ``None``/``-1`` mean all CPUs."""
-    if n_jobs is None or n_jobs == -1:
-        return os.cpu_count() or 1
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1 or -1, got {n_jobs}")
-    return n_jobs
-
-
 def _report_exploration(
     spaces: Sequence[KernelDesignSpace],
     stats_list: Sequence,
     metrics,
     tracer,
 ) -> None:
-    """Parent-side metrics/trace reporting, identical across paths.
+    """Metrics/trace reporting over the finished explorations.
 
-    Runs after the serial loop, the process pool and the guided search
-    alike, over worker-returned data — so counters (including
-    ``dse_pruned_invalid_total``) and ``dse.search.*`` events do not
-    depend on ``n_jobs`` or the strategy taken.
+    Runs once after every (kernel, platform) pair is explored, under
+    either strategy, so counters (including ``dse_pruned_invalid_total``)
+    and ``dse.search.*`` events do not depend on the strategy taken.
     """
     if metrics is not None:
         points_c = metrics.counter("dse_design_points_total")
@@ -446,7 +367,6 @@ def explore_application(
     specs: Sequence,
     targets: Optional[Dict[Tuple[str, DeviceType], int]] = None,
     validate: bool = False,
-    n_jobs: int = 1,
     strategy: str = "exhaustive",
     search=None,
     metrics=None,
@@ -465,53 +385,47 @@ def explore_application(
     successive-halving + genetic search of :mod:`repro.optim.search`
     under ``search`` (a :class:`~repro.optim.search.SearchConfig`,
     defaulted when omitted), attaching per-space ``search_stats``.
-
-    ``n_jobs`` fans the independent (kernel, platform) explorations out
-    over a process pool (``-1`` = all CPUs).  Each exploration is
-    deterministic and self-contained — the guided search's RNG is keyed
-    per (seed, kernel, platform) — so any worker count produces a
-    product bit-identical to the serial ``n_jobs=1`` path; result
-    ordering is fixed by the (kernels x specs) enumeration, never by
-    worker completion order.
+    The pairs are explored in (kernels x specs) order; the guided
+    search's RNG is keyed per (seed, kernel, platform).
 
     ``metrics`` (a ``MetricsRegistry``) and ``tracer`` (a ``SpanTracer``)
-    receive exploration counters and ``dse.search.*`` events; both are
-    driven from the parent process over worker-returned stats, so the
-    reported numbers are identical across worker counts.
+    receive exploration counters and ``dse.search.*`` events.
     """
     if strategy not in ("exhaustive", "guided"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "guided" and search is None:
-        from .search import SearchConfig
+    if strategy == "guided":
+        from .search import SearchConfig, explore_kernel_guided
 
-        search = SearchConfig()
-    tasks: List[Tuple] = []
+        if search is None:
+            search = SearchConfig()
     keys: List[Tuple[str, str]] = []
+    results: List[KernelDesignSpace] = []
+    stats_list: List = []
     for kernel in kernels:
         for spec in specs:
             target = None
             if targets is not None:
                 target = targets.get((kernel.name, spec.device_type))
-            tasks.append(
-                (kernel, spec, target, validate, strategy, search, candidate_overrides)
-            )
-            keys.append((kernel.name, spec.name))
-
-    workers = min(resolve_n_jobs(n_jobs), max(len(tasks), 1))
-    results: List[KernelDesignSpace] = []
-    stats_list: List = []
-    if workers <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            space, stats = _explore_one(*task)
-            results.append(space)
-            stats_list.append(stats)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for space, stats, entries, hits, misses in pool.map(_explore_task, tasks):
-                model_cache.merge(entries, hits, misses)
-                results.append(space)
+            if strategy == "guided":
+                space, stats = explore_kernel_guided(
+                    kernel,
+                    spec,
+                    search=search,
+                    target_points=target,
+                    validate=validate,
+                    candidate_overrides=candidate_overrides,
+                )
                 stats_list.append(stats)
+            else:
+                space = explore_kernel(
+                    kernel,
+                    spec,
+                    target_points=target,
+                    validate=validate,
+                    candidate_overrides=candidate_overrides,
+                )
+                stats_list.append(None)
+            keys.append((kernel.name, spec.name))
+            results.append(space)
     _report_exploration(results, stats_list, metrics, tracer)
     return dict(zip(keys, results))

@@ -67,8 +67,9 @@ class SearchConfig:
     OPT004 checks in guided mode); spaces that fit the budget are
     evaluated exhaustively.  ``seed`` keys the deterministic RNG
     (``None`` trips OPT005 and falls back to 0);
-    ``min_hypervolume_ratio`` is the quality gate the bench suite
-    enforces against the exhaustive front (``None`` trips OPT005).
+    ``min_hypervolume_ratio`` is the quality gate the guided-search
+    ablation enforces against the exhaustive front (``None`` trips
+    OPT005).
     """
 
     max_evals: int = 512
@@ -126,7 +127,7 @@ class GenerationStats:
 
 @dataclass
 class SearchStats:
-    """Everything a guided exploration did, picklable for pool workers.
+    """Everything a guided exploration did.
 
     ``explored`` is the enumerated space size; ``evaluations`` the
     requested model evaluations (hits + misses — cache-warmth
@@ -155,9 +156,9 @@ def search_rng(seed: int, kernel: Kernel, spec) -> np.random.Generator:
     """Deterministic per-(seed, kernel, platform) random generator.
 
     Keyed through sha256 of the kernel's model signature and the
-    platform name, so streams are independent of ``PYTHONHASHSEED``,
-    enumeration order and worker process — the same triple always
-    replays the same search.
+    platform name, so streams are independent of ``PYTHONHASHSEED``
+    and enumeration order — the same triple always replays the same
+    search.
     """
     digest = hashlib.sha256(
         f"{seed}|{kernel_signature(kernel)}|{spec.name}".encode()
@@ -343,8 +344,8 @@ def space_hypervolume(
     """Hypervolume of a design space's latency/power Pareto front.
 
     The default reference is 1.05x the space's own worst corner;
-    callers comparing two spaces (the bench harness's guided-vs-
-    exhaustive ratio) must pass one shared reference.
+    callers comparing two spaces (a guided-vs-exhaustive ratio) must
+    pass one shared reference.
     """
     if reference is None:
         reference = (

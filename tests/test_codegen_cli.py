@@ -1,7 +1,9 @@
 """Tests for the OpenCL code generator and the CLI."""
 
+import pytest
 
 from conftest import small_kernel
+from repro import apps, runtime
 from repro.cli import build_parser, main
 from repro.codegen import generate_host_snippet, generate_kernel_source
 from repro.hardware import ImplConfig
@@ -108,6 +110,36 @@ class TestCLI:
         ):
             args = parser.parse_args(argv)
             assert callable(args.fn)
+
+    def _dse_lines(self, capsys, argv):
+        assert main(argv) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        app = apps.build(argv[1])
+        platforms = runtime.setting("I", "Heter-Poly").platforms
+        assert header.startswith(f"{app} on Setting-I")
+        assert len(lines) == len(app.kernels) * len(platforms)
+        return lines
+
+    def test_dse_exhaustive_runs(self, capsys):
+        lines = self._dse_lines(capsys, ["dse", "FQT"])
+        assert not any("[guided:" in line for line in lines)
+
+    def test_dse_guided_runs(self, capsys):
+        lines = self._dse_lines(
+            capsys,
+            ["dse", "MF", "--strategy", "guided", "--budget", "64",
+             "--search-seed", "0"],
+        )
+        assert all("[guided: " in line and line.endswith("]") for line in lines)
+
+    @pytest.mark.parametrize(
+        "argv", [["bench"], ["dse", "FQT", "--n-jobs", "2"]],
+        ids=["bench", "dse-jobs-flag"],
+    )
+    def test_removed_commands_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
     def test_figure_unknown_name(self, capsys):
         assert main(["figure", "fig99"]) == 2

@@ -120,8 +120,7 @@ class TestHitsAndMisses:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats() == {
-            "hits": 0.0, "misses": 0.0, "merges": 0.0, "size": 0.0,
-            "hit_rate": 0.0,
+            "hits": 0.0, "misses": 0.0, "size": 0.0, "hit_rate": 0.0,
         }
 
 
