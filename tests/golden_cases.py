@@ -12,7 +12,8 @@ second, slower implementation kept alive to compare against:
   device execution records, the resilience report (chaos modes) and
   the JSONL event stream (traced modes);
 * ``fleet_digests.json`` — the fleet replays and the traced fleet event
-  stream of ``tests/test_engine.py`` and ``tests/test_obs_pipeline.py``.
+  streams (fault-free, and with a fault-injected node) of
+  ``tests/test_engine.py`` and ``tests/test_obs_pipeline.py``.
 
 Both files were recorded while the per-request reference loops still
 existed, and matched them.  Regenerate them only for a change that is
@@ -86,6 +87,11 @@ def jsonl_bytes(events) -> bytes:
     """The events as ``repro obs`` writes them to ``events.jsonl``."""
     with tempfile.TemporaryDirectory() as tmp:
         return write_events_jsonl(events, Path(tmp) / "e.jsonl").read_bytes()
+
+
+def jsonl_digest(events) -> str:
+    """Fingerprint of the events' JSONL bytes."""
+    return hashlib.sha256(jsonl_bytes(events)).hexdigest()[:16]
 
 
 # -- single-node cases ------------------------------------------------------
@@ -180,8 +186,7 @@ def sim_digests(result, tracer=None, chaos=False) -> Dict[str, str]:
     if chaos:
         out["faults"] = digest(resilience_sig(result.faults))
     if tracer is not None:
-        data = jsonl_bytes(tracer.events)
-        out["jsonl"] = hashlib.sha256(data).hexdigest()[:16]
+        out["jsonl"] = jsonl_digest(tracer.events)
     return out
 
 
@@ -216,21 +221,46 @@ def run_flash_crowd_fleet(asr, warmup_ms=None):
     return sim.run(spec, horizon_ms=16_000.0)
 
 
-def run_fault_injected_fleet(asr):
-    """A 2-4 node fleet whose first node runs an MTBF fault schedule."""
+def _node0_fault_fleet(asr, tracer=None, **schedule_kw):
+    """A 2-4 node fleet (seed 3) whose first node runs an MTBF fault
+    schedule; ``tracer`` traces the fleet with per-node spans."""
     app, system, spaces = asr
     node0_devices = [
         d.device_id for d in LeafNode(system, app, spaces, seed=0).devices
     ]
     schedule = FaultSchedule.from_mtbf(
-        node0_devices, 16_000.0, mtbf_ms=1_500.0, mttr_ms=1_500.0
+        node0_devices, 16_000.0, mtbf_ms=1_500.0, mttr_ms=1_500.0,
+        **schedule_kw,
     )
     sim = ClusterSimulation(
         [system], app, spaces,
         config=AutoscalerConfig(min_nodes=2, max_nodes=4),
         seed=3, fault_schedules={"node0": schedule},
+        tracer=tracer, trace_nodes=tracer is not None,
     )
     return sim.run(ArrivalSpec.poisson(60.0, 16_000.0), horizon_ms=16_000.0)
+
+
+def run_fault_injected_fleet(asr):
+    """The node0-fault fleet, untraced, crashes only."""
+    return _node0_fault_fleet(asr)
+
+
+def run_traced_fault_injected_fleet(asr):
+    """The node0-fault fleet traced with per-node spans, its schedule
+    adding transients and slowdowns: node0's dispatch programs, its
+    retry path and ``cluster.route`` share one event stream.  Returns
+    ``(result, tracer)``."""
+    tracer = SpanTracer()
+    result = _node0_fault_fleet(
+        asr, tracer, transient_rate_per_s=2.0, slowdown_prob=0.3
+    )
+    return result, tracer
+
+
+def fault_fleet_digest(result) -> str:
+    """Fleet signature plus each request's served flag."""
+    return digest((fleet_sig(result), [r.served for r in result.requests]))
 
 
 def run_traced_fleet(asr):
@@ -253,15 +283,15 @@ def fleet_digests(asr) -> Dict[str, str]:
     for warmup_ms in (1500.0, 1234.5):
         result = run_flash_crowd_fleet(asr, warmup_ms)
         out[f"warmup_{warmup_ms}"] = digest(fleet_sig(result))
-    result = run_fault_injected_fleet(asr)
-    out["fault_injected"] = digest(
-        (fleet_sig(result), [r.served for r in result.requests])
-    )
+    out["fault_injected"] = fault_fleet_digest(run_fault_injected_fleet(asr))
     result, tracer = run_traced_fleet(asr)
     out["traced_latencies"] = digest(result.latencies_ms())
-    out["traced_jsonl"] = hashlib.sha256(
-        jsonl_bytes(tracer.events)
-    ).hexdigest()[:16]
+    out["traced_jsonl"] = jsonl_digest(tracer.events)
+    result, tracer = run_traced_fault_injected_fleet(asr)
+    out["traced_fault_injected"] = {
+        "fleet": fault_fleet_digest(result),
+        "jsonl": jsonl_digest(tracer.events),
+    }
     return out
 
 

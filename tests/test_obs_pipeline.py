@@ -44,7 +44,16 @@ from repro.obs import (
 from repro.runtime import poisson_arrivals, run_simulation
 from repro.runtime.node import LeafNode
 
-from golden_cases import FLEET_FILE, digest, jsonl_bytes, load, run_traced_fleet
+from golden_cases import (
+    FLEET_FILE,
+    digest,
+    fault_fleet_digest,
+    jsonl_bytes,
+    jsonl_digest,
+    load,
+    run_traced_fault_injected_fleet,
+    run_traced_fleet,
+)
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +153,20 @@ class TestClusterTracedIdentity:
         golden = load(FLEET_FILE)
         assert digest(result.latencies_ms()) == golden["traced_latencies"]
         assert hashlib.sha256(data).hexdigest()[:16] == golden["traced_jsonl"]
+
+    def test_fault_injected_fleet_stream(self, asr):
+        """A traced fleet whose node0 runs an MTBF schedule with
+        transients and slowdowns: node0's dispatch programs, its retry
+        path and the router's ``cluster.route`` share one stream, pinned
+        with the fleet signature and served flags."""
+        result, tracer = run_traced_fault_injected_fleet(asr)
+        golden = load(FLEET_FILE)["traced_fault_injected"]
+        assert fault_fleet_digest(result) == golden["fleet"]
+        assert jsonl_digest(tracer.events) == golden["jsonl"]
+        kinds = {e.kind for e in tracer.events}
+        assert {
+            "cluster.route", "fault.inject", "fault.retry", "fault.failover"
+        } <= kinds
 
 
 # ---------------------------------------------------------------------------
