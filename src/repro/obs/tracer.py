@@ -199,11 +199,12 @@ class SpanTracer(NullTracer):
     iteration by exporters).  Recording therefore costs one tuple per
     event on the simulation's hot path while reads see the exact same
     objects an eager tracer would build — ``seq`` is the record's
-    position in the combined stream either way.  The event-heap engine
-    leans on the same staging: its native traced fast path flushes
-    whole buffers of raw records (tags 1-3 below) straight into the
-    tracer, producing a stream byte-identical to a traced
-    ``LeafNode.submit`` loop — tested in ``tests/test_engine.py``.
+    position in the combined stream either way.  The simulation
+    engine's traced dispatch programs append raw records (tags 1-3
+    below) straight to the same staging list, between the
+    schema-checked ``emit`` calls of the control plane, producing a
+    stream byte-identical to a traced ``LeafNode.submit`` loop —
+    tested in ``tests/test_engine.py``.
 
     Raw-record tags (first tuple element):
 
@@ -223,7 +224,8 @@ class SpanTracer(NullTracer):
     def __init__(self) -> None:
         self._events: List[TraceEvent] = []
         #: Staged raw records, strictly after ``_events`` in stream
-        #: order; drained by :meth:`_materialize`.
+        #: order; drained in place by :meth:`_materialize`, never
+        #: rebound (traced dispatch programs hold its ``append``).
         self._raw: List[tuple] = []
         self.now_ms = 0.0
 

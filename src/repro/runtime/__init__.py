@@ -9,7 +9,7 @@ from .cluster import (
     provision,
     setting,
 )
-from .engine import EventHeap, EventHeapEngine, EventKind
+from .engine import EventHeapEngine
 from .loadgen import (
     ArrivalSpec,
     constant_arrivals,
@@ -41,9 +41,7 @@ __all__ = [
     "SETTINGS",
     "DEFAULT_POWER_CAP_W",
     "ArrivalSpec",
-    "EventHeap",
     "EventHeapEngine",
-    "EventKind",
     "constant_arrivals",
     "poisson_arrivals",
     "trace_arrivals",
