@@ -2,8 +2,8 @@
 
 A datacenter of heterogeneous :class:`~repro.runtime.node.LeafNode`s
 behind a power-of-two-choices :class:`ClusterDispatcher` and an elastic
-:class:`Autoscaler`, driven end-to-end by :class:`ClusterSimulation`
-(ROADMAP item 1).  Deterministic under a seed: per-node child RNG
+:class:`Autoscaler`, driven end-to-end by :class:`ClusterSimulation`.
+Deterministic under a seed: per-node child RNG
 streams are spawned from one root seed, so fleet runs replay exactly
 and single-node seeded runs stay bit-identical to the pre-cluster
 simulator.

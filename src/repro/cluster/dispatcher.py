@@ -8,18 +8,19 @@ samples *two* distinct candidates from the serving set and scores each
 by
 
 * **queue depth** — the node's bottleneck backlog in ms (what a new
-  arrival would wait behind), read as the latest device horizon minus
-  the arrival time (see :meth:`~repro.cluster.simulation.ClusterNode.queue_ms`);
-* **plan locality** — a node that has already scheduled this
-  application's graph signature serves it from its warm operating
-  plans; a cold node pays the scheduling passes first, modeled as a
-  fixed penalty;
+  arrival would wait behind): its kept latest device horizon
+  (:attr:`~repro.cluster.simulation.ClusterNode.horizon_ms`) minus the
+  arrival time, clamped at 0;
+* **plan locality** — a node that has served before holds warm
+  operating plans for the fleet's one application; a cold node pays
+  the scheduling passes first, modeled as a fixed penalty;
 * **node health** — a node with quarantined/degraded accelerators
   (``repro.faults`` :class:`~repro.faults.policy.DeviceHealth`) is
-  penalized proportionally to its unhealthy device fraction.  Only a
+  penalized proportionally to its unhealthy device fraction, the kept
+  :attr:`~repro.cluster.simulation.ClusterNode.health`.  Only a
   fault-injected node can have such devices: without an injector a
-  leaf's devices never leave HEALTHY, so its fraction is 1.0 without
-  a count.  A node with *no* schedulable device scores infinity and is
+  leaf's devices never leave HEALTHY, so its fraction is 1.0 and adds
+  nothing.  A node with *no* schedulable device scores infinity and is
   never chosen while a node with one serves: when both sampled
   candidates score infinity, the router falls back to the best-scoring
   node of the whole serving set (no extra draw, so the stream stays
@@ -36,9 +37,9 @@ in one ``Generator.integers`` call over per-request highs ``n`` and
 ``max(n - 1, 1)``.  That call walks the highs in order through the same
 bounded 32-bit draw as the scalar call, and a one-value range draws
 nothing there either, so the batch leaves the same pairs and the same
-generator state as the per-request loop.  The event-driven fleet replay
-draws each arrival chunk's pairs at once from the serving-set size
-each arrival will see.
+generator state as the per-request loop.  The fleet replay draws each
+evaluation window's pairs at once from the serving-set size each
+arrival will see.
 """
 
 from __future__ import annotations
@@ -85,15 +86,19 @@ class ClusterDispatcher:
 
     # -- scoring --------------------------------------------------------------
 
-    def score(self, node, now_ms: float, signature: str) -> float:
-        """Routing score of one candidate (lower is better)."""
-        healthy = node.schedulable_fraction
-        if healthy <= 0.0:
+    def score(self, node, now_ms: float) -> float:
+        """Routing score of one candidate (lower is better), from the
+        node's kept ``horizon_ms``, ``served`` and ``health``."""
+        health = node.health
+        if health <= 0.0:
             return _INF
-        score = node.queue_ms(now_ms)
-        if signature not in node.planned_signatures:
+        # ``node.queue_ms(now_ms)``, inlined: two scores per arrival.
+        queue = node.horizon_ms - now_ms
+        score = queue if queue > 0.0 else 0.0
+        if not node.served:
             score += self.locality_penalty_ms
-        score += (1.0 - healthy) * self.health_penalty_ms
+        if health < 1.0:
+            score += (1.0 - health) * self.health_penalty_ms
         return score
 
     def sample_pairs(
@@ -130,7 +135,6 @@ class ClusterDispatcher:
     def route(
         self,
         now_ms: float,
-        signature: str,
         nodes: Sequence,
         req: int = 0,
         pair: Optional[Tuple[int, Optional[int]]] = None,
@@ -152,17 +156,19 @@ class ClusterDispatcher:
         i, j = pair
         score = self.score
         first = nodes[i]
-        chosen, chosen_score = first, score(first, now_ms, signature)
+        chosen, chosen_score = first, score(first, now_ms)
         second = None
         if j is not None:
             second = nodes[j]
-            second_score = score(second, now_ms, signature)
-            if (second_score, second.node_id) < (chosen_score, chosen.node_id):
+            second_score = score(second, now_ms)
+            if second_score < chosen_score or (
+                second_score == chosen_score and second.node_id < chosen.node_id
+            ):
                 chosen, chosen_score = second, second_score
         fallback = None
         if chosen_score == _INF and len(nodes) > 2:
             best_score, _, best = min(
-                (score(node, now_ms, signature), node.node_id, k)
+                (score(node, now_ms), node.node_id, k)
                 for k, node in enumerate(nodes)
             )
             if best_score < _INF:
@@ -179,6 +185,6 @@ class ClusterDispatcher:
                 node=chosen.node_id,
                 candidates=tuple(sorted(candidates)),
                 queue_ms=round(chosen.queue_ms(now_ms), 6),
-                locality=signature in chosen.planned_signatures,
+                locality=chosen.served > 0,
             )
         return chosen

@@ -376,7 +376,11 @@ def check_autoscaler_config(
                 "(defaults 0.30 < 0.60 <= 0.85)"
             ),
         )
-    elif config.warmup_ms > 0 and config.warmup_ms >= 10.0 * config.eval_interval_ms:
+    elif (
+        config.eval_interval_ms > 0
+        and config.warmup_ms > 0
+        and config.warmup_ms >= 10.0 * config.eval_interval_ms
+    ):
         yield Diagnostic(
             rule="RT007",
             severity=Severity.WARNING,

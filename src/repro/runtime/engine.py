@@ -192,15 +192,54 @@ class EventHeapEngine:
             step(ordered[i : i + ARRIVAL_CHUNK], prios)
         return self.records()
 
-    def process(self, t_ms: float, priority: float = 1.0) -> RequestRecord:
-        """Admit one arrival (the cluster driver's entry point)."""
+    def process(self, t_ms: float, priority: float = 1.0) -> None:
+        """Admit one arrival (the cluster driver's entry point); its
+        record joins :meth:`records`.
+
+        On an untraced, fault-free node this is one replan check and
+        one program call: ``maybe_replan``'s own test decides the
+        replan, so the program, which stops on the same test, always
+        admits the arrival.  Traced nodes stage the admit event through
+        :meth:`_process_chunk`, fault-injected ones run the admission
+        steps of :meth:`_process_faulty`.
+        """
         if self._faulty:
             self._process_faulty((t_ms,), (priority,))
-            return self._done[-1]
-        self._process_chunk((t_ms,), (priority,))
-        return RequestRecord(
-            self._req_arr[-1], self._req_comp[-1], self._req_pred[-1]
+            return
+        if self._traced:
+            self._process_chunk((t_ms,), (priority,))
+            return
+        node = self._node
+        mon = node.monitor
+        last = node._last_replan_ms
+        interval = node.replan_interval_ms
+        if not self._plan_ok or t_ms - last >= interval:
+            self._sync_plan(t_ms)
+            if not self._plan_ok:
+                raise RuntimeError("node has no plan (fast path)")
+            last = node._last_replan_ms
+        self._req_arr.append(t_ms)
+        (
+            _,
+            mon._correction,
+            node._noise_pos,
+            node._noise_buf,
+            _,
+        ) = self._fn(
+            (t_ms,),
+            0,
+            last,
+            interval,
+            node._batch_window_ms,
+            node._plan_makespan_ms,
+            mon._correction,
+            node._noise_pos,
+            node._noise_buf,
+            0,
+            0,
+            None,
         )
+        mon._arrival_times.append(t_ms)
 
     def records(self) -> List[RequestRecord]:
         """Materialize the per-request records."""
@@ -352,11 +391,14 @@ class EventHeapEngine:
         ``submit`` loop.
 
         Returns a function
-        ``run(chunk, i, t_limit, win, mk, corr, npos, nbuf, rq, sk, pr)``
-        that admits ``chunk[i:]`` until a timestamp reaches ``t_limit``
-        (the next replan boundary), appends each latency to the
-        monitor's window, and returns the updated cursor and carried
-        state ``(i, corr, npos, nbuf, rq)``.
+        ``run(chunk, i, lr, iv, win, mk, corr, npos, nbuf, rq, sk, pr)``
+        that admits ``chunk[i:]`` until a timestamp ``t`` is due for a
+        replan, ``t - lr >= iv`` for the node's last replan time ``lr``
+        and interval ``iv`` (``maybe_replan``'s test: ``t >= lr + iv``
+        can round differently and strand the driver on a boundary
+        arrival), appends each latency to the monitor's window, and
+        returns the updated cursor and carried state
+        ``(i, corr, npos, nbuf, rq)``.
 
         On a traced node the runner also stages compact admit /
         dispatch / complete records on the node's tracer at the same
@@ -591,7 +633,7 @@ class EventHeapEngine:
             emit("        nlen = len(nbuf)")
         else:
             emit(
-                "    def _run(chunk, i, t_limit, win, mk, corr, npos, nbuf,"
+                "    def _run(chunk, i, lr, iv, win, mk, corr, npos, nbuf,"
                 f" rq, sk, pr, {params}):"
             )
             emit("        n = len(chunk)")
@@ -610,7 +652,7 @@ class EventHeapEngine:
         else:
             emit("        while i < n:")
             emit("            t = chunk[i]")
-            emit("            if t >= t_limit:")
+            emit("            if t - lr >= iv:")
             emit("                break")
             emit("            i += 1")
         if traced and not faulty:
@@ -820,8 +862,9 @@ class EventHeapEngine:
             ) = self._fn(
                 chunk,
                 i,
-                node._last_replan_ms + interval,
-                node._batch_window_ms(),
+                node._last_replan_ms,
+                interval,
+                node._batch_window_ms,
                 node._plan_makespan_ms,
                 mon._correction,
                 node._noise_pos,
@@ -861,7 +904,7 @@ class EventHeapEngine:
                 else:
                     node._noise_pos, node._noise_buf, comp, hand = self._fn(
                         t,
-                        node._batch_window_ms(),
+                        node._batch_window_ms,
                         node._noise_pos,
                         node._noise_buf,
                         node._current_req,

@@ -125,12 +125,12 @@ def flash_crowd_arrivals(
     """Baseline Poisson load with one flash-crowd surge.
 
     A surge window multiplies the offered rate by ``surge_multiplier``
-    (a news event hitting an interactive service — ROADMAP item 4's
-    flash-crowd scenario).  Implemented as baseline arrivals plus an
-    *extra* Poisson stream at ``base_rps * (surge_multiplier - 1)``
-    inside the surge window, merge-sorted: the baseline stream's draws
-    are identical with and without the surge, so A/B comparisons under
-    one seed isolate the surge's effect.
+    (a news event hitting an interactive service).  Implemented as
+    baseline arrivals plus an *extra* Poisson stream at
+    ``base_rps * (surge_multiplier - 1)`` inside the surge window,
+    merge-sorted: the baseline stream's draws are identical with and
+    without the surge, so A/B comparisons under one seed isolate the
+    surge's effect.
     """
     if base_rps <= 0:
         return []

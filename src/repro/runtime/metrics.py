@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "nearest_rank",
     "percentile_latency",
     "tail_latency_p99",
     "violation_ratio",
@@ -24,6 +25,11 @@ __all__ = [
 ]
 
 
+def nearest_rank(n: int, percentile: float) -> int:
+    """Index of the nearest-rank ``percentile`` in ``n`` sorted values."""
+    return max(math.ceil(percentile / 100.0 * n) - 1, 0)
+
+
 def percentile_latency(latencies_ms: Sequence[float], percentile: float) -> float:
     """Empirical percentile using the nearest-rank method (what tail-
     latency SLOs use in practice)."""
@@ -32,8 +38,7 @@ def percentile_latency(latencies_ms: Sequence[float], percentile: float) -> floa
     if not 0.0 < percentile <= 100.0:
         raise ValueError("percentile must be in (0, 100]")
     ordered = sorted(latencies_ms)
-    rank = max(math.ceil(percentile / 100.0 * len(ordered)) - 1, 0)
-    return ordered[rank]
+    return ordered[nearest_rank(len(ordered), percentile)]
 
 
 def tail_latency_p99(latencies_ms: Sequence[float]) -> float:

@@ -459,6 +459,13 @@ class LeafNode:
         #: Poly's loaded-mode GPU batching window (see :meth:`_gpu_window`).
         self._win_loaded = min(0.04 * app.qos_ms, 10.0)
         self._is_poly = system.policy == SchedulingPolicy.POLY
+        #: How long a new GPU batch stays open for joiners.  Poly opens
+        #: a batching window only in high-performance mode: a small
+        #: admission delay keeps the GPU in its efficient batched regime
+        #: under load, while light load stays latency-optimal with
+        #: immediate launches.  Kept beside ``_was_loaded``, which only
+        #: :meth:`maybe_replan` changes.
+        self._batch_window_ms = 0.0 if self._is_poly else system.batch_window_ms
         #: Fault-injection hooks; ``None`` keeps the request path on the
         #: exact healthy-device code (bit-identical to a fault-free run).
         self._injector = None
@@ -598,6 +605,8 @@ class LeafNode:
             self._plan = self._light_plan
             self._plan_makespan_ms = self._light_makespan
             mode = "light"
+        if self._is_poly:
+            self._batch_window_ms = self._win_loaded if self._was_loaded else 0.0
         if tr.enabled:
             if mode != self._traced_mode:
                 self._traced_mode = mode
@@ -1101,17 +1110,7 @@ class LeafNode:
     def _gpu_window(self, device: AcceleratorInstance) -> float:
         if device.device_type != DeviceType.GPU:
             return 0.0
-        return self._batch_window_ms()
-
-    def _batch_window_ms(self) -> float:
-        """How long a new GPU batch stays open for joiners."""
-        if self._is_poly:
-            # Poly opens a batching window only in high-performance mode:
-            # a small admission delay keeps the GPU in its efficient
-            # batched regime under load, while light load stays
-            # latency-optimal with immediate launches.
-            return self._win_loaded if self._was_loaded else 0.0
-        return self.system.batch_window_ms
+        return self._batch_window_ms
 
     def _allocate(
         self,

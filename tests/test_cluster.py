@@ -14,6 +14,7 @@ from repro.cluster import (
     Autoscaler,
     AutoscalerConfig,
     ClusterDispatcher,
+    ClusterNode,
     ClusterSimulation,
     LaunchRequest,
     NodeState,
@@ -68,14 +69,18 @@ def fleet_result(fleet_env):
 
 
 class StubNode:
-    def __init__(self, node_id, queue_ms=0.0, signatures=(), healthy=1.0):
-        self.node_id = node_id
-        self._queue_ms = queue_ms
-        self.planned_signatures = set(signatures)
-        self.schedulable_fraction = healthy
+    """The routing state the dispatcher reads off a ``ClusterNode``: the
+    kept latest device horizon, requests served and schedulable
+    fraction.  Tests route at ``now_ms=0``, so the horizon is the
+    queue depth."""
 
-    def queue_ms(self, now_ms):
-        return self._queue_ms
+    def __init__(self, node_id, queue_ms=0.0, served=0, healthy=1.0):
+        self.node_id = node_id
+        self.horizon_ms = queue_ms
+        self.served = served
+        self.health = healthy
+
+    queue_ms = ClusterNode.queue_ms
 
 
 class TestAutoscalerConfig:
@@ -213,43 +218,43 @@ class TestDispatcher:
 
     def test_single_node_fleet_routes_to_it(self):
         node = StubNode("node0")
-        assert self.make().route(0.0, "sig", [node]) is node
+        assert self.make().route(0.0, [node]) is node
 
     def test_prefers_less_loaded_candidate(self):
         # With two nodes, power-of-two-choices always samples both.
         nodes = [StubNode("node0", queue_ms=50.0), StubNode("node1", queue_ms=0.0)]
         dispatcher = self.make()
         for _ in range(20):
-            assert dispatcher.route(0.0, "sig", nodes).node_id == "node1"
+            assert dispatcher.route(0.0, nodes).node_id == "node1"
 
     def test_locality_breaks_queue_ties(self):
         nodes = [
             StubNode("node0", queue_ms=0.0),
-            StubNode("node1", queue_ms=0.0, signatures=("sig",)),
+            StubNode("node1", queue_ms=0.0, served=1),
         ]
         dispatcher = self.make(locality_penalty_ms=5.0)
         for _ in range(20):
-            assert dispatcher.route(0.0, "sig", nodes).node_id == "node1"
+            assert dispatcher.route(0.0, nodes).node_id == "node1"
 
     def test_queue_gap_beats_locality(self):
         # A 100 ms backlog on the warm node dwarfs the 5 ms cold penalty.
         nodes = [
             StubNode("node0", queue_ms=0.0),
-            StubNode("node1", queue_ms=100.0, signatures=("sig",)),
+            StubNode("node1", queue_ms=100.0, served=1),
         ]
         dispatcher = self.make()
         for _ in range(20):
-            assert dispatcher.route(0.0, "sig", nodes).node_id == "node0"
+            assert dispatcher.route(0.0, nodes).node_id == "node0"
 
     def test_unhealthy_node_avoided(self):
         nodes = [StubNode("node0", healthy=0.0), StubNode("node1")]
         dispatcher = self.make(health_penalty_ms=50.0)
         for _ in range(20):
-            assert dispatcher.route(0.0, "sig", nodes).node_id == "node1"
+            assert dispatcher.route(0.0, nodes).node_id == "node1"
 
     def test_degraded_node_penalized_proportionally(self):
-        score_full = self.make().score(StubNode("a"), 0.0, "s")
-        score_half = self.make().score(StubNode("a", healthy=0.5), 0.0, "s")
+        score_full = self.make().score(StubNode("a"), 0.0)
+        score_half = self.make().score(StubNode("a", healthy=0.5), 0.0)
         assert score_half == pytest.approx(score_full + 25.0)
 
     def test_two_rng_draws_per_request(self):
@@ -262,7 +267,7 @@ class TestDispatcher:
             rng = np.random.default_rng(3)
             dispatcher = ClusterDispatcher(rng)
             for _ in range(5):
-                dispatcher.route(0.0, "sig", nodes)
+                dispatcher.route(0.0, nodes)
             rng2 = np.random.default_rng(3)
             for _ in range(5):
                 rng2.integers(n)
@@ -277,8 +282,8 @@ class TestDispatcher:
     def test_route_emits_schema_valid_event(self):
         tracer = SpanTracer()
         dispatcher = ClusterDispatcher(np.random.default_rng(0), tracer=tracer)
-        nodes = [StubNode("node0"), StubNode("node1", signatures=("sig",))]
-        dispatcher.route(4.5, "sig", nodes, req=9)
+        nodes = [StubNode("node0"), StubNode("node1", served=1)]
+        dispatcher.route(4.5, nodes, req=9)
         [event] = tracer.events
         assert event.kind == "cluster.route"
         assert event.ts_ms == 4.5
@@ -287,7 +292,7 @@ class TestDispatcher:
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(RuntimeError, match="no serving nodes"):
-            self.make().route(0.0, "sig", [])
+            self.make().route(0.0, [])
 
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError):
@@ -303,7 +308,7 @@ class TestDispatcher:
         ]
         rng = np.random.default_rng(0)
         dispatcher = ClusterDispatcher(rng)
-        chosen = [dispatcher.route(0.0, "sig", nodes).node_id for _ in range(300)]
+        chosen = [dispatcher.route(0.0, nodes).node_id for _ in range(300)]
         assert set(chosen) == {"node2"}
         reference = np.random.default_rng(0)
         for _ in range(300):
@@ -320,7 +325,7 @@ class TestDispatcher:
         tracer = SpanTracer()
         dispatcher = ClusterDispatcher(np.random.default_rng(0), tracer=tracer)
         dead_pair = (0, 1)
-        assert dispatcher.route(1.0, "sig", nodes, pair=dead_pair) is nodes[2]
+        assert dispatcher.route(1.0, nodes, pair=dead_pair) is nodes[2]
         [event] = tracer.events
         assert event.args["candidates"] == ("node0", "node1", "node2")
         assert event.args["node"] == "node2"
@@ -329,15 +334,15 @@ class TestDispatcher:
         # No finite alternative: the sampled pair decides, by node id.
         nodes = [StubNode(f"node{i}", healthy=0.0) for i in range(4)]
         dispatcher = self.make()
-        assert dispatcher.route(0.0, "sig", nodes, pair=(3, 1)) is nodes[1]
+        assert dispatcher.route(0.0, nodes, pair=(3, 1)) is nodes[1]
 
     def test_route_uses_pre_drawn_pair(self):
         nodes = [StubNode(f"node{i}", queue_ms=float(i)) for i in range(5)]
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         dispatcher = ClusterDispatcher(rng)
-        assert dispatcher.route(0.0, "sig", nodes, pair=(4, 2)) is nodes[2]
-        assert dispatcher.route(0.0, "sig", nodes[:1], pair=(0, None)) is nodes[0]
+        assert dispatcher.route(0.0, nodes, pair=(4, 2)) is nodes[2]
+        assert dispatcher.route(0.0, nodes[:1], pair=(0, None)) is nodes[0]
         assert rng.bit_generator.state == state
 
 
@@ -379,7 +384,6 @@ class TestSamplePairs:
 class TestClusterNode:
     @pytest.fixture
     def make_node(self, fleet_env):
-        from repro.cluster import ClusterNode
         from repro.runtime.node import LeafNode
 
         app, system, spaces = fleet_env
@@ -414,6 +418,7 @@ class TestClusterNode:
         for now, horizons in cases:
             for device, h in zip(devices, horizons):
                 device.horizon_ms = h
+            node.refresh()
             expected = max((d.backlog_ms(now) for d in devices), default=0.0)
             assert repr(node.queue_ms(now)) == repr(expected)
 
@@ -705,6 +710,28 @@ class TestClusterSimulation:
             "cluster_requests_total", outcome="served"
         ) == sum(1 for r in result.requests if r.served)
         assert registry.value("cluster_launches_total") == result.launches
+
+    def test_no_served_request_leaves_intervals_empty(self, fleet_env):
+        # Every device of the only node crashes at 0 ms: every request
+        # fails, and no interval has a latency to summarize.
+        from repro.faults.events import FaultEvent, FaultKind, FaultSchedule
+        from repro.runtime.node import LeafNode
+
+        app, system, spaces = fleet_env
+        devices = LeafNode(system, app, spaces).devices
+        schedule = FaultSchedule(
+            FaultEvent(0.0, FaultKind.DEVICE_CRASH, d.device_id)
+            for d in devices
+        )
+        sim = ClusterSimulation(
+            system, app, spaces,
+            config=AutoscalerConfig(min_nodes=1, max_nodes=1),
+            fault_schedules={"node0": schedule},
+        )
+        result = sim.run([10.0, 100.0, 1_500.0])
+        assert not any(r.served for r in result.requests)
+        assert [iv.arrivals for iv in result.intervals] == [2, 1]
+        assert all(np.isnan(iv.p99_ms) for iv in result.intervals)
 
     def test_single_instance_runs_once(self, fleet_env):
         app, system, spaces = fleet_env

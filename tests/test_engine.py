@@ -13,6 +13,9 @@ no per-request reference driver, so they are held to the digests in
 ``tests/golden/fleet_digests.json``.
 """
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,7 @@ from golden_cases import (
     load,
     run_fault_injected_fleet,
     run_flash_crowd_fleet,
+    run_traced_fault_injected_fleet,
 )
 
 FLEET_GOLDEN = load(FLEET_FILE)
@@ -269,6 +273,57 @@ class TestGoldenFaultFree:
             assert request_sig(reference) == request_sig(event), spec.kind
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail a call still running after ``seconds`` instead of hanging
+    the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+#: A second arrival on the rounded replan boundary of the first: their
+#: sum with the 250 ms interval rounds down onto the second, while their
+#: difference is exactly 249.99999999999994.  A program that stopped on
+#: ``t >= last + interval`` never admitted it: the driver, which
+#: replans on ``t - last >= interval``, re-entered the program forever.
+BOUNDARY_ARRIVALS = [263.00787580820344, 513.0078758082034]
+
+
+class TestReplanBoundary:
+    @pytest.mark.parametrize("system_name", ["Homo-GPU", "Homo-FPGA", "Heter-Poly"])
+    def test_engine_equals_submit_loop(self, system_name):
+        first, second = BOUNDARY_ARRIVALS
+        assert second >= first + 250.0 and second - first < 250.0
+        app = apps_mod.build("ASR")
+        system = setting("I", system_name)
+        spaces = app.explore(system.platforms)
+        with deadline(60):
+            reference, event = ab(app, system, spaces, BOUNDARY_ARRIVALS)
+        assert request_sig(event) == request_sig(reference)
+        assert len(event.requests) == 2
+
+    def test_one_node_fleet_serves_both(self, asr):
+        from repro.cluster import AutoscalerConfig, ClusterSimulation
+
+        app, system, spaces = asr
+        sim = ClusterSimulation(
+            system, app, spaces,
+            config=AutoscalerConfig(min_nodes=1, max_nodes=1),
+        )
+        with deadline(60):
+            result = sim.run(BOUNDARY_ARRIVALS)
+        assert [r.arrival_ms for r in result.requests] == BOUNDARY_ARRIVALS
+
+
 class TestGoldenChaos:
     def test_chaos_identity(self, asr):
         """A crash-and-recover run on the engine's fault variant —
@@ -452,3 +507,41 @@ class TestFleetDriverIdentity:
         node0 = result.nodes[0]
         assert node0.node_id == "node0"
         assert node0.schedulable_fraction < 1.0
+
+
+class TestKeptRoutingState:
+    """The dispatcher scores candidates from each node's kept latest
+    device horizon and health.  The digests alone might not catch a
+    stale value, so every route call checks them against the devices."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["flash_crowd", "warmup_1234.5", "fault_injected", "traced_fault_injected"],
+    )
+    def test_kept_state_matches_devices_at_every_route(
+        self, asr, monkeypatch, case
+    ):
+        from repro.cluster import ClusterDispatcher
+
+        route = ClusterDispatcher.route
+        calls = []
+
+        def checked_route(self, now_ms, nodes, *args, **kwargs):
+            for node in nodes:
+                devices = node.leaf.devices
+                assert node.horizon_ms == max(d.horizon_ms for d in devices)
+                assert node.health == node.schedulable_fraction
+            calls.append(now_ms)
+            return route(self, now_ms, nodes, *args, **kwargs)
+
+        monkeypatch.setattr(ClusterDispatcher, "route", checked_route)
+        run = {
+            "flash_crowd": run_flash_crowd_fleet,
+            "warmup_1234.5": lambda a: run_flash_crowd_fleet(a, 1234.5),
+            "fault_injected": run_fault_injected_fleet,
+            "traced_fault_injected": (
+                lambda a: run_traced_fault_injected_fleet(a)[0]
+            ),
+        }[case]
+        result = run(asr)
+        assert calls == [r.arrival_ms for r in result.requests]

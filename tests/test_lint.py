@@ -462,12 +462,15 @@ class TestAutoscalerConfigRule:
         assert diags and "empty fleet" in diags[0].message
 
     def test_rt007_zero_eval_interval_fires(self):
+        # The warm-up warning divides by the interval: it must not run
+        # (and crash the rule into LINT000) on a zero interval.
         report = run_lint(
             AutoscalerConfig(eval_interval_ms=0.0), LintContext()
         )
         diags = report.by_rule("RT007")
-        assert diags and "eval_interval_ms" in diags[0].message
-        assert all(d.severity == Severity.ERROR for d in diags)
+        assert len(diags) == 1 and "eval_interval_ms" in diags[0].message
+        assert diags[0].severity == Severity.ERROR
+        assert not report.by_rule("LINT000")
 
     def test_rt007_inverted_hysteresis_fires(self):
         report = run_lint(
