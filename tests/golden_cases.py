@@ -13,19 +13,24 @@ second, slower implementation kept alive to compare against:
   the JSONL event stream (traced modes);
 * ``fleet_digests.json`` — the fleet replays and the traced fleet event
   streams (fault-free, and with a fault-injected node) of
-  ``tests/test_engine.py`` and ``tests/test_obs_pipeline.py``.
+  ``tests/test_engine.py`` and ``tests/test_obs_pipeline.py``;
+* ``lint_digests.json`` — ``repro lint --dse --json`` over the six
+  bundled apps at Settings I, II and III: every rule's verdict on them.
 
-Both files were recorded while the per-request reference loops still
-existed, and matched them.  Regenerate them only for a change that is
-meant to move simulated outputs::
+The first two were recorded while the per-request reference loops still
+existed, and matched them.  Regenerate the files only for a change that
+is meant to move simulated outputs or lint verdicts::
 
     PYTHONPATH=src python tests/golden_cases.py
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import re
 import tempfile
 from pathlib import Path
 from typing import Dict, Tuple
@@ -34,6 +39,7 @@ import numpy as np
 
 from repro import apps as apps_mod
 from repro import runtime
+from repro.cli import main
 from repro.cluster import AutoscalerConfig, ClusterSimulation
 from repro.experiments import harness
 from repro.faults import FaultSchedule
@@ -46,6 +52,7 @@ from repro.runtime.node import LeafNode
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SIM_FILE = GOLDEN_DIR / "sim_digests.json"
 FLEET_FILE = GOLDEN_DIR / "fleet_digests.json"
+LINT_FILE = GOLDEN_DIR / "lint_digests.json"
 
 APPS = tuple(apps_mod.APP_BUILDERS)
 SYSTEMS = ("Homo-GPU", "Homo-FPGA", "Heter-Poly")
@@ -295,8 +302,28 @@ def fleet_digests(asr) -> Dict[str, str]:
     return out
 
 
+# -- lint verdicts -----------------------------------------------------------
+
+LINT_SETTINGS = ("I", "II", "III")
+
+
+def run_lint_case(setting: str) -> Tuple[int, str]:
+    """``repro lint --dse --json --setting S``: the exit code and a
+    fingerprint of stdout.
+
+    Pattern names carry a process-wide counter (``tiling#0`` in a fresh
+    process, ``tiling#63`` after other apps were built), so ``#<n>`` is
+    dropped before hashing.
+    """
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["lint", "--dse", "--json", "--setting", setting])
+    text = re.sub(r"#\d+", "#", out.getvalue())
+    return code, hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def record() -> None:
-    """Rewrite both fixture files from the current code."""
+    """Rewrite every fixture file from the current code."""
     sims = {
         sim_case_id(a, s, m): sim_digests(
             *run_sim_case(a, s, m), chaos=m in CHAOS_MODES
@@ -308,6 +335,8 @@ def record() -> None:
     SIM_FILE.write_text(json.dumps(sims, indent=2, sort_keys=True) + "\n")
     fleet = fleet_digests(asr_heter())
     FLEET_FILE.write_text(json.dumps(fleet, indent=2, sort_keys=True) + "\n")
+    lint = {s: run_lint_case(s)[1] for s in LINT_SETTINGS}
+    LINT_FILE.write_text(json.dumps(lint, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
