@@ -30,19 +30,15 @@ Commands
     Run the static diagnostics engine over the bundled benchmarks
     (all six by default).  ``--dse`` additionally validates the DSE
     product and the scheduler admission of each app.  Exits nonzero
-    when any ERROR diagnostic fires.  Guided-search hygiene is covered
-    by OPT004 (with a ``SearchConfig`` in context the budget applies
-    to model evaluations, ``min(enumerated, max_evals)``) and OPT005
-    (a guided search without a seed or without a
-    ``min_hypervolume_ratio`` quality gate).
+    when any ERROR diagnostic fires.
 
 ``faults APP [--rps 30] [--crash DEV@MS] [--recover DEV@MS]
         [--mtbf-ms N --mttr-ms N] [--seed 0] [--json]``
     Chaos experiment: serve a Poisson stream while injecting device
     faults (explicit ``--crash``/``--recover`` events, or a random
     MTBF/MTTR schedule) and report availability, tail latency, QoS
-    violations and failover/recovery statistics.  The schedule and
-    retry policy are linted (RT004/RT005) before the run.
+    violations and failover/recovery statistics.  The schedule is
+    linted (RT004) before the run.
 
 ``cluster [--app ASR] [--system NAME ...] [--hours 24] [--compress 200]
         [--min-nodes 1] [--max-nodes 8] [--timeline] [--json]``
@@ -52,7 +48,9 @@ Commands
     latency, QoS-interval fraction, the scaling timeline, scale-up/down
     lag, fleet power and monthly TCO / cost efficiency.  Repeat
     ``--system`` to rotate launches through heterogeneous node
-    templates.  The autoscaler config is linted (RT007) before the run.
+    templates.  Autoscaler flags the fleet cannot converge under exit 1
+    before any DSE runs; RT007 and OBS002 warnings print before the
+    replay.
 
 ``obs APP [--rps 20] [--ms 4000] [--seed 0] [--out-dir obs_out]
         [--summary] [--crash DEV@MS] [--recover DEV@MS]``
@@ -291,13 +289,12 @@ def _build_fault_schedule(args):
 
 
 def _cmd_faults(args) -> int:
-    from .faults import FaultInjector, RetryPolicy
+    from .faults import FaultInjector
 
     schedule = _build_fault_schedule(args)
     if schedule is None:
         return 2
     system = runtime.setting(args.setting, args.system)
-    policy = RetryPolicy()
     names = [n.upper() for n in (args.app or ["ASR"])]
     rows = {}
     for name in names:
@@ -313,9 +310,8 @@ def _cmd_faults(args) -> int:
         ctx = LintContext(
             design_spaces=spaces, devices=tuple(node.devices), qos_ms=app.qos_ms
         )
-        injector = FaultInjector(schedule, retry_policy=policy)
+        injector = FaultInjector(schedule)
         gate = run_lint(schedule, ctx)
-        gate.extend(run_lint(policy, ctx))
         # OBS001 (warning): an untraced chaos run leaves no event trail.
         gate.extend(run_lint(injector, ctx))
         for diag in gate:
@@ -390,7 +386,6 @@ def _cmd_obs(args) -> int:
 
     faults = None
     if args.crash or args.recover:
-        from .faults import FaultInjector, RetryPolicy
         from .faults.events import FaultEvent, FaultKind, FaultSchedule
 
         events = [
@@ -400,7 +395,7 @@ def _cmd_obs(args) -> int:
             FaultEvent(at_ms, FaultKind.RECOVERY, device)
             for device, at_ms in (args.recover or [])
         ]
-        faults = FaultInjector(FaultSchedule(events), retry_policy=RetryPolicy())
+        faults = FaultSchedule(events)
 
     tracer = SpanTracer()
     registry = MetricsRegistry()
@@ -531,21 +526,18 @@ def _cmd_cluster(args) -> int:
             file=sys.stderr,
         )
         return 2
-    config = AutoscalerConfig(
-        min_nodes=args.min_nodes,
-        max_nodes=args.max_nodes,
-        eval_interval_ms=args.eval_ms,
-        scale_up_utilization=args.up_util,
-        scale_down_utilization=args.down_util,
-        target_utilization=args.target_util,
-        warmup_ms=args.warmup_ms,
-    )
-    # RT007 admission gate: reject non-convergent configs before the
-    # replay is paid for (same pattern as the faults command).
-    gate = run_lint(config, LintContext())
-    for diag in gate:
-        print(f"  {diag.render()}", file=sys.stderr)
-    if not gate.ok:
+    try:
+        config = AutoscalerConfig(
+            min_nodes=args.min_nodes,
+            max_nodes=args.max_nodes,
+            eval_interval_ms=args.eval_ms,
+            scale_up_utilization=args.up_util,
+            scale_down_utilization=args.down_util,
+            target_utilization=args.target_util,
+            warmup_ms=args.warmup_ms,
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 1
 
     systems = args.system or ["Heter-Poly"]
@@ -573,14 +565,12 @@ def _cmd_cluster(args) -> int:
         templates, app, spaces, config=config, seed=args.seed,
         tracer=tracer, trace_nodes=args.trace_nodes, sampler=sampler,
     )
-    # OBS002 admission gate (same pattern as OBS001 in `repro faults`):
-    # a fleet-scale traced replay without a sampling policy warns
-    # before the replay is paid for.
-    obs_gate = run_lint(sim, LintContext())
-    for diag in obs_gate:
+    # Warnings before the replay is paid for: RT007 (a long warm-up)
+    # and OBS002 (a fleet-scale trace without a sampling policy).
+    gate = run_lint(config, LintContext())
+    gate.extend(run_lint(sim, LintContext()))
+    for diag in gate:
         print(f"  {diag.render()}", file=sys.stderr)
-    if not obs_gate.ok:
-        return 1
     peak_rps = args.peak_rps
     if peak_rps is None:
         capacity = sum(sim._template_capacity(t) for t in templates) / len(

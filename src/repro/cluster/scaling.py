@@ -21,8 +21,8 @@ and the decision stream can be golden-tested:
   terminate nodes that have been idle for ``idle_intervals``
   consecutive evaluations, never below ``min_nodes``;
 * **inside the band** — do nothing (the hysteresis that prevents
-  launch/terminate oscillation; lint rule RT007 rejects bands that
-  cannot provide it).
+  launch/terminate oscillation; :class:`AutoscalerConfig` refuses bands
+  that cannot provide it).
 """
 
 from __future__ import annotations
@@ -56,11 +56,11 @@ class TerminationReason(enum.IntEnum):
 class AutoscalerConfig:
     """Knobs of the elastic scaling policy.
 
-    Deliberately constructible in invalid shapes (``min_nodes >
-    max_nodes``, inverted hysteresis bands): lint rule RT007 diagnoses
-    those with an actionable message, mirroring how RT004/RT005 gate
-    fault schedules and retry policies instead of burying the mistake
-    in a constructor traceback.
+    Construction refuses a config under which the fleet cannot
+    converge, with one :class:`ValueError` naming every violated
+    invariant: an empty or unsatisfiable size range, a non-positive
+    evaluation period, or a hysteresis band without a real gap and the
+    target inside it.
     """
 
     #: Fleet size bounds (inclusive).
@@ -84,26 +84,42 @@ class AutoscalerConfig:
     max_launch_per_eval: int = 2
 
     def __post_init__(self) -> None:
-        if self.min_nodes < 0 or self.max_nodes < 0:
-            raise ValueError("node counts must be non-negative")
+        problems = []
+        if self.min_nodes < 1:
+            problems.append(
+                f"min_nodes={self.min_nodes} allows an empty fleet "
+                "(arrivals need a serving node)"
+            )
+        if self.min_nodes > self.max_nodes:
+            problems.append(
+                f"min_nodes={self.min_nodes} exceeds max_nodes={self.max_nodes}"
+            )
+        if self.eval_interval_ms <= 0:
+            problems.append(
+                f"eval_interval_ms={self.eval_interval_ms:g} must be positive"
+            )
+        down = self.scale_down_utilization
+        up = self.scale_up_utilization
+        if down >= up:
+            problems.append(
+                f"hysteresis band [{down:g}, {up:g}] has no gap: "
+                "scale_down_utilization must be below scale_up_utilization"
+            )
+        elif not down <= self.target_utilization <= up:
+            problems.append(
+                f"target_utilization={self.target_utilization:g} lies "
+                f"outside the hysteresis band [{down:g}, {up:g}]"
+            )
         if self.warmup_ms < 0:
-            raise ValueError("warmup_ms must be non-negative")
+            problems.append(f"warmup_ms={self.warmup_ms:g} must be non-negative")
         if self.idle_intervals < 1:
-            raise ValueError("idle_intervals must be >= 1")
+            problems.append(f"idle_intervals={self.idle_intervals} must be >= 1")
         if self.max_launch_per_eval < 1:
-            raise ValueError("max_launch_per_eval must be >= 1")
-
-    @property
-    def hysteresis_ok(self) -> bool:
-        """True when the band can actually damp oscillation (RT007's
-        core check): a real gap between the edges, with the target
-        operating point inside it."""
-        return (
-            self.scale_down_utilization < self.scale_up_utilization
-            and self.scale_down_utilization
-            <= self.target_utilization
-            <= self.scale_up_utilization
-        )
+            problems.append(
+                f"max_launch_per_eval={self.max_launch_per_eval} must be >= 1"
+            )
+        if problems:
+            raise ValueError("invalid autoscaler config: " + "; ".join(problems))
 
 
 @dataclass(frozen=True)

@@ -343,9 +343,6 @@ class ClusterSimulation:
         tracer=None,
         metrics=None,
         fault_schedules: Optional[Mapping[str, object]] = None,
-        locality_penalty_ms: float = 5.0,
-        health_penalty_ms: float = 50.0,
-        replan_interval_ms: float = 250.0,
         trace_nodes: bool = False,
         sampler=None,
     ) -> None:
@@ -357,16 +354,6 @@ class ClusterSimulation:
         self.app = app
         self.design_spaces = design_spaces
         self.config = config or AutoscalerConfig()
-        if self.config.eval_interval_ms <= 0:
-            raise ValueError(
-                "eval_interval_ms must be positive (lint rule RT007)"
-            )
-        if self.config.min_nodes > self.config.max_nodes:
-            raise ValueError(
-                "min_nodes exceeds max_nodes (lint rule RT007)"
-            )
-        if self.config.min_nodes < 1:
-            raise ValueError("a fleet needs min_nodes >= 1")
         self.seed = seed
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.metrics = metrics
@@ -380,13 +367,7 @@ class ClusterSimulation:
         #: tracing without a bound policy is lintable (OBS002).
         self.sampler = sampler
         self.autoscaler = Autoscaler(self.config)
-        self.dispatcher = ClusterDispatcher(
-            self._child_rng(0, 0),
-            tracer=self.tracer,
-            locality_penalty_ms=locality_penalty_ms,
-            health_penalty_ms=health_penalty_ms,
-        )
-        self.replan_interval_ms = replan_interval_ms
+        self.dispatcher = ClusterDispatcher(self._child_rng(0, 0), tracer=self.tracer)
         self._fault_schedules = dict(fault_schedules or {})
         self._nodes: List[ClusterNode] = []
         #: The serving and warming subsets of ``_nodes`` (launch order)
@@ -456,7 +437,6 @@ class ClusterSimulation:
             template,
             self.app,
             self.design_spaces,
-            replan_interval_ms=self.replan_interval_ms,
             seed=np.random.SeedSequence(
                 entropy=self.seed, spawn_key=(2, index)
             ),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from ..faults import FaultInjector, FaultSchedule, RetryPolicy
+from ..faults import FaultSchedule
 from ..runtime import poisson_arrivals, run_simulation, setting
 from .harness import get_app, render_table, spaces_for
 
@@ -69,7 +69,7 @@ def run(
             spaces,
             arrivals,
             seed=seed,
-            faults=FaultInjector(schedule, retry_policy=RetryPolicy()),
+            faults=schedule,
         )
         report = result.faults
         rows.append(

@@ -10,9 +10,7 @@
 device: the requester notices after ``timeout_ms`` (the latency-timeout
 of the monitor's detection path), then retries with capped exponential
 backoff up to ``max_retries`` times before the request is declared
-failed.  Construction accepts degenerate values (zero timeout, infinite
-cap) so that chaos scenarios can model them — the lint engine flags
-them (rule RT005) instead.
+failed.
 """
 
 from __future__ import annotations
@@ -46,12 +44,14 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.timeout_ms < 0:
-            raise ValueError("timeout must be non-negative")
+        # A zero timeout models instantaneous failure detection.
+        if self.timeout_ms <= 0:
+            raise ValueError("timeout_ms must be positive")
         if self.backoff_base_ms < 0:
             raise ValueError("backoff base must be non-negative")
-        if self.backoff_cap_ms < 0:
-            raise ValueError("backoff cap must be non-negative")
+        # An infinite cap lets retry delays grow without limit.
+        if not 0.0 < self.backoff_cap_ms < math.inf:
+            raise ValueError("backoff_cap_ms must be in (0, inf)")
 
     def backoff_ms(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (0-based), capped."""
@@ -59,8 +59,3 @@ class RetryPolicy:
             raise ValueError("attempt must be non-negative")
         raw = self.backoff_base_ms * (2.0 ** attempt)
         return min(raw, self.backoff_cap_ms)
-
-    @property
-    def bounded(self) -> bool:
-        """True when the backoff cap is finite and positive."""
-        return 0.0 < self.backoff_cap_ms < math.inf

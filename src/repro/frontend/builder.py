@@ -118,13 +118,12 @@ def _build_pattern(
     raise ParseError(f"unsupported pattern kind {decl.kind!r}", decl.line)
 
 
-def build_kernel(decl: KernelDecl, validate: bool = False) -> Kernel:
+def build_kernel(decl: KernelDecl) -> Kernel:
     """Lower one kernel declaration to a :class:`Kernel`.
 
-    ``validate=True`` runs the pattern-layer lint rules on the built
-    kernel and raises :class:`~repro.lint.LintError` on any ERROR
-    diagnostic (shape/dtype mismatches, scatter races, cycles) so
-    malformed sources fail at build time, not inside DSE.
+    The :class:`Kernel` constructor refuses an empty or cyclic PPG;
+    dataflow smells (shape/dtype mismatches, scatter races) are
+    :func:`repro.lint.run_lint`'s to report.
     """
     tensors = {t.name: _build_tensor(t) for t in decl.tensors}
     ppg = PPG(decl.name)
@@ -145,22 +144,13 @@ def build_kernel(decl: KernelDecl, validate: bool = False) -> Kernel:
         for src, dst in zip(dep.chain, dep.chain[1:]):
             if not ppg.graph.has_edge(built[src], built[dst]):
                 ppg.connect(built[src], built[dst])
-    kernel = Kernel(decl.name, ppg)
-    if validate:
-        from ..lint import run_lint
-
-        run_lint(kernel).raise_if_errors(f"kernel {decl.name!r}")
-    return kernel
+    return Kernel(decl.name, ppg)
 
 
 def build_application_graph(
-    module: Module, app_name: str, validate: bool = False
+    module: Module, app_name: str
 ) -> Tuple[KernelGraph, float]:
-    """Lower one app block to a :class:`KernelGraph` plus its QoS bound.
-
-    ``validate=True`` additionally lints the assembled kernel graph
-    (and every kernel in it) and raises on ERROR diagnostics.
-    """
+    """Lower one app block to a :class:`KernelGraph` plus its QoS bound."""
     if app_name not in module.apps:
         raise KeyError(f"module defines no app {app_name!r}")
     app = module.apps[app_name]
@@ -168,33 +158,20 @@ def build_application_graph(
     for kname in app.kernels:
         if kname not in module.kernels:
             raise ParseError(f"app uses unknown kernel {kname!r}", app.line)
-        graph.add_kernel(build_kernel(module.kernels[kname], validate=validate))
+        graph.add_kernel(build_kernel(module.kernels[kname]))
     for edge in app.edges:
         graph.connect(edge.src, edge.dst, edge.nbytes)
     graph.validate()
-    if validate:
-        from ..lint import LintContext, run_lint
-
-        run_lint(graph, LintContext(qos_ms=app.qos_ms)).raise_if_errors(
-            f"app {app_name!r}"
-        )
     return graph, app.qos_ms
 
 
-def compile_source(source: str, validate: bool = False):
+def compile_source(source: str):
     """One-shot convenience: parse and build everything in the source.
 
     Returns ``(kernels, graphs)``: all standalone kernels by name, and
-    ``{app_name: (KernelGraph, qos_ms)}``.  ``validate=True`` gates
-    every built object through the lint rules.
+    ``{app_name: (KernelGraph, qos_ms)}``.
     """
     module = parse(source)
-    kernels = {
-        name: build_kernel(decl, validate=validate)
-        for name, decl in module.kernels.items()
-    }
-    graphs = {
-        name: build_application_graph(module, name, validate=validate)
-        for name in module.apps
-    }
+    kernels = {name: build_kernel(decl) for name, decl in module.kernels.items()}
+    graphs = {name: build_application_graph(module, name) for name in module.apps}
     return kernels, graphs

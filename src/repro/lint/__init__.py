@@ -1,19 +1,27 @@
 """``repro.lint`` — static diagnostics for PPGs, design points, schedules.
 
-A rule-registry lint engine over Poly's three layers:
+A rule-registry lint engine over what Poly's constructors cannot see.
+Every value the program builds (a PPG inside a :class:`Kernel`, a
+kernel graph inside an :class:`Application`, an autoscaler or retry
+config) checks its own invariants when it is built; lint reports the
+rest:
 
 * **pattern layer** — PPG edge shape/dtype compatibility, scatter-write
-  hazards, fusion legality, orphans and cycles (``PPG00x`` rules);
+  hazards, fusion legality and orphans (``PPG00x`` rules);
 * **optimization layer** — Table-I knob applicability, FPGA resource
-  budgets, degenerate work-group sizes, design-space/evaluation
-  budgets and guided-search hygiene (``OPT00x`` rules);
-* **runtime layer** — kernel-graph legality, QoS-feasibility lower
-  bounds, device-pool implementation coverage (``RT00x`` rules).
+  budgets, degenerate work-group sizes and design-space budgets
+  (``OPT00x`` rules);
+* **runtime layer** — QoS-feasibility lower bounds, device-pool
+  implementation coverage, fault schedules that leave a kernel no
+  survivor, and legal but suspicious retry and autoscaler settings
+  (``RT00x`` rules);
+* **observability** — chaos runs without a trace sink and fleet-scale
+  traces without a sampling policy (``OBS00x`` rules).
 
 Entry points: :func:`run_lint` for any lintable object, the
-``repro lint`` CLI subcommand, the ``validate=True`` gates in
-:mod:`repro.frontend.builder` and :mod:`repro.optim.dse`, and the
-scheduler admission check in :class:`repro.scheduler.PolyScheduler`.
+``repro lint`` CLI subcommand, the ``validate=True`` gate of
+:mod:`repro.optim.dse`, and the scheduler admission check
+:meth:`repro.scheduler.PolyScheduler.admission_check`.
 """
 
 from .core import (
@@ -45,21 +53,5 @@ __all__ = [
     "register_rule",
     "rules_for",
     "run_lint",
-    "lint_application",
 ]
 
-
-def lint_application(app, specs=(), design_spaces=None, devices=(), qos_ms=None):
-    """Lint one :class:`~repro.apps.base.Application` end to end.
-
-    ``specs``/``design_spaces``/``devices`` are optional context: with
-    only the app, the structural pattern/graph rules run; adding the DSE
-    product and a device pool enables the runtime-feasibility rules.
-    """
-    ctx = LintContext(
-        specs=tuple(specs),
-        design_spaces=design_spaces,
-        devices=tuple(devices),
-        qos_ms=qos_ms,
-    )
-    return run_lint(app, ctx)

@@ -4,10 +4,12 @@ Poly's correctness rests on invariants that the optimizing layers assume
 rather than enforce: PPG edges must carry shape/dtype-compatible
 tensors, knob assignments must respect Table I's applicability matrix,
 FPGA design points must fit the part's resource budget, and kernel DAGs
-handed to the two-step scheduler must be acyclic and QoS-feasible.
-This module provides the machinery that turns those invariants into
-*diagnostics* — actionable messages with a rule id, severity and
-location — instead of wrong numbers or deep stack traces.
+handed to the two-step scheduler must be QoS-feasible on the device
+pool.  This module provides the machinery that turns those invariants
+into *diagnostics* — actionable messages with a rule id, severity and
+location — instead of wrong numbers or deep stack traces.  (What a
+constructor can check, such as PPG and kernel-graph acyclicity, it
+checks itself.)
 
 Rules are plain functions registered with :func:`register_rule`; each
 declares the object types it inspects.  :func:`run_lint` expands a
@@ -94,7 +96,8 @@ class Diagnostic:
 
 
 class LintError(RuntimeError):
-    """Raised by ``validate=True`` gates when a lint run reports errors."""
+    """Raised by :meth:`LintReport.raise_if_errors` when a lint run
+    reports errors."""
 
     def __init__(self, report: "LintReport", subject: str = "") -> None:
         self.report = report
@@ -130,10 +133,6 @@ class LintContext:
     #: Per-(kernel, device) cap on enumerated configs before pruning
     #: (OPT004); ``None`` uses the rule's default budget.
     config_budget: Optional[int] = None
-    #: Guided-search configuration (:class:`~repro.optim.search.SearchConfig`)
-    #: when the DSE runs with ``strategy="guided"``; switches OPT004 to
-    #: budgeting model evaluations instead of enumerated configs.
-    search: Optional[Any] = None
 
     def prefix(self, location: str) -> str:
         return f"{self.app_name}/{location}" if self.app_name else location

@@ -142,11 +142,6 @@ def check_config_budget(kernel: Kernel, ctx: LintContext) -> Iterator[Diagnostic
     the budget makes every DSE run pay model-evaluation time linearly in
     the excess.  Counting via the local plan's candidate lists costs
     nothing — the space itself is never materialized.
-
-    With a guided search in context (``ctx.search``), the quantity the
-    DSE actually pays for is *model evaluations*, capped at
-    ``search.max_evals`` — so the rule budgets
-    ``min(enumerated, max_evals)`` instead of the raw enumeration.
     """
     from ..optim.global_opt import GlobalOptimizer
     from ..optim.local_opt import LocalOptimizer
@@ -159,24 +154,6 @@ def check_config_budget(kernel: Kernel, ctx: LintContext) -> Iterator[Diagnostic
         local = LocalOptimizer(spec.device_type).plan(kernel)
         fused_variants = 2 if GlobalOptimizer(spec).plan(kernel).worthwhile else 1
         count = local.space_size * fused_variants
-        if ctx.search is not None:
-            cost = min(count, ctx.search.max_evals)
-            if cost > budget:
-                yield Diagnostic(
-                    rule="OPT004",
-                    severity=Severity.WARNING,
-                    location=ctx.prefix(f"{kernel.name}@{spec.name}"),
-                    message=(
-                        f"guided search spends up to {cost} model "
-                        f"evaluations on {spec.device_type.value} "
-                        f"(budget {budget}): lower search.max_evals"
-                    ),
-                    hint=(
-                        "reduce SearchConfig.max_evals or raise "
-                        "LintContext.config_budget if the spend is intended"
-                    ),
-                )
-            continue
         if count > budget:
             yield Diagnostic(
                 rule="OPT004",
@@ -194,48 +171,3 @@ def check_config_budget(kernel: Kernel, ctx: LintContext) -> Iterator[Diagnostic
                 ),
             )
 
-
-@register_rule(
-    "OPT005",
-    Severity.WARNING,
-    (),  # bound to SearchConfig below, after the lazy import
-    "guided search missing a seed or a quality gate",
-)
-def check_search_config(search, ctx: LintContext) -> Iterator[Diagnostic]:
-    """A guided search without an explicit seed is not reproducible
-    (every run explores a different subspace), and one without a
-    hypervolume quality gate can silently regress the Pareto front —
-    the two properties the golden A/B tests pin down."""
-    if search.seed is None:
-        yield Diagnostic(
-            rule="OPT005",
-            severity=Severity.WARNING,
-            location=ctx.prefix("SearchConfig"),
-            message="guided search has no seed: runs are not reproducible",
-            hint="set SearchConfig.seed (any int; 0 is the conventional default)",
-        )
-    if search.min_hypervolume_ratio is None:
-        yield Diagnostic(
-            rule="OPT005",
-            severity=Severity.WARNING,
-            location=ctx.prefix("SearchConfig"),
-            message=(
-                "guided search has no hypervolume quality gate: front "
-                "regressions go undetected"
-            ),
-            hint="set SearchConfig.min_hypervolume_ratio (0.99 is the bench gate)",
-        )
-
-
-def _bind_opt005_target() -> None:
-    # SearchConfig lives in repro.optim.search, which imports repro.lint
-    # lazily; binding the target after registration keeps the import
-    # graph acyclic without duck-typing the rule dispatch.
-    from ..optim.search import SearchConfig
-    from .core import _REGISTRY
-
-    rule = _REGISTRY["OPT005"]
-    _REGISTRY["OPT005"] = dataclasses.replace(rule, targets=(SearchConfig,))
-
-
-_bind_opt005_target()

@@ -3,7 +3,9 @@
 These rules inspect :class:`~repro.patterns.ppg.PPG` graphs (usually
 reached through their enclosing :class:`~repro.patterns.ppg.Kernel`):
 tensor compatibility along edges, scatter-write hazards, fusion
-legality against on-chip capacity, and graph shape (orphans, cycles).
+legality against on-chip capacity, and orphan patterns.  Emptiness and
+cycles are not lint's concern: :class:`~repro.patterns.ppg.Kernel`
+refuses such a PPG when it is built.
 """
 
 from __future__ import annotations
@@ -220,34 +222,3 @@ def check_orphans(ppg: PPG, ctx: LintContext) -> Iterator[Diagnostic]:
                 hint="connect it to the dataflow or move it to its own kernel",
             )
 
-
-@register_rule(
-    "PPG008",
-    Severity.ERROR,
-    (PPG,),
-    "PPG is empty or contains a dependency cycle",
-)
-def check_ppg_acyclic(ppg: PPG, ctx: LintContext) -> Iterator[Diagnostic]:
-    """`PPG.connect` refuses cycle-creating edges, but graphs mutated
-    directly (or deserialized) can still carry one; everything downstream
-    assumes topological order exists."""
-    loc = ctx.prefix(ppg.name)
-    if ppg.graph.number_of_nodes() == 0:
-        yield Diagnostic(
-            rule="PPG008",
-            severity=Severity.ERROR,
-            location=loc,
-            message="PPG has no patterns",
-            hint="add at least one pattern before lowering the kernel",
-        )
-        return
-    if not nx.is_directed_acyclic_graph(ppg.graph):
-        cycle = nx.find_cycle(ppg.graph)
-        path = " -> ".join(u.name for u, _ in cycle) + f" -> {cycle[0][0].name}"
-        yield Diagnostic(
-            rule="PPG008",
-            severity=Severity.ERROR,
-            location=loc,
-            message=f"dependency cycle: {path}",
-            hint="break the cycle; PPGs must be acyclic dataflow graphs",
-        )

@@ -75,6 +75,7 @@ from .node import (
     MAX_GPU_BATCH,
     NOISE_BLOCK,
     NOISE_SIGMA,
+    REPLAN_INTERVAL_MS,
     LeafNode,
     RequestRecord,
 )
@@ -212,7 +213,7 @@ class EventHeapEngine:
         node = self._node
         mon = node.monitor
         last = node._last_replan_ms
-        interval = node.replan_interval_ms
+        interval = REPLAN_INTERVAL_MS
         if not self._plan_ok or t_ms - last >= interval:
             self._sync_plan(t_ms)
             if not self._plan_ok:
@@ -835,7 +836,7 @@ class EventHeapEngine:
         node = self._node
         mon = node.monitor
         traced = self._traced
-        interval = node.replan_interval_ms
+        interval = REPLAN_INTERVAL_MS
         self._req_arr.extend(chunk)
         i = 0
         n = len(chunk)

@@ -57,6 +57,9 @@ MAX_GPU_BATCH = 10
 NOISE_SIGMA = 0.04
 #: Noise draws buffered per refill of a node's noise stream.
 NOISE_BLOCK = 2048
+#: Poly re-derives its plan "at each time interval" (Section V): a node
+#: replans on the first arrival at least this long after its last plan.
+REPLAN_INTERVAL_MS = 250.0
 
 
 @dataclass
@@ -387,7 +390,6 @@ class LeafNode:
         system: SystemConfig,
         app: Application,
         design_spaces: Mapping[Tuple[str, str], KernelDesignSpace],
-        replan_interval_ms: float = 250.0,
         seed: int = 0,
         pcie: Optional[PCIeLink] = None,
         tracer=None,
@@ -395,7 +397,6 @@ class LeafNode:
         self.system = system
         self.app = app
         self.design_spaces = design_spaces
-        self.replan_interval_ms = replan_interval_ms
         self.pcie = pcie or PCIeLink()
         #: Observability hook; the inert default keeps the request path
         #: byte-identical to an uninstrumented build.
@@ -563,7 +564,7 @@ class LeafNode:
         Static baselines compute their single hard-mapped plan once and
         never change it.
         """
-        if now_ms - self._last_replan_ms < self.replan_interval_ms and self._plan:
+        if now_ms - self._last_replan_ms < REPLAN_INTERVAL_MS and self._plan:
             return
         self._last_replan_ms = now_ms
         tr = self.tracer

@@ -120,7 +120,6 @@ def run_simulation(
     bin_ms: float = 1000.0,
     warmup_frac: float = 0.1,
     seed: int = 0,
-    replan_interval_ms: float = 250.0,
     faults: Optional[Union[FaultSchedule, FaultInjector]] = None,
     retry_policy: Optional[RetryPolicy] = None,
     priorities: Optional[Sequence[float]] = None,
@@ -171,14 +170,7 @@ def run_simulation(
         # the whole run, not just the fault path.
         if faults.tracer.enabled:
             tracer = faults.tracer
-    node = LeafNode(
-        system,
-        app,
-        design_spaces,
-        replan_interval_ms=replan_interval_ms,
-        seed=seed,
-        tracer=tracer,
-    )
+    node = LeafNode(system, app, design_spaces, seed=seed, tracer=tracer)
     injector: Optional[FaultInjector] = None
     if faults is not None:
         if isinstance(faults, FaultInjector):

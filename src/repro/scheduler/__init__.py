@@ -6,11 +6,10 @@ from .kernel_graph import KernelGraph
 from .latency_opt import LatencyOptimizer
 from .monitor import SystemMonitor
 from .priority import latency_priorities, min_latency_ms, priority_order
-from .scheduler import AdmissionError, PolyScheduler, StaticScheduler
+from .scheduler import PolyScheduler, StaticScheduler
 from .types import Assignment, DeviceSlot, Schedule
 
 __all__ = [
-    "AdmissionError",
     "KernelGraph",
     "DeviceSlot",
     "Assignment",

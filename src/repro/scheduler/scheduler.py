@@ -24,22 +24,7 @@ from .kernel_graph import KernelGraph
 from .latency_opt import LatencyOptimizer
 from .types import Assignment, DeviceSlot, Schedule
 
-__all__ = ["PolyScheduler", "StaticScheduler", "AdmissionError"]
-
-
-class AdmissionError(RuntimeError):
-    """A request was rejected at admission with lint diagnostics.
-
-    Raised by :meth:`PolyScheduler.schedule` (with ``validate=True``)
-    instead of scheduling a kernel graph that is structurally illegal,
-    lacks implementation coverage for the device pool, or whose
-    critical-path lower bound already exceeds the QoS bound.
-    """
-
-    def __init__(self, report) -> None:
-        self.report = report
-        lines = "\n".join(d.render() for d in report.errors)
-        super().__init__(f"request rejected at admission:\n{lines}")
+__all__ = ["PolyScheduler", "StaticScheduler"]
 
 
 class PolyScheduler:
@@ -69,9 +54,9 @@ class PolyScheduler:
     ):
         """Lint the request against this scheduler's design spaces.
 
-        Runs the runtime-layer rules only (graph legality, QoS
-        lower-bound feasibility, implementation coverage of the device
-        pool); returns the :class:`~repro.lint.LintReport`.
+        Runs the runtime-layer rules only (QoS lower-bound feasibility,
+        implementation coverage of the device pool); returns the
+        :class:`~repro.lint.LintReport`.
         """
         from ..lint import LintContext, run_lint
 
@@ -87,7 +72,6 @@ class PolyScheduler:
         graph: KernelGraph,
         devices: Sequence[DeviceSlot],
         optimize_energy: bool = True,
-        validate: bool = False,
     ) -> Tuple[Schedule, List[EnergyStep]]:
         """Run both steps; returns the final schedule and accepted swaps.
 
@@ -95,15 +79,7 @@ class PolyScheduler:
         so the latency slack Step 2 can spend is what remains after
         queueing — under load the scheduler naturally degrades to pure
         latency optimization.
-
-        ``validate=True`` runs the admission check first and raises
-        :class:`AdmissionError` (carrying the diagnostics) instead of
-        scheduling an infeasible request.
         """
-        if validate:
-            report = self.admission_check(graph, devices)
-            if not report.ok:
-                raise AdmissionError(report)
         step1 = self.latency_optimizer.schedule(graph, devices)
         if not optimize_energy:
             self._trace_schedule(step1, [])

@@ -2,9 +2,19 @@
 
 import pytest
 
+from conftest import chain_graph
 from repro.apps import APP_BUILDERS, build, build_all
+from repro.apps.base import Application
 from repro.hardware.specs import DeviceType
 from repro.patterns import PatternKind
+from repro.scheduler import KernelGraph
+
+
+def _cyclic_graph():
+    """A two-kernel chain with a back edge added past ``connect``."""
+    graph = chain_graph(n=2)
+    graph.graph.add_edge("K1", "K0", nbytes=0)
+    return graph
 
 
 class TestInventory:
@@ -36,6 +46,16 @@ class TestInventory:
     @pytest.mark.parametrize("name", list(APP_BUILDERS))
     def test_qos_default_200ms(self, name):
         assert build(name).qos_ms == 200.0
+
+    @pytest.mark.parametrize(
+        "make_graph,match",
+        [(lambda: KernelGraph("empty"), "empty"), (_cyclic_graph, "cycle")],
+        ids=["empty", "cyclic"],
+    )
+    def test_invalid_graph_refused(self, make_graph, match):
+        targets = {name: {DeviceType.GPU: 4} for name in ("K0", "K1")}
+        with pytest.raises(ValueError, match=match):
+            Application("BAD", "broken", make_graph(), targets)
 
 
 class TestASR:

@@ -14,6 +14,7 @@ from repro.hardware import (
     ImplConfig,
 )
 from repro.patterns import Kernel, Map, Pipeline, PPG, Reduce, Tensor, Workload
+from repro.patterns.ppg import PPGEdge
 
 
 def _two_pattern_ppg():
@@ -77,7 +78,28 @@ class TestPPG:
             ppg.connect(m, b, bytes_moved=-1)
 
 
+def _cyclic_ppg():
+    """Two Maps in a cycle: ``connect`` refuses the back edge, so it is
+    added to the graph directly."""
+    x = Tensor("x", (64,))
+    ppg = PPG("cyc")
+    m1 = ppg.add_pattern(Map((x,)))
+    m2 = ppg.add_pattern(Map((x,)))
+    ppg.connect(m1, m2)
+    ppg.graph.add_edge(m2, m1, edge=PPGEdge(m2, m1, 0))
+    return ppg
+
+
 class TestKernel:
+    @pytest.mark.parametrize(
+        "make_ppg,match",
+        [(lambda: PPG("empty"), "empty"), (_cyclic_ppg, "acyclic")],
+        ids=["empty", "cyclic"],
+    )
+    def test_invalid_ppg_refused(self, make_ppg, match):
+        with pytest.raises(ValueError, match=match):
+            Kernel("k", make_ppg())
+
     def test_total_ops_sums_patterns(self):
         ppg, m, r = _two_pattern_ppg()
         k = Kernel("k", ppg)
