@@ -13,11 +13,13 @@ by
   arrival time, clamped at 0;
 * **plan locality** — a node that has served before holds warm
   operating plans for the fleet's one application; a cold node pays
-  the scheduling passes first, modeled as a fixed penalty;
+  the scheduling passes first, modeled as a fixed penalty
+  (:data:`LOCALITY_PENALTY_MS`);
 * **node health** — a node with quarantined/degraded accelerators
   (``repro.faults`` :class:`~repro.faults.policy.DeviceHealth`) is
   penalized proportionally to its unhealthy device fraction, the kept
-  :attr:`~repro.cluster.simulation.ClusterNode.health`.  Only a
+  :attr:`~repro.cluster.simulation.ClusterNode.health`, up to
+  :data:`HEALTH_PENALTY_MS`.  Only a
   fault-injected node can have such devices: without an injector a
   leaf's devices never leave HEALTHY, so its fraction is 1.0 and adds
   nothing.  A node with *no* schedulable device scores infinity and is
@@ -55,6 +57,12 @@ __all__ = ["RouteDecision", "ClusterDispatcher"]
 
 _INF = float("inf")
 
+#: Score added to a node that has not served yet (cold plans).
+LOCALITY_PENALTY_MS = 5.0
+#: Score added to a node with no healthy device; a partly unhealthy
+#: node pays its unhealthy fraction of it.
+HEALTH_PENALTY_MS = 50.0
+
 
 @dataclass(frozen=True)
 class RouteDecision:
@@ -70,19 +78,9 @@ class RouteDecision:
 class ClusterDispatcher:
     """Power-of-two-choices router over the serving node set."""
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        tracer=None,
-        locality_penalty_ms: float = 5.0,
-        health_penalty_ms: float = 50.0,
-    ) -> None:
-        if locality_penalty_ms < 0 or health_penalty_ms < 0:
-            raise ValueError("routing penalties must be non-negative")
+    def __init__(self, rng: np.random.Generator, tracer=None) -> None:
         self._rng = rng
         self.tracer = NULL_TRACER if tracer is None else tracer
-        self.locality_penalty_ms = locality_penalty_ms
-        self.health_penalty_ms = health_penalty_ms
 
     # -- scoring --------------------------------------------------------------
 
@@ -96,9 +94,9 @@ class ClusterDispatcher:
         queue = node.horizon_ms - now_ms
         score = queue if queue > 0.0 else 0.0
         if not node.served:
-            score += self.locality_penalty_ms
+            score += LOCALITY_PENALTY_MS
         if health < 1.0:
-            score += (1.0 - health) * self.health_penalty_ms
+            score += (1.0 - health) * HEALTH_PENALTY_MS
         return score
 
     def sample_pairs(

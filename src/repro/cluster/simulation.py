@@ -42,7 +42,7 @@ from ..obs.tracer import NULL_TRACER
 from ..optim.design_point import KernelDesignSpace
 from ..runtime.cluster import SystemConfig
 from ..runtime.engine import EventHeapEngine
-from ..runtime.loadgen import ArrivalSpec
+from ..runtime.loadgen import trace_arrivals
 from ..runtime.metrics import nearest_rank, percentile_latency
 from ..runtime.node import LeafNode, RequestRecord
 from ..runtime.simulation import _power_timeline
@@ -517,38 +517,31 @@ class ClusterSimulation:
     ) -> ClusterResult:
         """Replay a utilization trace (the diurnal Google-trace study at
         fleet scale).  ``compress`` shrinks each trace interval by that
-        factor of simulated time; arrivals come from the dedicated
-        arrival child stream, so the replay is seed-deterministic.
-
-        Routed through :class:`~repro.runtime.loadgen.ArrivalSpec` —
-        the same declarative stream path ``run_simulation`` uses, so
-        trace modulation can never drift between the single-node and
-        fleet drivers."""
+        factor of simulated time; arrivals come from
+        :func:`~repro.runtime.loadgen.trace_arrivals` on the dedicated
+        arrival child stream, so the replay is seed-deterministic."""
         if compress <= 0:
             raise ValueError("compress must be positive")
         interval_ms = trace.interval_s * 1000.0 / compress
-        spec = ArrivalSpec.trace(trace.utilization, interval_ms, peak_rps)
+        arrivals = trace_arrivals(
+            trace.utilization, interval_ms, peak_rps, self.arrival_rng()
+        )
         horizon_ms = len(trace.utilization) * interval_ms
-        return self.run(spec, horizon_ms=horizon_ms)
+        return self.run(arrivals, horizon_ms=horizon_ms)
 
     def run(
         self,
-        arrivals_ms: Union[Sequence[float], ArrivalSpec],
+        arrivals_ms: Sequence[float],
         horizon_ms: Optional[float] = None,
     ) -> ClusterResult:
-        """Route one sorted arrival stream through the fleet.
+        """Route one arrival stream (timestamps) through the fleet.
 
-        ``arrivals_ms`` may be an :class:`ArrivalSpec`, realized here
-        through the dedicated arrival child stream — the code path
-        shared with ``run_simulation``.  The drive loop walks the
-        autoscaler's evaluation grid: the arrivals before each
-        evaluation are routed, then the evaluation runs, and each node
-        serves its requests through a persistent
+        The drive loop walks the autoscaler's evaluation grid: the
+        arrivals before each evaluation are routed, then the evaluation
+        runs, and each node serves its requests through a persistent
         :class:`EventHeapEngine` session.  Seeded replays are pinned by
         the digests in ``tests/golden/fleet_digests.json``.
         """
-        if isinstance(arrivals_ms, ArrivalSpec):
-            arrivals_ms = arrivals_ms.generate(self.arrival_rng())
         if not len(arrivals_ms):
             raise ValueError("empty arrival stream")
         if self._nodes:

@@ -8,7 +8,7 @@ under device failures:
 * :mod:`repro.faults.events`   — typed fault events and deterministic,
   seed-driven MTBF/MTTR fault schedules;
 * :mod:`repro.faults.policy`   — device health states and the
-  timeout + capped-exponential-backoff retry policy;
+  timeout + capped-exponential-backoff retry constants;
 * :mod:`repro.faults.injector` — the injection engine that applies a
   schedule to a running leaf node and intercepts doomed executions;
 * :mod:`repro.faults.failover` — missed-heartbeat detection, replanning
@@ -32,14 +32,13 @@ Quickstart::
 from .events import FaultEvent, FaultKind, FaultSchedule
 from .failover import FailoverPlanner, RecoveryRecord
 from .injector import FaultInjector, ResilienceReport
-from .policy import DeviceHealth, RetryPolicy
+from .policy import DeviceHealth
 
 __all__ = [
     "FaultKind",
     "FaultEvent",
     "FaultSchedule",
     "DeviceHealth",
-    "RetryPolicy",
     "FaultInjector",
     "ResilienceReport",
     "FailoverPlanner",

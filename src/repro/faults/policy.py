@@ -6,20 +6,23 @@
     HEALTHY -> DEGRADED (thermal slowdown) -> HEALTHY  (recovery)
     HEALTHY/DEGRADED -> FAILED (fail-stop crash) -> HEALTHY (repair)
 
-``RetryPolicy`` governs what happens to an execution lost on a failed
-device: the requester notices after ``timeout_ms`` (the latency-timeout
-of the monitor's detection path), then retries with capped exponential
-backoff up to ``max_retries`` times before the request is declared
-failed.
+The retry constants govern what happens to an execution lost on a
+failed device: the requester notices after :data:`RETRY_TIMEOUT_MS`
+(the latency-timeout of the monitor's detection path), then retries
+with capped exponential backoff (:func:`backoff_ms`) up to
+:data:`MAX_RETRIES` times before the request is declared failed.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
 
-__all__ = ["DeviceHealth", "RetryPolicy"]
+__all__ = [
+    "DeviceHealth",
+    "MAX_RETRIES",
+    "RETRY_TIMEOUT_MS",
+    "backoff_ms",
+]
 
 
 class DeviceHealth(enum.Enum):
@@ -30,32 +33,17 @@ class DeviceHealth(enum.Enum):
     FAILED = "failed"       # fail-stop: executions on it are lost
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Timeout + capped-exponential-backoff retry for lost executions."""
+#: Retries of a lost execution before its request is declared failed.
+MAX_RETRIES = 3
+#: How long a requester waits before declaring a dispatched execution
+#: lost (the failure-detection latency per attempt).
+RETRY_TIMEOUT_MS = 20.0
 
-    max_retries: int = 3
-    #: How long a requester waits before declaring a dispatched
-    #: execution lost (the failure-detection latency per attempt).
-    timeout_ms: float = 20.0
-    backoff_base_ms: float = 5.0
-    backoff_cap_ms: float = 80.0
+_BACKOFF_BASE_MS = 5.0
+_BACKOFF_CAP_MS = 80.0
 
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        # A zero timeout models instantaneous failure detection.
-        if self.timeout_ms <= 0:
-            raise ValueError("timeout_ms must be positive")
-        if self.backoff_base_ms < 0:
-            raise ValueError("backoff base must be non-negative")
-        # An infinite cap lets retry delays grow without limit.
-        if not 0.0 < self.backoff_cap_ms < math.inf:
-            raise ValueError("backoff_cap_ms must be in (0, inf)")
 
-    def backoff_ms(self, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (0-based), capped."""
-        if attempt < 0:
-            raise ValueError("attempt must be non-negative")
-        raw = self.backoff_base_ms * (2.0 ** attempt)
-        return min(raw, self.backoff_cap_ms)
+def backoff_ms(attempt: int) -> float:
+    """Backoff before retry ``attempt`` (0-based): 5 ms doubling per
+    attempt, capped at 80 ms."""
+    return min(_BACKOFF_BASE_MS * (2.0 ** attempt), _BACKOFF_CAP_MS)

@@ -2,7 +2,7 @@
 
 A rule-registry lint engine over what Poly's constructors cannot see.
 Every value the program builds (a PPG inside a :class:`Kernel`, a
-kernel graph inside an :class:`Application`, an autoscaler or retry
+kernel graph inside an :class:`Application`, an autoscaler or search
 config) checks its own invariants when it is built; lint reports the
 rest:
 
@@ -13,10 +13,10 @@ rest:
   (``OPT00x`` rules);
 * **runtime layer** — QoS-feasibility lower bounds, device-pool
   implementation coverage, fault schedules that leave a kernel no
-  survivor, and legal but suspicious retry and autoscaler settings
-  (``RT00x`` rules);
-* **observability** — chaos runs without a trace sink and fleet-scale
-  traces without a sampling policy (``OBS00x`` rules).
+  survivor, and legal but suspicious autoscaler settings (``RT00x``
+  rules);
+* **observability** — fleet-scale traces without a sampling policy
+  (``OBS002``).
 
 Entry points: :func:`run_lint` for any lintable object, the
 ``repro lint`` CLI subcommand, the ``validate=True`` gate of

@@ -12,10 +12,9 @@ empty or cyclic graph is ``KernelGraph.validate``'s job, which
 RT004 checks a :class:`~repro.faults.events.FaultSchedule` against the
 pool: a chaos experiment whose schedule leaves a kernel with zero
 eligible devices wastes a full simulation before the problem surfaces.
-RT005 and RT007 warn on retry and autoscaler settings that are legal
-but suspicious; settings a run cannot converge under are refused by the
-:class:`~repro.faults.policy.RetryPolicy` and
-:class:`~repro.cluster.scaling.AutoscalerConfig` constructors."""
+RT007 warns on autoscaler settings that are legal but suspicious;
+settings a run cannot converge under are refused by the
+:class:`~repro.cluster.scaling.AutoscalerConfig` constructor."""
 
 from __future__ import annotations
 
@@ -26,8 +25,6 @@ import networkx as nx
 from ..cluster.scaling import AutoscalerConfig
 from ..cluster.simulation import ClusterSimulation
 from ..faults.events import FaultSchedule
-from ..faults.injector import FaultInjector
-from ..faults.policy import RetryPolicy
 from ..scheduler.kernel_graph import KernelGraph
 from .core import Diagnostic, LintContext, Severity, register_rule
 
@@ -220,31 +217,6 @@ def check_schedule_leaves_survivors(
 
 
 @register_rule(
-    "RT005",
-    Severity.WARNING,
-    (RetryPolicy,),
-    "retry policy that never retries",
-)
-def check_retry_policy_retries(
-    policy: RetryPolicy, ctx: LintContext
-) -> Iterator[Diagnostic]:
-    """Retries are how requests survive faults; a policy with no retry
-    budget turns every lost execution into a failed request, so a chaos
-    run measures abandonment instead of failover."""
-    if policy.max_retries == 0:
-        yield Diagnostic(
-            rule="RT005",
-            severity=Severity.WARNING,
-            location=ctx.prefix("retry_policy"),
-            message=(
-                "max_retries=0 abandons a request on its first lost "
-                "execution; no failover can happen"
-            ),
-            hint="allow at least one retry to exercise failover",
-        )
-
-
-@register_rule(
     "RT007",
     Severity.WARNING,
     (AutoscalerConfig,),
@@ -268,37 +240,6 @@ def check_autoscaler_warmup(
                 "warm-up never see the capacity they triggered"
             ),
             hint="lengthen eval_interval_ms or shorten warmup_ms",
-        )
-
-
-@register_rule(
-    "OBS001",
-    Severity.WARNING,
-    (FaultInjector,),
-    "fault injection enabled without a tracer or heartbeat sink",
-)
-def check_injector_observable(
-    injector: FaultInjector, ctx: LintContext
-) -> Iterator[Diagnostic]:
-    """A chaos run that records nothing but end-of-run aggregates cannot
-    explain *which* fault caused a QoS excursion or how long detection
-    took; attach a :class:`~repro.obs.SpanTracer` (directly, or via the
-    node / ``run_simulation(tracer=...)``) so injections, missed
-    heartbeats and failover replans land in the event stream."""
-    if injector.schedule.events and not injector.tracer.enabled:
-        yield Diagnostic(
-            rule="OBS001",
-            severity=Severity.WARNING,
-            location=ctx.prefix("fault_injector"),
-            message=(
-                f"injector carries {len(injector.schedule.events)} fault "
-                "event(s) but its tracer is disabled; the chaos run will "
-                "leave no event trail"
-            ),
-            hint=(
-                "pass tracer=SpanTracer() to the injector or to "
-                "run_simulation (repro obs --crash ... does this)"
-            ),
         )
 
 

@@ -11,7 +11,6 @@ from .cluster import (
 )
 from .engine import EventHeapEngine
 from .loadgen import (
-    ArrivalSpec,
     constant_arrivals,
     flash_crowd_arrivals,
     pareto_poisson_arrivals,
@@ -40,7 +39,6 @@ __all__ = [
     "setting",
     "SETTINGS",
     "DEFAULT_POWER_CAP_W",
-    "ArrivalSpec",
     "EventHeapEngine",
     "constant_arrivals",
     "poisson_arrivals",

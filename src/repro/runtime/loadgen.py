@@ -4,19 +4,20 @@ The motivation study feeds requests at a constant interval swept from
 100 ms down to 1 ms (Section II-B); the static evaluation sweeps load
 levels from 10% to 100% of a system's saturation throughput (Section
 VI-B); the trace study replays a 24-hour utilization trace.  All three
-reduce to generating sorted arrival timestamps.
+reduce to generating sorted arrival timestamps.  Both simulation
+drivers, ``run_simulation`` and ``ClusterSimulation.run``, take those
+timestamps, so a single-node and a fleet replay of one stream see the
+same floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "ArrivalSpec",
     "constant_arrivals",
     "poisson_arrivals",
     "trace_arrivals",
@@ -178,138 +179,3 @@ def trace_arrivals(
             poisson_arrivals(rate, interval_ms, rng, start_ms=i * interval_ms)
         )
     return times
-
-
-@dataclass(frozen=True)
-class ArrivalSpec:
-    """A declarative arrival stream, shared by the single-node and
-    fleet drivers.
-
-    ``run_simulation`` and ``ClusterSimulation.run`` both accept an
-    ``ArrivalSpec`` in place of a raw timestamp list and realize it
-    through :meth:`generate` — one code path, so a loadgen modulation
-    change (Pareto windows, flash-crowd surges, trace replay) can never
-    drift between single-node and fleet replays.  The spec carries no
-    RNG of its own: the caller supplies the generator (the cluster
-    driver passes its dedicated arrival child stream), or ``generate``
-    falls back to ``default_rng(seed)``.
-    """
-
-    kind: str
-    rps: float = 0.0
-    duration_ms: float = 0.0
-    start_ms: float = 0.0
-    #: Pareto modulation (kind="pareto").
-    window_ms: float = 1_000.0
-    alpha: float = 2.5
-    #: Flash-crowd surge (kind="flash_crowd").
-    surge_start_ms: float = 0.0
-    surge_duration_ms: float = 0.0
-    surge_multiplier: float = 5.0
-    #: Trace replay (kind="trace").
-    utilization: Tuple[float, ...] = field(default=())
-    interval_ms: float = 0.0
-    peak_rps: float = 0.0
-    #: Seed for the fallback generator when no RNG is supplied.
-    seed: int = 0
-
-    _KINDS = ("constant", "poisson", "pareto", "flash_crowd", "trace")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(
-                f"unknown arrival kind {self.kind!r}; expected one of "
-                f"{self._KINDS}"
-            )
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def constant(
-        cls, rps: float, duration_ms: float, start_ms: float = 0.0
-    ) -> "ArrivalSpec":
-        return cls("constant", rps=rps, duration_ms=duration_ms, start_ms=start_ms)
-
-    @classmethod
-    def poisson(
-        cls, rps: float, duration_ms: float, start_ms: float = 0.0, seed: int = 0
-    ) -> "ArrivalSpec":
-        return cls(
-            "poisson", rps=rps, duration_ms=duration_ms, start_ms=start_ms,
-            seed=seed,
-        )
-
-    @classmethod
-    def pareto(
-        cls,
-        rps: float,
-        duration_ms: float,
-        window_ms: float = 1_000.0,
-        alpha: float = 2.5,
-        start_ms: float = 0.0,
-        seed: int = 0,
-    ) -> "ArrivalSpec":
-        return cls(
-            "pareto", rps=rps, duration_ms=duration_ms, window_ms=window_ms,
-            alpha=alpha, start_ms=start_ms, seed=seed,
-        )
-
-    @classmethod
-    def flash_crowd(
-        cls,
-        base_rps: float,
-        duration_ms: float,
-        surge_start_ms: float,
-        surge_duration_ms: float,
-        surge_multiplier: float = 5.0,
-        start_ms: float = 0.0,
-        seed: int = 0,
-    ) -> "ArrivalSpec":
-        return cls(
-            "flash_crowd", rps=base_rps, duration_ms=duration_ms,
-            surge_start_ms=surge_start_ms, surge_duration_ms=surge_duration_ms,
-            surge_multiplier=surge_multiplier, start_ms=start_ms, seed=seed,
-        )
-
-    @classmethod
-    def trace(
-        cls,
-        utilization: Sequence[float],
-        interval_ms: float,
-        peak_rps: float,
-        seed: int = 0,
-    ) -> "ArrivalSpec":
-        return cls(
-            "trace", utilization=tuple(float(u) for u in utilization),
-            interval_ms=interval_ms, peak_rps=peak_rps, seed=seed,
-        )
-
-    # -- realization ----------------------------------------------------------
-
-    def generate(
-        self, rng: Optional[np.random.Generator] = None
-    ) -> List[float]:
-        """Realize the stream.  Same spec + same generator state =>
-        the identical timestamp list, on every driver."""
-        if rng is None and self.kind != "constant":
-            rng = np.random.default_rng(self.seed)
-        if self.kind == "constant":
-            return constant_arrivals(self.rps, self.duration_ms, self.start_ms)
-        if self.kind == "poisson":
-            return poisson_arrivals(
-                self.rps, self.duration_ms, rng, start_ms=self.start_ms
-            )
-        if self.kind == "pareto":
-            return pareto_poisson_arrivals(
-                self.rps, self.duration_ms, rng, start_ms=self.start_ms,
-                window_ms=self.window_ms, alpha=self.alpha,
-            )
-        if self.kind == "flash_crowd":
-            return flash_crowd_arrivals(
-                self.rps, self.duration_ms, self.surge_start_ms,
-                self.surge_duration_ms, self.surge_multiplier, rng,
-                start_ms=self.start_ms,
-            )
-        return trace_arrivals(
-            self.utilization, self.interval_ms, self.peak_rps, rng
-        )

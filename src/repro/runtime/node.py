@@ -35,7 +35,12 @@ import numpy as np
 
 from ..apps.base import Application
 from ..faults.events import FaultKind
-from ..faults.policy import DeviceHealth
+from ..faults.policy import (
+    MAX_RETRIES,
+    RETRY_TIMEOUT_MS,
+    DeviceHealth,
+    backoff_ms,
+)
 from ..hardware import DVFSPolicy, PCIeLink, model_for
 from ..hardware.specs import DeviceType
 from ..obs.tracer import NULL_TRACER
@@ -1048,8 +1053,9 @@ class LeafNode:
 
         Each reserved execution is checked against the injector: a lost
         one (outage overlap or transient soft error) is aborted, waited
-        out (``timeout_ms`` — the requester's latency-timeout detection)
-        and retried with capped exponential backoff.  A crash excludes
+        out (``RETRY_TIMEOUT_MS`` — the requester's latency-timeout
+        detection) and retried with capped exponential backoff, at most
+        ``MAX_RETRIES`` times.  A crash excludes
         the dead device from this request's further attempts, so retries
         naturally fail over — to another instance, or to another
         accelerator family via the plan's per-platform alternates.
@@ -1058,7 +1064,6 @@ class LeafNode:
         Returns (end, device_id, retries_used).
         """
         injector = self._injector
-        policy = injector.policy
         exclude: Set[str] = set()
         floor_ms = 0.0
         first_device: Optional[str] = None
@@ -1103,9 +1108,9 @@ class LeafNode:
                 )
             if kind == FaultKind.DEVICE_CRASH:
                 exclude.add(device.device_id)
-            if attempt >= policy.max_retries:
-                raise _RequestAbandoned(name, fault_ms + policy.timeout_ms)
-            floor_ms = fault_ms + policy.timeout_ms + policy.backoff_ms(attempt)
+            if attempt >= MAX_RETRIES:
+                raise _RequestAbandoned(name, fault_ms + RETRY_TIMEOUT_MS)
+            floor_ms = fault_ms + RETRY_TIMEOUT_MS + backoff_ms(attempt)
             attempt += 1
 
     def _gpu_window(self, device: AcceleratorInstance) -> float:

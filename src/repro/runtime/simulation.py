@@ -15,18 +15,16 @@ the asymmetry behind Fig. 9/12.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..apps.base import Application
 from ..faults.events import FaultSchedule
 from ..faults.injector import FaultInjector, ResilienceReport
-from ..faults.policy import RetryPolicy
 from ..optim.design_point import KernelDesignSpace
 from .cluster import SchedulingPolicy, SystemConfig
 from .engine import EventHeapEngine
-from .loadgen import ArrivalSpec
 from .metrics import availability, tail_latency_p99, violation_ratio
 from .node import LeafNode, RequestRecord
 
@@ -116,26 +114,23 @@ def run_simulation(
     system: SystemConfig,
     app: Application,
     design_spaces: Mapping[Tuple[str, str], KernelDesignSpace],
-    arrivals_ms: Union[Sequence[float], ArrivalSpec],
+    arrivals_ms: Sequence[float],
     bin_ms: float = 1000.0,
     warmup_frac: float = 0.1,
     seed: int = 0,
-    faults: Optional[Union[FaultSchedule, FaultInjector]] = None,
-    retry_policy: Optional[RetryPolicy] = None,
+    faults: Optional[FaultSchedule] = None,
     priorities: Optional[Sequence[float]] = None,
     tracer=None,
     metrics=None,
 ) -> SimulationResult:
-    """Replay ``arrivals_ms`` (sorted timestamps) on a fresh leaf node.
+    """Replay ``arrivals_ms`` (timestamps, e.g. from
+    :mod:`repro.runtime.loadgen`) on a fresh leaf node.
 
-    ``faults`` (a :class:`FaultSchedule`, or a pre-built
-    :class:`FaultInjector` for custom retry/heartbeat settings) turns
-    the run into a chaos experiment; ``retry_policy`` applies to a
-    schedule only (a pre-built injector carries its own).
-    ``priorities`` optionally assigns a per-request priority in [0, 1]
-    (parallel to the *sorted* arrival stream) consulted by
-    graceful-degradation load shedding.  With ``faults=None`` the run is
-    bit-identical to the pre-fault-injection simulator.
+    ``faults`` (a :class:`FaultSchedule`) turns the run into a chaos
+    experiment; with ``faults=None`` the run is bit-identical to the
+    pre-fault-injection simulator.  ``priorities`` optionally assigns a
+    per-request priority in [0, 1] (parallel to the *sorted* arrival
+    stream) consulted by graceful-degradation load shedding.
 
     ``tracer`` (a :class:`repro.obs.SpanTracer`) records the typed
     event stream of the run — request lifecycle, scheduling decisions,
@@ -145,10 +140,6 @@ def run_simulation(
     counters/gauges/histograms.  Both default to off, leaving the run
     bit-identical to an uninstrumented build.
 
-    ``arrivals_ms`` may also be an :class:`ArrivalSpec` — the
-    declarative stream description shared with the cluster driver —
-    realized here through its own seed.
-
     The run is driven by the simulation engine
     (:class:`repro.runtime.engine.EventHeapEngine`): seeded runs are
     float-identical to a :meth:`LeafNode.submit` loop over the same
@@ -156,27 +147,12 @@ def run_simulation(
     event stream natively from the engine's generated dispatch
     programs.
     """
-    if isinstance(arrivals_ms, ArrivalSpec):
-        arrivals_ms = arrivals_ms.generate()
     if not len(arrivals_ms):
         raise ValueError("empty arrival stream")
-    if retry_policy is not None and not isinstance(faults, FaultSchedule):
-        raise ValueError(
-            "retry_policy applies to a fault schedule only "
-            "(a pre-built FaultInjector carries its own)"
-        )
-    if tracer is None and isinstance(faults, FaultInjector):
-        # A pre-built injector constructed with its own tracer traces
-        # the whole run, not just the fault path.
-        if faults.tracer.enabled:
-            tracer = faults.tracer
     node = LeafNode(system, app, design_spaces, seed=seed, tracer=tracer)
     injector: Optional[FaultInjector] = None
     if faults is not None:
-        if isinstance(faults, FaultInjector):
-            injector = faults
-        else:
-            injector = FaultInjector(faults, retry_policy=retry_policy)
+        injector = FaultInjector(faults)
         injector.bind(node)
 
     ordered = sorted(map(float, arrivals_ms))

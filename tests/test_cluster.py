@@ -229,8 +229,8 @@ class TestAutoscaler:
 
 
 class TestDispatcher:
-    def make(self, seed=0, **kwargs):
-        return ClusterDispatcher(np.random.default_rng(seed), **kwargs)
+    def make(self, seed=0):
+        return ClusterDispatcher(np.random.default_rng(seed))
 
     def test_single_node_fleet_routes_to_it(self):
         node = StubNode("node0")
@@ -248,7 +248,7 @@ class TestDispatcher:
             StubNode("node0", queue_ms=0.0),
             StubNode("node1", queue_ms=0.0, served=1),
         ]
-        dispatcher = self.make(locality_penalty_ms=5.0)
+        dispatcher = self.make()
         for _ in range(20):
             assert dispatcher.route(0.0, nodes).node_id == "node1"
 
@@ -264,7 +264,7 @@ class TestDispatcher:
 
     def test_unhealthy_node_avoided(self):
         nodes = [StubNode("node0", healthy=0.0), StubNode("node1")]
-        dispatcher = self.make(health_penalty_ms=50.0)
+        dispatcher = self.make()
         for _ in range(20):
             assert dispatcher.route(0.0, nodes).node_id == "node1"
 
@@ -309,10 +309,6 @@ class TestDispatcher:
     def test_empty_fleet_rejected(self):
         with pytest.raises(RuntimeError, match="no serving nodes"):
             self.make().route(0.0, [])
-
-    def test_negative_penalty_rejected(self):
-        with pytest.raises(ValueError):
-            self.make(locality_penalty_ms=-1.0)
 
     def test_dead_nodes_never_chosen_while_a_live_one_serves(self):
         # Both sampled nodes dead: the router falls back to the best

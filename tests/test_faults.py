@@ -13,8 +13,8 @@ from repro.faults import (
     FaultInjector,
     FaultKind,
     FaultSchedule,
-    RetryPolicy,
 )
+from repro.faults.policy import backoff_ms
 from repro.lint import LintContext, run_lint
 from repro.runtime import availability, mean_recovery_ms
 from repro.runtime.node import LeafNode, RequestRecord
@@ -245,23 +245,9 @@ class TestScheduleIndex:
 
 class TestRetryPolicy:
     def test_backoff_caps(self):
-        p = RetryPolicy(backoff_base_ms=5.0, backoff_cap_ms=80.0)
-        assert p.backoff_ms(0) == 5.0
-        assert p.backoff_ms(3) == 40.0
-        assert p.backoff_ms(10) == 80.0
-
-    def test_negative_fields_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout_ms=-1.0)
-
-    def test_degenerate_values_rejected(self):
-        with pytest.raises(ValueError, match="timeout"):
-            RetryPolicy(timeout_ms=0.0)
-        for cap in (0.0, float("inf")):
-            with pytest.raises(ValueError, match="backoff_cap"):
-                RetryPolicy(backoff_cap_ms=cap)
+        assert backoff_ms(0) == 5.0
+        assert backoff_ms(3) == 40.0
+        assert backoff_ms(10) == 80.0
 
 
 class TestInjectorWiring:
@@ -306,26 +292,6 @@ class TestInjectorWiring:
         injector.advance(35.0)
         assert by_id["fpga1"].health == DeviceHealth.HEALTHY
         assert by_id["fpga0"].health == DeviceHealth.DEGRADED  # still throttled
-
-    def test_retry_policy_needs_a_schedule(self, heter_setup):
-        """A retry policy beside a pre-built injector (or no faults at
-        all) would be silently ignored; it is rejected instead."""
-        app, system, spaces = heter_setup
-        schedule = FaultSchedule.single_crash(
-            "fpga0", at_ms=100.0, recover_at_ms=300.0
-        )
-        policy = RetryPolicy(max_retries=0)
-        for faults in (FaultInjector(schedule), None):
-            with pytest.raises(ValueError, match="retry_policy"):
-                runtime.run_simulation(
-                    system, app, spaces, [1.0, 2.0],
-                    faults=faults, retry_policy=policy,
-                )
-        result = runtime.run_simulation(
-            system, app, spaces, _arrivals(60.0, 500.0),
-            faults=schedule, retry_policy=policy,
-        )
-        assert result.faults is not None
 
     def test_transient_consumed_once(self, heter_setup):
         app, system, spaces = heter_setup
@@ -608,33 +574,6 @@ class TestFaultLintRules:
             )
         )
         assert run_lint(both_but_recovering, ctx).ok
-
-    def test_rt005_flags_degenerate_policies(self):
-        report = run_lint(RetryPolicy(max_retries=0), LintContext())
-        assert [d.rule for d in report] == ["RT005"]
-        assert len(report.warnings) == 1 and report.ok
-
-    def test_rt005_silent_on_default(self):
-        assert run_lint(RetryPolicy(), LintContext()).ok
-
-    def test_obs001_warns_on_untraced_chaos(self):
-        injector = FaultInjector(FaultSchedule.single_crash("fpga0", at_ms=1.0))
-        report = run_lint(injector, LintContext())
-        assert report.ok  # a warning, not an error
-        diags = report.by_rule("OBS001")
-        assert len(diags) == 1
-        assert "tracer is disabled" in diags[0].message
-
-    def test_obs001_silent_with_tracer_or_empty_schedule(self):
-        from repro.obs import SpanTracer
-
-        traced = FaultInjector(
-            FaultSchedule.single_crash("fpga0", at_ms=1.0),
-            tracer=SpanTracer(),
-        )
-        assert not run_lint(traced, LintContext()).by_rule("OBS001")
-        no_faults = FaultInjector(FaultSchedule(()))
-        assert not run_lint(no_faults, LintContext()).by_rule("OBS001")
 
 
 class TestFaultsExperiment:

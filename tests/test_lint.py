@@ -42,7 +42,7 @@ from repro.scheduler import DeviceSlot, KernelGraph, PolyScheduler
 EXPECTED_RULES = {
     "PPG001", "PPG002", "PPG003", "PPG004", "PPG005", "PPG006", "PPG007",
     "OPT001", "OPT002", "OPT003", "OPT004", "RT002", "RT003", "RT004",
-    "RT005", "RT007", "OBS001", "OBS002",
+    "RT007", "OBS002",
 }
 
 
@@ -84,8 +84,7 @@ class TestEngine:
         ids = {r.rule_id for r in all_rules()}
         assert ids == EXPECTED_RULES
         assert all(r.description for r in all_rules())
-        # Config rules only warn: their constructors refuse the rest.
-        assert _REGISTRY["RT005"].severity is Severity.WARNING
+        # The config rule only warns: AutoscalerConfig refuses the rest.
         assert _REGISTRY["RT007"].severity is Severity.WARNING
 
     def test_duplicate_rule_id_rejected(self):

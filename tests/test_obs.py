@@ -20,7 +20,7 @@ import pytest
 from repro import runtime
 from repro.cli import main as cli_main
 from repro.experiments import harness
-from repro.faults import FaultInjector, FaultSchedule
+from repro.faults import FaultSchedule
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     EVENT_SCHEMA,
@@ -314,8 +314,7 @@ class TestEventCoverage:
         schedule = FaultSchedule.single_crash(
             "fpga0", at_ms=1_000.0, recover_at_ms=2_500.0
         )
-        injector = FaultInjector(schedule)
-        result, tracer, _ = _traced_run(heter_setup, faults=injector)
+        result, tracer, _ = _traced_run(heter_setup, faults=schedule)
         kinds = {e.kind for e in tracer.events}
         assert {"fault.inject", "fault.heartbeat_miss", "fault.failover",
                 "fault.recover"} <= kinds
@@ -324,19 +323,6 @@ class TestEventCoverage:
         failover = tracer.by_kind("fault.failover")[0]
         assert failover.args["device"] == "fpga0"
         assert failover.args["detected_ms"] >= failover.args["failed_ms"]
-
-    def test_injector_tracer_adopted_by_simulation(self, heter_setup):
-        """run_simulation(tracer=None) picks up an injector's tracer."""
-        app, system, spaces = heter_setup
-        injector = FaultInjector(
-            FaultSchedule.single_crash("fpga0", at_ms=1_000.0),
-            tracer=SpanTracer(),
-        )
-        runtime.run_simulation(
-            system, app, spaces, _arrivals(), faults=injector
-        )
-        kinds = {e.kind for e in injector.tracer.events}
-        assert "fault.inject" in kinds and "kernel.exec" in kinds
 
 
 class TestSimulationMetrics:
@@ -378,10 +364,10 @@ class TestGoldenEventSchema:
 
     def test_jsonl_lines_validate_against_golden(self, heter_setup, tmp_path):
         golden = json.loads(GOLDEN_SCHEMA.read_text())
-        injector = FaultInjector(
-            FaultSchedule.single_crash("fpga0", at_ms=1_000.0, recover_at_ms=2_500.0)
+        schedule = FaultSchedule.single_crash(
+            "fpga0", at_ms=1_000.0, recover_at_ms=2_500.0
         )
-        _, tracer, _ = _traced_run(heter_setup, faults=injector)
+        _, tracer, _ = _traced_run(heter_setup, faults=schedule)
         path = write_events_jsonl(tracer.events, tmp_path / "events.jsonl")
         lines = path.read_text().splitlines()
         assert len(lines) == len(tracer.events)
