@@ -21,6 +21,7 @@ still meet the 200 ms bound, rather than every request missing it.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import List, Set
 
@@ -58,7 +59,12 @@ class FailoverPlanner:
     MAX_SHED = 0.95
 
     def __init__(self, node) -> None:
-        self.node = node
+        #: A weak proxy: the node holds its planner, so a strong
+        #: reference back would make every finished chaos run cyclic
+        #: garbage.
+        self.node = weakref.proxy(node)
+        #: The node's device list, read on every arrival (heartbeats).
+        self._devices = node.devices
         self.monitor = node.monitor
         #: The node's tracer: detections and replans land in the run's
         #: event stream.
@@ -75,7 +81,7 @@ class FailoverPlanner:
         beat stays frozen at its last pre-crash submission."""
         from .policy import DeviceHealth
 
-        for dev in self.node.devices:
+        for dev in self._devices:
             if dev.health != DeviceHealth.FAILED:
                 self.monitor.record_heartbeat(dev.device_id, now_ms)
 

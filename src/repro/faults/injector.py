@@ -76,15 +76,18 @@ class FaultInjector:
         self.report = ResilienceReport()
         self._cursor = 0
         self._consumed: Set[int] = set()
-        self._node = None
         self._by_id: Dict[str, object] = {}
         self.planner: Optional[FailoverPlanner] = None
 
     # -- wiring ---------------------------------------------------------------
 
     def bind(self, node) -> FailoverPlanner:
-        """Attach to a leaf node (one injector drives one node)."""
-        if self._node is not None:
+        """Attach to a leaf node (one injector drives one node).
+
+        The injector keeps the node's devices, not the node: the node
+        holds the injector, and a reference back would make every
+        finished chaos run cyclic garbage."""
+        if self.planner is not None:
             raise RuntimeError("injector is already bound to a node")
         known = {d.device_id for d in node.devices}
         unknown = [d for d in self.schedule.device_ids() if d not in known]
@@ -93,7 +96,6 @@ class FaultInjector:
                 f"fault schedule names unknown devices {unknown}; "
                 f"node has {sorted(known)}"
             )
-        self._node = node
         self._by_id = {d.device_id: d for d in node.devices}
         self.tracer = node.tracer
         self.planner = FailoverPlanner(node)
@@ -105,7 +107,7 @@ class FaultInjector:
 
     def advance(self, now_ms: float) -> None:
         """Apply all events due at ``now_ms``; heartbeat; detect."""
-        if self._node is None:
+        if self.planner is None:
             raise RuntimeError("injector is not bound to a node")
         by_id = self._by_id
         events = self.schedule.events

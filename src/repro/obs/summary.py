@@ -105,7 +105,7 @@ def record_simulation_metrics(
             round(min(busy / span, 1.0), 6)
         )
         registry.counter("device_executions_total", **labels).inc(
-            len(dev.records)
+            len(dev.log) // 6
         )
         registry.gauge("device_health", **labels).set(
             {"healthy": 0, "degraded": 1, "failed": 2}[dev.health.value]

@@ -50,7 +50,7 @@ same decisions on the node's own state:
   schedulable device in its preferred pool — hands the request back,
   with the program's state synced, to the reference retry path
   (``LeafNode._run_resilient``), which shares the devices' execution
-  rows and open-batch cells with the programs.
+  logs and open-batch cells with the programs.
 
 * **Native tracing.** A traced program appends compact per-request raw
   records (admit / kernel dispatch / complete) straight to the staging
@@ -100,11 +100,11 @@ _CODE_CACHE: Dict[str, object] = {}
 # where lats/pows are 1-indexed per-batch ladders (GPU, lazily filled
 # through ``fill`` — 0.0 marks an unfilled cell, latencies are always
 # positive) or None (FPGA), and each device row is the mutable list
-#   row = [device, open_batches, execution_rows, rank, reconfig_ms]
+#   row = [device, open_batches, execution_log, rank, reconfig_ms]
 # holding the device's own open-batch cells [launch_ms, end_ms, size,
-# row_ref, noise] and execution rows (see ``AcceleratorInstance``).
-# Rows are rank-sorted, so a pool scan needs only a strict ``<`` —
-# the first minimum seen is the lowest-ranked one.
+# at, noise] and flat execution log, six values per execution (see
+# ``AcceleratorInstance``).  Rows are rank-sorted, so a pool scan needs
+# only a strict ``<`` — the first minimum seen is the lowest-ranked one.
 
 
 def _make_fill(node, platform, name, point, lats, pows):
@@ -259,7 +259,7 @@ class EventHeapEngine:
             row = [
                 dev,
                 dev._open,
-                dev._rows,
+                dev.log,
                 self._ranks[dev.device_id],
                 dev.reconfig_ms,
             ]
@@ -464,8 +464,13 @@ class EventHeapEngine:
                         names["LT"] = bind(entry[6], "LT")
                         names["PW"] = bind(entry[7], "PW")
                         names["FL"] = bind(entry[10], "FL")
-        ra_name = {
-            id(row[0]): bind(row[2].append, "RA") for row in dev_row
+        # Each device's log ``extend`` (one 6-tuple per new execution)
+        # and, on GPUs, the log itself (``len`` and a join's stores).
+        lx_name = {id(row[0]): bind(row[2].extend, "LX") for row in dev_row}
+        lg_name = {
+            id(row[0]): bind(row[2], "LG")
+            for row in dev_row
+            if row[0].device_type == DeviceType.GPU
         }
         bd_name = {id(row[0]): bind(row[1], "BD") for row in dev_row}
 
@@ -557,8 +562,10 @@ class EventHeapEngine:
                     )
                     emit(f"{pad}if p > ready: ready = p")
             dev_id = row[0].device_id
+            lx = lx_name[id(row[0])]
             if entry[3]:
                 bd = bd_name[id(row[0])]
+                lg = lg_name[id(row[0])]
                 emit(f"{pad}b = {bd}.get({nm['K']})")
                 emit(
                     f"{pad}if b is not None and b[0] >= ready "
@@ -572,10 +579,10 @@ class EventHeapEngine:
                 emit(f"{pad}        lv = {nm['FL']}(sz)")
                 emit(f"{pad}    end = b[0] + lv * b[4]")
                 emit(f"{pad}    b[1] = end")
-                emit(f"{pad}    rec = b[3]")
-                emit(f"{pad}    rec[3] = end")
-                emit(f"{pad}    rec[4] = {nm['PW']}[sz]")
-                emit(f"{pad}    rec[5] = sz")
+                emit(f"{pad}    at = b[3]")
+                emit(f"{pad}    {lg}[at] = end")
+                emit(f"{pad}    {lg}[at + 1] = {nm['PW']}[sz]")
+                emit(f"{pad}    {lg}[at + 2] = sz")
                 emit(f"{pad}    hh = {h} + (end - oe)")
                 emit(f"{pad}    {h} = hh if hh > end else end")
                 if traced:
@@ -590,12 +597,14 @@ class EventHeapEngine:
                 emit(f"{pad}    la = {h} if {h} > rw else rw")
                 emit(f"{pad}    end = la + {entry[1]!r} * noise")
                 emit(
-                    f"{pad}    rec = [{nm['N']}, {entry[8]!r}, la, end, "
-                    f"{entry[5]!r}, 1]"
+                    f"{pad}    {lx}(({nm['N']}, {entry[8]!r}, la, end, "
+                    f"{entry[5]!r}, 1))"
                 )
-                emit(f"{pad}    {ra_name[id(row[0])]}(rec)")
                 emit(f"{pad}    {h} = end")
-                emit(f"{pad}    {bd}[{nm['K']}] = [la, end, 1, rec, noise]")
+                emit(
+                    f"{pad}    {bd}[{nm['K']}] = "
+                    f"[la, end, 1, len({lg}) - 3, noise]"
+                )
                 if traced:
                     emit(
                         f"{pad}    {TB}((2, ready, rq, {entry[9]!r}, "
@@ -611,7 +620,7 @@ class EventHeapEngine:
                 emit(f"{pad}{li} = {nm['K']}")
                 emit(f"{pad}end = st + {entry[1]!r} * noise")
                 emit(
-                    f"{pad}{ra_name[id(row[0])]}(({nm['N']}, {entry[8]!r}, "
+                    f"{pad}{lx}(({nm['N']}, {entry[8]!r}, "
                     f"st, end, {entry[5]!r}, 1))"
                 )
                 emit(f"{pad}{h} = end")
@@ -807,7 +816,9 @@ class EventHeapEngine:
             _CODE_CACHE[src] = code
         namespace: Dict[str, object] = {"len": len}
         exec(code, namespace)
-        return namespace["_make"](consts)
+        # Popped: ``_make`` refers back to the namespace (its globals),
+        # and left in it would make every dropped program cyclic garbage.
+        return namespace.pop("_make")(consts)
 
     # -- the fast path ---------------------------------------------------------
 

@@ -28,8 +28,9 @@ hinges on:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -83,13 +84,16 @@ class ExecutionRecord:
 class AcceleratorInstance:
     """One physical accelerator with its reservation timeline.
 
-    Realized executions live as compact rows ``(kernel, point, start,
-    end, power, batch)`` and open GPU batches as cells ``[launch_ms,
-    end_ms, size, row, noise]`` keyed by implementation; the row of an
-    open batch is a list, grown in place as requests join.  The event
-    engine's generated dispatch programs append and mutate the same
-    rows and cells, so a request can move between a program and these
-    methods mid-flight.
+    Realized executions live in :attr:`log`, one flat list of six
+    values per execution: kernel, point index, start, end, power,
+    batch.  Open GPU batches are cells ``[launch_ms, end_ms, size, at,
+    noise]`` keyed by implementation, where ``at`` is the log position
+    of the batch's end; a join rewrites end, power and batch at ``at``,
+    ``at + 1`` and ``at + 2``.  The log holds only strings and numbers,
+    so no realized execution is an object the cyclic collector scans.
+    The event engine's generated dispatch programs extend and rewrite
+    the same log and cells, so a request can move between a program
+    and these methods mid-flight.
     """
 
     def __init__(self, device_id: str, spec, latency_fn) -> None:
@@ -98,9 +102,8 @@ class AcceleratorInstance:
         self.device_type: DeviceType = spec.device_type
         self.dvfs = DVFSPolicy(spec)
         self.horizon_ms = 0.0
-        self._records: List[ExecutionRecord] = []
-        #: Execution rows not yet read through :attr:`records`.
-        self._rows: List[Sequence] = []
+        #: The execution log (see the class docstring).
+        self.log: list = []
         self._latency_fn = latency_fn
         #: Open GPU batches: ``(kernel_name, point_index) -> cell``.
         self._open: Dict[Tuple[str, int], list] = {}
@@ -120,46 +123,18 @@ class AcceleratorInstance:
 
     @property
     def records(self) -> List[ExecutionRecord]:
-        """Realized executions, materializing any pending rows first.
-
-        Materialization keeps row order, so record-major consumers (the
-        power timeline) see the same dispatch-ordered sequence either
-        way.  The rows stay authoritative until this is read; every
-        consumer reads it post-run (an open GPU batch read here stops
-        tracking later joins).
-        """
-        rows = self._rows
-        if rows:
-            did = self.device_id
-            self._records.extend(
-                ExecutionRecord(did, r[0], r[1], r[2], r[3], r[4], r[5])
-                for r in rows
-            )
-            rows.clear()
-        return self._records
+        """A fresh list of the realized executions, in log order."""
+        did = self.device_id
+        return [
+            ExecutionRecord(did, *fields)
+            for fields in zip(*[iter(self.log)] * 6)
+        ]
 
     def record_columns(self) -> Tuple[List[float], List[float], List[float]]:
         """Parallel ``(start, end, power)`` lists of every realized
-        execution — the power-timeline reader, which never needs the
-        dataclass view."""
-        rows = self._rows
-        if not self._records:
-            return (
-                [r[2] for r in rows],
-                [r[3] for r in rows],
-                [r[4] for r in rows],
-            )
-        recs = self.records
-        return (
-            [r.start_ms for r in recs],
-            [r.end_ms for r in recs],
-            [r.power_w for r in recs],
-        )
-
-    def _cut(self, index: int, end_ms: float) -> None:
-        """Shorten execution row ``index`` to end at ``end_ms``."""
-        r = self._rows[index]
-        self._rows[index] = (r[0], r[1], r[2], end_ms, r[4], r[5])
+        execution — the power-timeline reader."""
+        log = self.log
+        return log[2::6], log[3::6], log[4::6]
 
     # -- health ---------------------------------------------------------------
 
@@ -175,12 +150,10 @@ class AcceleratorInstance:
         self.health = DeviceHealth.FAILED
         self.failed_at_ms = now_ms
         self.failure_detected = False
-        for rec in self._records:
-            if rec.end_ms > now_ms:
-                rec.end_ms = max(rec.start_ms, now_ms)
-        for i, r in enumerate(self._rows):
-            if r[3] > now_ms:
-                self._cut(i, max(r[2], now_ms))
+        log = self.log
+        for at in range(3, len(log), 6):
+            if log[at] > now_ms:
+                log[at] = max(log[at - 1], now_ms)
         self._open.clear()
         self.horizon_ms = min(self.horizon_ms, now_ms)
 
@@ -208,29 +181,20 @@ class AcceleratorInstance:
         """Cut short the just-reserved execution lost at ``fault_ms``:
         its record stops accruing power there and the device's timeline
         is wound back to what its surviving reservations need."""
-        rows = self._rows
-        for i in range(len(rows) - 1, -1, -1):
-            r = rows[i]
-            if r[0] == kernel_name and r[1] == point_index and r[3] == end_ms:
-                self._cut(i, max(r[2], min(r[3], fault_ms)))
+        log = self.log
+        for at in range(len(log) - 3, 0, -6):
+            if (
+                log[at] == end_ms
+                and log[at - 3] == kernel_name
+                and log[at - 2] == point_index
+            ):
+                log[at] = max(log[at - 1], min(log[at], fault_ms))
                 break
-        else:
-            for rec in reversed(self._records):
-                if (
-                    rec.kernel_name == kernel_name
-                    and rec.point_index == point_index
-                    and rec.end_ms == end_ms
-                ):
-                    rec.end_ms = max(rec.start_ms, min(rec.end_ms, fault_ms))
-                    break
         key = (kernel_name, point_index)
         batch = self._open.get(key)
         if batch is not None and batch[1] == end_ms:
             del self._open[key]
-        self.horizon_ms = max(
-            max((r.end_ms for r in self._records), default=0.0),
-            max((r[3] for r in rows), default=0.0),
-        )
+        self.horizon_ms = max(log[3::6], default=0.0)
 
     # -- dispatch -------------------------------------------------------------
 
@@ -291,20 +255,21 @@ class AcceleratorInstance:
             latency, power = self._latency_fn(kernel_name, point, batch[2])
             end = batch[0] + latency * batch[4]
             batch[1] = end
-            row = batch[3]
-            row[3] = end
-            row[4] = power
-            row[5] = batch[2]
+            log = self.log
+            at = batch[3]
+            log[at] = end
+            log[at + 1] = power
+            log[at + 2] = batch[2]
             self.horizon_ms = max(self.horizon_ms + (end - old_end), end)
             return batch[0], end
 
         launch = max(self.horizon_ms, ready_ms + batch_window_ms)
         latency, power = self._latency_fn(kernel_name, point, 1)
         end = launch + latency * noise
-        row = [kernel_name, point.index, launch, end, power, 1]
-        self._rows.append(row)
+        log = self.log
+        log.extend((kernel_name, point.index, launch, end, power, 1))
         self.horizon_ms = end
-        self._open[key] = [launch, end, 1, row, noise]
+        self._open[key] = [launch, end, 1, len(log) - 3, noise]
         return launch, end
 
     def _dispatch_fpga(
@@ -319,7 +284,7 @@ class AcceleratorInstance:
         self.loaded_impl = impl_key
         latency, power = self._latency_fn(kernel_name, point, 1)
         end = start + latency * noise
-        self._rows.append((kernel_name, point.index, start, end, power, 1))
+        self.log.extend((kernel_name, point.index, start, end, power, 1))
         self.horizon_ms = end
         return start, end
 
@@ -342,7 +307,8 @@ class AcceleratorInstance:
         return max(self.horizon_ms - now_ms, 0.0)
 
     def busy_ms_total(self) -> float:
-        return sum(r.end_ms - r.start_ms for r in self.records)
+        log = self.log
+        return sum(map(operator.sub, log[3::6], log[2::6]))
 
 
 @dataclass

@@ -195,10 +195,11 @@ def _power_timeline(
 ) -> np.ndarray:
     """Per-bin average node power (active + policy-dependent idle).
 
-    Vectorized interval arithmetic: every execution record contributes
-    its clipped overlap with each covered bin via ``np.add.at``, which
-    accumulates in operand order — emitting the (record, bin) pairs in
-    the same record-major order the scalar loop visited keeps the
+    Vectorized interval arithmetic over each device's execution log:
+    every execution contributes its clipped overlap with each covered
+    bin via ``np.bincount``, which starts from zeros and adds its
+    weights in operand order — emitting the (execution, bin) pairs in
+    the same execution-major order the scalar loop visited keeps the
     per-bin float sums bit-identical to the original implementation.
     The DVFS idle-power ladder is applied as a batched ``searchsorted``
     over the ascending levels instead of a per-bin ``pick_level`` call.
@@ -210,12 +211,10 @@ def _power_timeline(
     poly = node.system.policy == SchedulingPolicy.POLY
 
     for dev in node.devices:
-        active_energy = np.zeros(n_bins)  # W * ms per bin
-        busy = np.zeros(n_bins)
-        # Columnar read: engine runs never materialize dataclass
-        # records for power accounting (same floats, same order).
         col_starts, col_ends, col_powers = dev.record_columns()
-        if col_starts:
+        if not col_starts:
+            active_energy = busy = np.zeros(n_bins)
+        else:
             starts = np.array(col_starts)
             rec_ends = np.array(col_ends)
             powers = np.array(col_powers)
@@ -223,7 +222,7 @@ def _power_timeline(
             last = np.minimum(
                 (rec_ends // bin_ms).astype(np.int64), n_bins - 1
             )
-            # Records entirely past the window have last < first.
+            # Executions entirely past the window have last < first.
             span = np.maximum(last - first + 1, 0)
             rec_idx = np.repeat(np.arange(len(starts)), span)
             offsets = np.arange(int(span.sum())) - np.repeat(
@@ -234,8 +233,10 @@ def _power_timeline(
             hi = np.minimum(rec_ends[rec_idx], (bins + 1) * bin_ms)
             overlap = hi - lo
             m = overlap > 0
-            np.add.at(active_energy, bins[m], (powers[rec_idx] * overlap)[m])
-            np.add.at(busy, bins[m], overlap[m])
+            bins = bins[m]
+            energy = powers[rec_idx] * overlap
+            active_energy = np.bincount(bins, energy[m], n_bins)  # W * ms
+            busy = np.bincount(bins, overlap[m], n_bins)
 
         busy = np.minimum(busy, bin_ms)
         idle = bin_ms - busy
