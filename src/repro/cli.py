@@ -50,7 +50,7 @@ Commands
     ``--system`` to rotate launches through heterogeneous node
     templates.  Autoscaler flags the fleet cannot converge under exit 1
     before any DSE runs; RT007 and OBS002 warnings print before the
-    replay.
+    replay, and a replay stream with no arrival exits 2.
 
 ``obs APP [--rps 20] [--ms 4000] [--seed 0] [--out-dir obs_out]
         [--summary] [--crash DEV@MS] [--recover DEV@MS]``
@@ -147,11 +147,27 @@ def _cmd_schedule(args) -> int:
     return 0
 
 
+def _arrivals(args, rps_flag: str = "--rps", rng=None):
+    """The run's Poisson arrivals, built before any DSE: ``None`` after
+    one stderr line when ``args.rps`` over ``--ms`` yields no arrival."""
+    arrivals = runtime.poisson_arrivals(args.rps, args.ms, rng=rng)
+    if not arrivals:
+        print(
+            f"{rps_flag} {args.rps:g} over --ms {args.ms:g} yields no "
+            f"arrival; raise {rps_flag} or --ms",
+            file=sys.stderr,
+        )
+        return None
+    return arrivals
+
+
 def _cmd_simulate(args) -> int:
     app = apps_mod.build(args.app)
     system = runtime.setting(args.setting, args.system)
+    arrivals = _arrivals(args, rps_flag="RPS")
+    if arrivals is None:
+        return 2
     spaces = app.explore(system.platforms)
-    arrivals = runtime.poisson_arrivals(args.rps, args.ms)
     result = runtime.run_simulation(system, app, spaces, arrivals)
     print(result)
     print(f"  p99        : {result.p99_ms:.1f} ms (bound {app.qos_ms:.0f} ms)")
@@ -341,7 +357,6 @@ def _cmd_faults(args) -> int:
     if schedule is None:
         return 2
     names = [n.upper() for n in (args.app or ["ASR"])]
-    rows = {}
     for name in names:
         if name not in apps_mod.APP_BUILDERS:
             print(
@@ -349,6 +364,11 @@ def _cmd_faults(args) -> int:
                 file=sys.stderr,
             )
             return 2
+    arrivals = _arrivals(args)
+    if arrivals is None:
+        return 2
+    rows = {}
+    for name in names:
         app = apps_mod.build(name)
         spaces = app.explore(system.platforms)
         node = runtime.LeafNode(system, app, spaces)
@@ -360,7 +380,6 @@ def _cmd_faults(args) -> int:
             print(f"  {diag.render()}", file=sys.stderr)
         if not gate.ok:
             return 1
-        arrivals = runtime.poisson_arrivals(args.rps, args.ms)
         result = runtime.run_simulation(
             system, app, spaces, arrivals, faults=schedule,
         )
@@ -434,6 +453,9 @@ def _cmd_obs(args) -> int:
         if events is None:
             return 2
         faults = FaultSchedule(events)
+    arrivals = _arrivals(args, rng=np.random.default_rng(args.seed))
+    if arrivals is None:
+        return 2
 
     tracer = SpanTracer()
     registry = MetricsRegistry()
@@ -445,9 +467,6 @@ def _cmd_obs(args) -> int:
     # the exhaustive and guided paths.
     spaces = app.explore(system.platforms, metrics=registry)
     model_cache.bind_metrics(None)
-    arrivals = runtime.poisson_arrivals(
-        args.rps, args.ms, rng=np.random.default_rng(args.seed)
-    )
     result = runtime.run_simulation(
         system,
         app,
@@ -615,7 +634,14 @@ def _cmd_cluster(args) -> int:
             templates
         )
         peak_rps = capacity * args.peak_factor
-    result = sim.replay(trace, peak_rps=peak_rps, compress=args.compress)
+    try:
+        result = sim.replay(trace, peak_rps=peak_rps, compress=args.compress)
+    except ValueError as exc:  # the replay stream holds no arrival
+        print(
+            f"{exc}: raise --peak-rps (or --peak-factor) or --hours",
+            file=sys.stderr,
+        )
+        return 2
 
     if tracer is not None:
         import pathlib

@@ -187,6 +187,12 @@ class TestBadFlagValues:
             (["obs", "asr", "--sample-rate", "-0.5"], "--sample-rate"),
             (["obs", "asr", "--sample-top-k", "-1"], "--sample-top-k"),
             (["cluster", "--trace", "--sample-rate", "2"], "--sample-rate"),
+            (["simulate", "asr", "0.01", "--ms", "1000"], "--ms"),
+            (["faults", "--rps", "0.01", "--ms", "1000",
+              "--crash", "fpga0@100"], "--rps"),
+            (["obs", "asr", "--rps", "0.01", "--ms", "1000"], "--rps"),
+            (["faults", "--app", "asr", "--app", "nope",
+              "--crash", "fpga0@100"], "'NOPE'"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
@@ -204,6 +210,16 @@ class TestBadFlagValues:
         assert captured.out == "" and "Traceback" not in captured.err
         [line] = captured.err.splitlines()
         assert flag in line
+
+    def test_cluster_refuses_an_empty_replay_stream(self, capsys):
+        """A peak rate too small for one arrival over the trace: one
+        stderr line, exit 2, no traceback."""
+        code = main(["cluster", "--peak-rps", "0.0001", "--hours", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "Traceback" not in captured.err
+        [line] = captured.err.splitlines()
+        assert "--peak-rps" in line and "--hours" in line
 
     def test_faults_run_with_survivors_is_silent_on_stderr(self, capsys):
         assert main(["faults", "--app", "asr", "--crash", "fpga0@1000"]) == 0
