@@ -184,17 +184,21 @@ def _cmd_codegen(args) -> int:
         return 2
     kernel = app.graph.kernel(args.kernel)
     device_type = DeviceType.FPGA if args.fpga else DeviceType.GPU
-    config = ImplConfig(
-        work_group_size=args.wg,
-        unroll=args.unroll,
-        compute_units=args.cu,
-        bram_ports=args.ports,
-        use_scratchpad=args.scratchpad,
-        memory_coalescing=args.coalesce,
-        pipelined=args.pipeline,
-        double_buffer=args.double_buffer,
-        fused=args.fused,
-    )
+    try:
+        config = ImplConfig(
+            work_group_size=args.wg,
+            unroll=args.unroll,
+            compute_units=args.cu,
+            bram_ports=args.ports,
+            use_scratchpad=args.scratchpad,
+            memory_coalescing=args.coalesce,
+            pipelined=args.pipeline,
+            double_buffer=args.double_buffer,
+            fused=args.fused,
+        )
+    except ValueError as exc:
+        print(f"bad codegen knob: {exc}", file=sys.stderr)
+        return 2
     print(generate_kernel_source(kernel, config, device_type))
     print()
     print(generate_host_snippet(kernel, config, device_type))
@@ -276,6 +280,7 @@ def _checked(convert, ok, requirement: str):
 _positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "positive")
 _probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _non_negative_int = _checked(int, lambda v: v >= 0, "non-negative")
+_positive_int = _checked(int, lambda v: v >= 1, "positive")
 
 
 def _parse_device_at(text: str):
@@ -459,14 +464,10 @@ def _cmd_obs(args) -> int:
 
     tracer = SpanTracer()
     registry = MetricsRegistry()
-    from .hardware.model_cache import model_cache
-
-    model_cache.bind_metrics(registry)
     # The DSE reports its own counters (dse_design_points_total,
     # dse_pruned_invalid_total) through the registry — identical for
     # the exhaustive and guided paths.
     spaces = app.explore(system.platforms, metrics=registry)
-    model_cache.bind_metrics(None)
     result = runtime.run_simulation(
         system,
         app,
@@ -789,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--budget",
-        type=int,
+        type=_positive_int,
         default=512,
         help="guided-search model-evaluation budget per kernel/device",
     )
@@ -862,7 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rps", type=_positive_float, default=30.0)
     p.add_argument("--ms", type=_positive_float, default=8_000.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument(
         "--crash",
         action="append",
@@ -947,9 +948,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--up-util", type=float, default=0.85)
     p.add_argument("--down-util", type=float, default=0.30)
     p.add_argument("--target-util", type=float, default=0.60)
-    p.add_argument("--seed", type=int, default=0, help="cluster root seed")
     p.add_argument(
-        "--trace-seed", type=int, default=2011, help="trace-synthesis seed"
+        "--seed", type=_non_negative_int, default=0, help="cluster root seed"
+    )
+    p.add_argument(
+        "--trace-seed",
+        type=_non_negative_int,
+        default=2011,
+        help="trace-synthesis seed",
     )
     p.add_argument(
         "--timeline", action="store_true", help="print every scaling event"
@@ -974,7 +980,10 @@ def build_parser() -> argparse.ArgumentParser:
         "Perfetto artifact (QoS violators always kept)",
     )
     p.add_argument(
-        "--sample-seed", type=int, default=0, help="sampling-key seed"
+        "--sample-seed",
+        type=_non_negative_int,
+        default=0,
+        help="sampling-key seed",
     )
     p.add_argument(
         "--trace-out",
@@ -996,7 +1005,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rps", type=_positive_float, default=20.0)
     p.add_argument("--ms", type=_positive_float, default=4_000.0)
-    p.add_argument("--seed", type=int, default=0, help="arrival-stream seed")
+    p.add_argument(
+        "--seed", type=_non_negative_int, default=0, help="arrival-stream seed"
+    )
     p.add_argument(
         "--out-dir",
         default="obs_out",
@@ -1027,7 +1038,10 @@ def build_parser() -> argparse.ArgumentParser:
         "trace.sampled.perfetto.json (QoS violators always kept)",
     )
     p.add_argument(
-        "--sample-seed", type=int, default=0, help="sampling-key seed"
+        "--sample-seed",
+        type=_non_negative_int,
+        default=0,
+        help="sampling-key seed",
     )
     p.add_argument(
         "--sample-top-k",

@@ -20,6 +20,8 @@ and the decision stream can be golden-tested:
 * **scale down** — when the score falls below the band's lower edge,
   terminate nodes that have been idle for ``idle_intervals``
   consecutive evaluations, never below ``min_nodes``;
+* **a serving node stays** — no reply, ``MAX_NODES`` shedding included,
+  terminates the last serving node (warming nodes serve nothing yet);
 * **inside the band** — do nothing (the hysteresis that prevents
   launch/terminate oscillation; :class:`AutoscalerConfig` refuses bands
   that cannot provide it).
@@ -203,12 +205,15 @@ class Autoscaler:
         util = request.utilization
         launches: List[LaunchRequest] = []
         terminations: List[TerminationRequest] = []
+        # Warming nodes count toward the fleet's size but serve nothing
+        # yet, so neither branch may terminate the last serving node.
+        spare = max(request.n_serving - 1, 0)
 
         # Hard cap first: a fleet above max_nodes sheds idle nodes with
         # the typed MAX_NODES reason regardless of the score.
         over = request.n_live - cfg.max_nodes
         if over > 0:
-            for node_id in request.idle_nodes[:over]:
+            for node_id in request.idle_nodes[: min(over, spare)]:
                 terminations.append(
                     TerminationRequest(node_id, TerminationReason.MAX_NODES)
                 )
@@ -227,7 +232,7 @@ class Autoscaler:
             ]
         elif util < cfg.scale_down_utilization and request.n_live > cfg.min_nodes:
             want = max(self._desired_nodes(request), cfg.min_nodes)
-            excess = request.n_live - want
+            excess = max(min(request.n_live - want, spare), 0)
             for node_id in request.idle_nodes[:excess]:
                 terminations.append(
                     TerminationRequest(node_id, TerminationReason.IDLE_TERMINATE)

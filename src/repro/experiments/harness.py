@@ -57,8 +57,9 @@ _space_cache: Dict[Tuple[str, str], Mapping] = {}
 
 
 def get_app(name: str) -> Application:
-    """Benchmark instance (cached — building is cheap but DSE keys off
-    object identity of kernels, so reuse matters)."""
+    """Benchmark instance, built once per process: :func:`spaces_for`
+    keys its DSE results by app name, and every figure then simulates
+    the very kernels its spaces were explored for."""
     if name not in _app_cache:
         _app_cache[name] = apps_mod.build(name)
     return _app_cache[name]

@@ -11,13 +11,7 @@ from .config import ImplConfig
 from .dvfs import DVFSPolicy, OperatingPoint, PowerState
 from .fpga_model import FPGAModel, FPGAPerformanceEstimate, ResourceUsage
 from .gpu_model import GPUModel, GPUPerformanceEstimate
-from .model_cache import (
-    CachedEstimate,
-    ModelEvalCache,
-    clear_model_cache,
-    kernel_signature,
-    model_cache,
-)
+from .model_cache import ModelEvalCache, clear_model_cache, model_cache
 from .pcie import PCIeLink
 from .specs import (
     AMD_W9100,
@@ -55,11 +49,9 @@ __all__ = [
     "DVFSPolicy",
     "OperatingPoint",
     "PowerState",
-    "CachedEstimate",
     "ModelEvalCache",
     "model_cache",
     "clear_model_cache",
-    "kernel_signature",
 ]
 
 

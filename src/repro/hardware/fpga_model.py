@@ -303,8 +303,7 @@ class FPGAModel:
         terms come from the same Python scalar expressions, and the
         combining numpy float64 arithmetic mirrors the scalar grouping
         exactly.  Returns ``(feasible, latency_ms, active_power_w)``;
-        infeasible rows carry NaN estimates, matching the cached-entry
-        convention of :mod:`repro.hardware.model_cache`.
+        infeasible rows carry NaN estimates (the DSE drops them).
         """
         if batch < 1:
             raise ValueError("batch must be >= 1")

@@ -175,8 +175,8 @@ class MetricsRegistry:
     ``counter``/``gauge``/``histogram`` create-or-return the child for
     one (name, labels) identity; re-requesting an existing name with a
     different metric type is an error (it would corrupt exposition).
-    Thread-safe: the DSE's model cache increments counters from worker
-    threads.
+    Thread-safe: every update takes the registry's lock, so threads may
+    share one registry.
     """
 
     def __init__(self) -> None:

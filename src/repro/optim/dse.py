@@ -8,10 +8,9 @@ evaluate every combination with the GPU/FPGA analytical model, drop
 infeasible FPGA points, and optionally subsample to a target size (the
 per-kernel design counts of Table II).
 
-Model evaluations go through the process-wide
-:mod:`repro.hardware.model_cache`, so re-exploring an unchanged kernel
-(repeated experiments, figure regeneration) costs dictionary lookups
-instead of model math.
+Each (kernel, platform) pair's configs are evaluated in one vectorized
+model call (:mod:`repro.hardware.model_cache`); no estimate is kept
+across explorations, so re-exploring a kernel evaluates it again.
 """
 
 from __future__ import annotations
@@ -180,28 +179,22 @@ def prune_invalid_configs(
 def _evaluate(
     kernel: Kernel, spec, configs: Sequence[ImplConfig]
 ) -> List[DesignPoint]:
-    """Run the analytical model over the candidates, dropping infeasible
-    FPGA points (designs that do not place on the part).
-
-    Evaluations go through the shared model cache's bulk path: cached
-    entries are looked up in one pass and the misses are computed in a
-    single vectorized model call (float-identical to the scalar path).
-    """
-    points: List[DesignPoint] = []
-    for config, est in zip(configs, model_cache.evaluate_many(kernel, spec, configs)):
-        if not est.feasible:
-            continue
-        points.append(
-            DesignPoint(
-                kernel_name=kernel.name,
-                platform=spec.name,
-                device_type=spec.device_type,
-                config=config,
-                latency_ms=est.latency_ms,
-                power_w=est.active_power_w,
-            )
+    """Run the analytical model over the candidates in one vectorized
+    call (float-identical to the scalar path), dropping infeasible FPGA
+    points (designs that do not place on the part)."""
+    feasible, latency, power = model_cache.evaluate_many(kernel, spec, configs)
+    return [
+        DesignPoint(
+            kernel_name=kernel.name,
+            platform=spec.name,
+            device_type=spec.device_type,
+            config=config,
+            latency_ms=lat,
+            power_w=pw,
         )
-    return points
+        for config, ok, lat, pw in zip(configs, feasible, latency, power)
+        if ok
+    ]
 
 
 def _point_order_key(point: DesignPoint) -> Tuple:

@@ -8,7 +8,7 @@ two stages under one model-evaluation budget:
 
 1. **Successive halving** over the full knob space using a cheap
    low-fidelity analytical proxy (vectorized roofline-style scoring, no
-   model-cache traffic).  The space is a
+   real model call).  The space is a
    :class:`~repro.optim.dse.KnobSpace` addressed by config index: the
    FPGA placement screen, the proxy and the rungs all run on index
    arrays and knob columns, and only the surviving seeds become
@@ -22,10 +22,10 @@ two stages under one model-evaluation budget:
    by a deterministic ``SeedSequence``-keyed RNG.
 
 All real evaluations go through the vectorized
-:meth:`~repro.hardware.model_cache.ModelEvalCache.evaluate_many` bulk
-path (one numpy model call per generation).  The budget counts
-*requested* evaluations — cache hits included — so the same seed yields
-identical evaluation counts regardless of cache warmth, and the search
+:meth:`~repro.hardware.model_cache.ModelEvalCache.evaluate_many` batch
+call (one numpy model call for the seeds, one per generation), and no
+estimate outlives the search.  The budget counts the configs evaluated,
+so the same seed yields identical evaluation counts, and the search
 degrades to exhaustive exactly when the enumerated space fits the
 budget, guaranteeing the guided front equals the exhaustive front on
 today's apps (the golden A/B property the tests pin down).
@@ -42,7 +42,7 @@ import numpy as np
 
 from ..hardware.config import ImplConfig
 from ..hardware.fpga_model import FPGAModel
-from ..hardware.model_cache import CachedEstimate, kernel_signature, model_cache
+from ..hardware.model_cache import model_cache
 from ..hardware.specs import DeviceType
 from ..patterns.ppg import Kernel
 from .design_point import DesignPoint, KernelDesignSpace
@@ -64,7 +64,7 @@ __all__ = [
 class SearchConfig:
     """Tuning knobs of the guided explorer.
 
-    ``max_evals`` budgets *requested model evaluations*; spaces that
+    ``max_evals`` budgets *real model evaluations*; spaces that
     fit the budget are evaluated exhaustively.  ``seed`` (an int) keys
     the deterministic RNG.
     """
@@ -126,11 +126,10 @@ class SearchStats:
     """Everything a guided exploration did.
 
     ``explored`` is the enumerated space size; ``evaluations`` the
-    requested model evaluations (hits + misses — cache-warmth
-    independent); ``skipped`` the duplicate/pruned children the GA
-    declined to re-evaluate; ``screened_infeasible`` the FPGA configs
-    the vectorized resource screen dropped before any latency/power
-    model ran.
+    configs evaluated with the real models; ``skipped`` the
+    duplicate/pruned children the GA declined to re-evaluate;
+    ``screened_infeasible`` the FPGA configs the vectorized resource
+    screen dropped before any latency/power model ran.
     """
 
     kernel_name: str
@@ -157,7 +156,7 @@ def search_rng(seed: int, kernel: Kernel, spec) -> np.random.Generator:
     search.
     """
     digest = hashlib.sha256(
-        f"{seed}|{kernel_signature(kernel)}|{spec.name}".encode()
+        f"{seed}|{kernel.model_signature()}|{spec.name}".encode()
     ).digest()
     words = [int.from_bytes(digest[i : i + 4], "big") for i in range(0, 16, 4)]
     return np.random.default_rng(np.random.SeedSequence(words))
@@ -175,7 +174,7 @@ def _proxy_objectives(
     Deliberately *not* the real models: no occupancy tables, no
     calibration bias, no resource placement — just monotone trends in
     the knobs, cheap enough to score the entire space without building
-    a config or touching the model cache.  Used only to rank
+    a config or calling a real model.  Used only to rank
     successive-halving pools; proxy numbers never reach a DesignPoint.
     """
 
@@ -315,22 +314,48 @@ def _tournament(
     return population[int(best)][0]
 
 
+#: A feasible evaluated config with its modelled latency and power, as
+#: the GA's population holds it.
+Member = Tuple[ImplConfig, float, float]
+
+
+def _evaluate_batch(
+    kernel: Kernel,
+    spec,
+    configs: List[ImplConfig],
+    evaluated: Dict[ImplConfig, Optional[Member]],
+) -> List[Member]:
+    """Evaluate ``configs`` in one batch model call.
+
+    Records each config in ``evaluated`` (``None`` for an FPGA design
+    that does not place) and returns the feasible ones, in order.
+    """
+    feasible, latency, power = model_cache.evaluate_many(kernel, spec, configs)
+    members: List[Member] = []
+    for config, ok, lat, pw in zip(configs, feasible, latency, power):
+        member = (config, lat, pw) if ok else None
+        evaluated[config] = member
+        if member is not None:
+            members.append(member)
+    return members
+
+
 def _points_of(
     kernel: Kernel,
     spec,
-    evaluated: Dict[ImplConfig, CachedEstimate],
+    evaluated: Dict[ImplConfig, Optional[Member]],
 ) -> List[DesignPoint]:
     return [
         DesignPoint(
             kernel_name=kernel.name,
             platform=spec.name,
             device_type=spec.device_type,
-            config=config,
-            latency_ms=est.latency_ms,
-            power_w=est.active_power_w,
+            config=member[0],
+            latency_ms=member[1],
+            power_w=member[2],
         )
-        for config, est in evaluated.items()
-        if est.feasible
+        for member in evaluated.values()
+        if member is not None
     ]
 
 
@@ -422,14 +447,9 @@ def explore_kernel_guided(
     pool = _successive_halving(proxy_lat, proxy_pow, search, stats)
     seeds = [space.config(i) for i in index[pool[: search.max_evals]]]
 
-    evaluated: Dict[ImplConfig, CachedEstimate] = {}
-    estimates = model_cache.evaluate_many(kernel, spec, seeds)
+    evaluated: Dict[ImplConfig, Optional[Member]] = {}
+    population = _evaluate_batch(kernel, spec, seeds, evaluated)
     stats.evaluations += len(seeds)
-    population: List[Tuple[ImplConfig, float, float]] = []
-    for config, est in zip(seeds, estimates):
-        evaluated[config] = est
-        if est.feasible:
-            population.append((config, est.latency_ms, est.active_power_w))
     if not population:
         raise RuntimeError(
             f"no feasible design for kernel {kernel.name!r} on {spec.name!r}"
@@ -470,14 +490,12 @@ def explore_kernel_guided(
             children.append(child)
         if not children:
             break
-        estimates = model_cache.evaluate_many(kernel, spec, children)
+        members = _evaluate_batch(kernel, spec, children, evaluated)
         stats.evaluations += len(children)
+        population.extend(members)
         gain = 0.0
-        for config, est in zip(children, estimates):
-            evaluated[config] = est
-            if est.feasible:
-                population.append((config, est.latency_ms, est.active_power_w))
-                gain += front.insert(config, est.latency_ms, est.active_power_w)
+        for config, lat, pw in members:
+            gain += front.insert(config, lat, pw)
         stats.generations = gen
         stats.generation_log.append(
             GenerationStats(gen, stats.evaluations, len(front), front.area)

@@ -173,8 +173,6 @@ class Kernel:
         #: published ones.  They scale latency only — knob trends and
         #: power still come from the models.
         self.platform_bias = dict(platform_bias or {})
-        #: ``(digest, bias items)`` of :meth:`model_signature`.
-        self._signature: Optional[Tuple[str, Tuple]] = None
 
         patterns = tuple(ppg.patterns)
         workloads = tuple(p.workload for p in patterns)
@@ -295,16 +293,9 @@ class Kernel:
         aggregates (ops, I/O, intermediate and resident traffic,
         parallelism) and the calibration bias table — the full input
         surface of the GPU/FPGA models.  Two kernels with equal
-        signatures are indistinguishable to the models.
-
-        The digest is memoized against the bias table's items: the
-        bias is the one model input that callers rebind or edit in
-        place, so any change to it recomputes the digest.
+        signatures are indistinguishable to the models.  It is computed
+        on every call, so rebinding or editing the bias table changes it.
         """
-        bias_items = tuple(self.platform_bias.items())
-        memo = self._signature
-        if memo is not None and memo[1] == bias_items:
-            return memo[0]
         parts = [self.name]
         for pattern, wl in zip(self._patterns, self._workloads):
             parts.append(
@@ -320,12 +311,11 @@ class Kernel:
             f"{len(self._patterns)}"
         )
         bias = sorted(
-            (getattr(k, "value", str(k)), float(v)) for k, v in bias_items
+            (getattr(k, "value", str(k)), float(v))
+            for k, v in self.platform_bias.items()
         )
         parts.append(f"bias|{bias!r}")
-        sig = hashlib.sha256("\n".join(parts).encode()).hexdigest()
-        self._signature = (sig, bias_items)
-        return sig
+        return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
     def __repr__(self) -> str:
         kinds = ",".join(k.value for k in self.pattern_kinds)

@@ -217,6 +217,21 @@ class TestAutoscaler:
             TerminationReason.MAX_NODES,
         ]
 
+    def test_scale_down_keeps_the_last_serving_node(self):
+        """One idle serving node and one warming node at 1 rps against
+        200 rps: terminating the serving node would leave arrivals with
+        nowhere to go before the warming node is ready."""
+        reply = Autoscaler(AutoscalerConfig()).evaluate(
+            make_request(1.0, 200.0, 1, n_warming=1, idle=("node0",))
+        )
+        assert reply.to_terminate == ()
+
+    def test_max_nodes_shedding_keeps_the_last_serving_node(self):
+        reply = Autoscaler(AutoscalerConfig()).evaluate(
+            make_request(1.0, 200.0, 1, n_warming=8, idle=("node0",))
+        )
+        assert reply.to_terminate == ()
+
     def test_zero_capacity_with_demand_is_infinite_utilization(self):
         request = make_request(5.0, 0.0, 0)
         assert request.utilization == float("inf")

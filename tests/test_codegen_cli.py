@@ -193,6 +193,18 @@ class TestBadFlagValues:
             (["obs", "asr", "--rps", "0.01", "--ms", "1000"], "--rps"),
             (["faults", "--app", "asr", "--app", "nope",
               "--crash", "fpga0@100"], "'NOPE'"),
+            (["cluster", "--seed", "-1"], "--seed"),
+            (["cluster", "--trace-seed", "-1"], "--trace-seed"),
+            (["cluster", "--trace", "--sample-rate", "0.5",
+              "--sample-seed", "-1"], "--sample-seed"),
+            (["obs", "asr", "--sample-rate", "0.5", "--sample-seed", "-1"],
+             "--sample-seed"),
+            (["obs", "asr", "--seed", "-1"], "--seed"),
+            (["faults", "--mtbf-ms", "1000", "--seed", "-1"], "--seed"),
+            (["dse", "asr", "--strategy", "guided", "--budget", "0"],
+             "--budget"),
+            (["codegen", "asr", "LSTM_acoustic", "--wg", "0"],
+             "work_group_size"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )

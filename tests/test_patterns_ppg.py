@@ -5,6 +5,7 @@ import pickle
 import networkx as nx
 import pytest
 
+from conftest import small_kernel
 from repro import apps
 from repro.hardware import (
     AMD_W9100,
@@ -13,6 +14,7 @@ from repro.hardware import (
     GPUModel,
     ImplConfig,
 )
+from repro.hardware.specs import DeviceType
 from repro.patterns import Kernel, Map, Pipeline, PPG, Reduce, Tensor, Workload
 from repro.patterns.ppg import PPGEdge
 
@@ -164,19 +166,55 @@ class TestKernel:
         assert k.workload_summary().sequential_steps == 37
 
     def test_latency_bias_defaults_to_one(self):
-        from repro.hardware.specs import DeviceType
-
         ppg, _, _ = _two_pattern_ppg()
         k = Kernel("k", ppg)
         assert k.latency_bias(DeviceType.GPU) == 1.0
 
     def test_latency_bias_lookup(self):
-        from repro.hardware.specs import DeviceType
-
         ppg, _, _ = _two_pattern_ppg()
         k = Kernel("k", ppg, platform_bias={DeviceType.FPGA: 2.5})
         assert k.latency_bias(DeviceType.FPGA) == 2.5
         assert k.latency_bias(DeviceType.GPU) == 1.0
+
+
+class TestModelSignature:
+    """The digest keys the guided search's RNG: it must follow every
+    model input and nothing else."""
+
+    def test_rebuilt_kernel_same_signature(self):
+        assert (
+            small_kernel("K").model_signature()
+            == small_kernel("K").model_signature()
+        )
+
+    def test_workload_change_changes_signature(self):
+        assert (
+            small_kernel("K", elements=1024).model_signature()
+            != small_kernel("K", elements=2048).model_signature()
+        )
+
+    def test_name_change_changes_signature(self):
+        assert (
+            small_kernel("A").model_signature()
+            != small_kernel("B").model_signature()
+        )
+
+    def test_bias_mutation_changes_signature(self):
+        """An in-place calibration-bias edit changes the digest."""
+        kernel = small_kernel("K")
+        before = kernel.model_signature()
+        kernel.platform_bias[DeviceType.GPU] = 2.0
+        assert kernel.model_signature() != before
+
+    def test_bias_rebinding_changes_signature(self):
+        """Rebinding the bias table changes the digest; restoring the
+        table restores it."""
+        kernel = small_kernel("K")
+        before = kernel.model_signature()
+        kernel.platform_bias = {DeviceType.GPU: 2.0}
+        assert kernel.model_signature() != before
+        kernel.platform_bias = {}
+        assert kernel.model_signature() == before
 
 
 _AGGREGATE_PROPERTIES = (

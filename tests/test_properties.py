@@ -12,6 +12,7 @@ from golden_cases import resilience_sig
 from test_engine import submit_loop
 from repro import apps as apps_mod
 from repro.apps.base import Application
+from repro.cluster import Autoscaler, AutoscalerConfig, SchedulingRequest
 from repro.faults import FaultSchedule
 from repro.hardware import AMD_W9100, GPUModel, ImplConfig, PCIeLink, XILINX_7V3, FPGAModel
 from repro.hardware.specs import DeviceType
@@ -174,6 +175,72 @@ class TestMetricProperties:
             )
         else:
             assert min(p for r, p in sorted(zip(rps, p99))[:1]) > bound or knee == 0
+
+
+@st.composite
+def autoscaler_configs(draw):
+    """Any config ``AutoscalerConfig`` accepts, on small fleets, with a
+    target utilization of at least 1%."""
+    min_nodes = draw(st.integers(min_value=1, max_value=4))
+    down = draw(st.floats(min_value=0.0, max_value=0.8))
+    up = draw(st.floats(min_value=down + 0.01, max_value=2.0))
+    target = st.floats(min_value=max(down, 0.01), max_value=up)
+    return AutoscalerConfig(
+        min_nodes=min_nodes,
+        max_nodes=draw(st.integers(min_value=min_nodes, max_value=8)),
+        scale_up_utilization=up,
+        scale_down_utilization=down,
+        target_utilization=draw(target),
+        warmup_ms=draw(st.floats(min_value=0.0, max_value=5_000.0)),
+        idle_intervals=draw(st.integers(min_value=1, max_value=3)),
+        max_launch_per_eval=draw(st.integers(min_value=1, max_value=4)),
+    )
+
+
+@st.composite
+def scheduling_requests(draw):
+    """One evaluation's view of a fleet as the fleet driver builds it:
+    the capacity is the sum of the live nodes' template capacities, the
+    idle nodes are serving nodes, and warming nodes may outnumber them."""
+    n_serving = draw(st.integers(min_value=0, max_value=10))
+    n_warming = draw(st.integers(min_value=0, max_value=10))
+    templates = draw(
+        st.lists(st.floats(min_value=1.0, max_value=500.0), min_size=1, max_size=3)
+    )
+    live = draw(
+        st.lists(
+            st.sampled_from(templates),
+            min_size=n_serving + n_warming,
+            max_size=n_serving + n_warming,
+        )
+    )
+    n_idle = draw(st.integers(min_value=0, max_value=n_serving))
+    return SchedulingRequest(
+        now_ms=draw(st.floats(min_value=0.0, max_value=1e7)),
+        demand_rps=draw(st.floats(min_value=0.0, max_value=5_000.0)),
+        capacity_rps=sum(live),
+        n_serving=n_serving,
+        n_warming=n_warming,
+        node_capacity_rps=draw(st.sampled_from(templates)),
+        idle_nodes=tuple(f"node{i}" for i in range(n_idle)),
+    )
+
+
+class TestAutoscalerProperties:
+    @given(config=autoscaler_configs(), request=scheduling_requests())
+    @settings(max_examples=200, deadline=None)
+    def test_policy_invariants(self, config, request):
+        reply = Autoscaler(config).evaluate(request)
+        # A reply never terminates the last serving node...
+        assert len(reply.to_terminate) <= max(request.n_serving - 1, 0)
+        terminated = [t.node_id for t in reply.to_terminate]
+        assert len(set(terminated)) == len(terminated)
+        assert set(terminated) <= set(request.idle_nodes)
+        # ...launches keep the live count within max_nodes...
+        if reply.to_launch:
+            assert request.n_live + len(reply.to_launch) <= config.max_nodes
+        # ...and the same request gets the same reply.
+        assert Autoscaler(config).evaluate(request) == reply
 
 
 class TestSchedulerProperties:

@@ -8,9 +8,9 @@ The contracts pinned down here:
   >=0.99 of the exhaustive hypervolume with >=5x fewer model
   evaluations;
 * the same seed yields an identical product — fronts, evaluation
-  counts, reported stats — at any cache warmth;
+  counts, reported stats — on every run;
 * the vectorized batch model path is float-identical to the scalar
-  path, and the model cache's bulk counters match a scalar loop;
+  path;
 * the knob space is numbered in the enumeration's order, and the
   budgeted search screens it as index columns, building configs only
   for the points it evaluates.
@@ -25,11 +25,11 @@ import pytest
 
 from conftest import small_kernel
 from repro import apps, runtime
-from repro.hardware import AMD_W9100, XILINX_7V3, ImplConfig, clear_model_cache
+from repro.hardware import AMD_W9100, XILINX_7V3, ImplConfig
 from repro.hardware.config import FIELD_DTYPES
 from repro.hardware.fpga_model import FPGAModel
 from repro.hardware.gpu_model import GPUModel
-from repro.hardware.model_cache import CachedEstimate, ModelEvalCache
+from repro.hardware.model_cache import ModelEvalCache
 from repro.obs import MetricsRegistry, SpanTracer
 from repro.optim import (
     GlobalOptimizer,
@@ -43,6 +43,7 @@ from repro.optim import (
     space_hypervolume,
 )
 from repro.optim.dse import (
+    _evaluate,
     _point_order_key,
     enumerate_configs,
     explore_application,
@@ -248,21 +249,17 @@ class TestBudgetedQuality:
                 )
                 assert enlarged >= 10 * plain, (kernel.name, spec.name)
 
-    def test_same_seed_identical_across_cache_warmth(self):
-        """The budget counts *requested* evaluations, so a warm cache
-        must not change fronts or any reported count."""
-        clear_model_cache()
-        try:
-            _, cold = self._explore_pair(budget=256)
-            _, warm = self._explore_pair(budget=256)
-            for key in cold:
-                assert _space_key(cold[key]) == _space_key(warm[key])
-                assert (
-                    dataclasses.asdict(cold[key].search_stats)
-                    == dataclasses.asdict(warm[key].search_stats)
-                )
-        finally:
-            clear_model_cache()
+    def test_same_seed_identical_on_rerun(self):
+        """A rerun with the same seed reproduces every front and every
+        reported count."""
+        _, first = self._explore_pair(budget=256)
+        _, again = self._explore_pair(budget=256)
+        for key in first:
+            assert _space_key(first[key]) == _space_key(again[key])
+            assert (
+                dataclasses.asdict(first[key].search_stats)
+                == dataclasses.asdict(again[key].search_stats)
+            )
 
     def test_unknown_strategy_rejected(self):
         app = apps.build("MF")
@@ -434,6 +431,34 @@ class TestBatchFloatIdentity:
                     assert float(lat[i]) == est.latency_ms
                     assert float(power[i]) == est.active_power_w
 
+    def test_dse_evaluation_is_one_batch_call(self):
+        """``evaluate_many`` returns the batch model's columns as Python
+        values and counts every config; the DSE keeps the feasible
+        configs, in order, with the scalar model's floats."""
+        kernel = small_kernel("place", elements=1 << 16, ops=64.0)
+        configs = [
+            ImplConfig(unroll=u, compute_units=c)
+            for u in (1, 64, 256)
+            for c in (1, 16, 64)
+        ]
+        model = FPGAModel(XILINX_7V3)
+        calls = ModelEvalCache()
+        feasible, lat, power = calls.evaluate_many(kernel, XILINX_7V3, configs)
+        assert feasible == [model.feasible(kernel, c) for c in configs]
+        assert True in feasible and False in feasible
+        assert all(type(v) is float for v in lat + power)
+        assert (calls.hits, calls.misses) == (0, len(configs))
+        points = _evaluate(kernel, XILINX_7V3, configs)
+        assert [p.config for p in points] == [
+            c for c, ok in zip(configs, feasible) if ok
+        ]
+        for p in points:
+            est = model.estimate(kernel, p.config)
+            assert (p.latency_ms, p.power_w) == (est.latency_ms, est.active_power_w)
+        ok, _, _ = calls.evaluate_many(kernel, AMD_W9100, configs)
+        assert ok == [True] * len(configs)
+        assert calls.misses == 2 * len(configs)
+
     def test_empty_and_bad_batch(self):
         kernel = small_kernel("edge")
         lat, power = GPUModel(AMD_W9100).estimate_batch(kernel, [])
@@ -441,100 +466,6 @@ class TestBatchFloatIdentity:
         assert len(FPGAModel(XILINX_7V3).feasible_batch(kernel, [])) == 0
         with pytest.raises(ValueError):
             GPUModel(AMD_W9100).estimate_batch(kernel, [], batch=0)
-
-
-# ---------------------------------------------------------------------------
-# Model-cache bulk access: exact counters
-# ---------------------------------------------------------------------------
-
-
-class TestCacheBulkCounters:
-    def _configs(self, kernel, spec, with_dups=True):
-        configs = enumerate_configs(kernel, spec)[:8]
-        if with_dups:
-            configs = configs + configs[:3]  # in-batch duplicates
-        return configs
-
-    def test_bulk_counters_equal_scalar_loop(self):
-        """evaluate_many on a fresh cache must produce exactly the
-        entries, results and hit/miss counters of a scalar loop —
-        in-batch duplicates of a miss count as hits."""
-        kernel = small_kernel("bulk", elements=1 << 13)
-        spec = AMD_W9100
-        configs = self._configs(kernel, spec)
-
-        scalar = ModelEvalCache()
-        scalar_results = [scalar.evaluate(kernel, spec, c) for c in configs]
-
-        bulk = ModelEvalCache()
-        bulk_results = bulk.evaluate_many(kernel, spec, configs)
-
-        assert bulk_results == scalar_results
-        assert (bulk.hits, bulk.misses) == (scalar.hits, scalar.misses)
-        assert bulk.hits == 3 and bulk.misses == 8
-        assert len(bulk) == len(scalar) == 8
-
-    def test_get_many_reports_misses_once(self):
-        kernel = small_kernel("lookup", elements=1 << 13)
-        cache = ModelEvalCache()
-        configs = self._configs(kernel, AMD_W9100)
-        results, miss_index = cache.get_many(kernel, AMD_W9100, configs)
-        assert results == [None] * len(configs)
-        assert miss_index == list(range(8))  # dups excluded
-        assert (cache.hits, cache.misses) == (3, 8)
-
-    def test_second_bulk_pass_all_hits(self):
-        kernel = small_kernel("warm", elements=1 << 13)
-        cache = ModelEvalCache()
-        configs = self._configs(kernel, XILINX_7V3, with_dups=False)
-        first = cache.evaluate_many(kernel, XILINX_7V3, configs)
-        misses = cache.misses
-        second = cache.evaluate_many(kernel, XILINX_7V3, configs)
-        assert second == first
-        assert cache.misses == misses
-        assert cache.hits == len(configs)
-
-    def test_bulk_matches_scalar_estimates_on_fpga(self):
-        """The cached bulk path must store the exact scalar-path floats,
-        including infeasible NaN rows."""
-        kernel = small_kernel("fpga", elements=1 << 15)
-        configs = enumerate_configs(kernel, XILINX_7V3)
-        scalar = ModelEvalCache()
-        bulk = ModelEvalCache()
-        expected = [scalar.evaluate(kernel, XILINX_7V3, c) for c in configs]
-        got = bulk.evaluate_many(kernel, XILINX_7V3, configs)
-        assert got == expected
-
-    def test_put_many_length_mismatch_rejected(self):
-        kernel = small_kernel("bad")
-        cache = ModelEvalCache()
-        with pytest.raises(ValueError, match="equal length"):
-            cache.put_many(
-                kernel,
-                AMD_W9100,
-                [enumerate_configs(kernel, AMD_W9100)[0]],
-                [],
-            )
-
-    def test_metrics_binding_tracks_bulk_counters_exactly(self):
-        kernel = small_kernel("metrics", elements=1 << 13)
-        cache = ModelEvalCache()
-        registry = MetricsRegistry()
-        cache.bind_metrics(registry)
-        try:
-            configs = self._configs(kernel, AMD_W9100)
-            cache.evaluate_many(kernel, AMD_W9100, configs)
-            cache.evaluate_many(kernel, AMD_W9100, configs)
-        finally:
-            cache.bind_metrics(None)
-        assert registry.value("model_cache_hits_total") == cache.hits
-        assert registry.value("model_cache_misses_total") == cache.misses
-        assert cache.misses == 8  # second pass added none
-
-    def test_cached_estimate_is_hashable_value_type(self):
-        a = CachedEstimate(True, 1.0, 2.0)
-        assert a == CachedEstimate(True, 1.0, 2.0)
-        assert hash(a) == hash(CachedEstimate(True, 1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
