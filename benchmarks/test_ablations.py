@@ -95,12 +95,15 @@ def test_ablation_fusion(benchmark, asr):
                         continue  # fusion is about big intermediates
                     import dataclasses
 
-                    plain = model.estimate(
-                        kernel, dataclasses.replace(cfg, fused=False)
-                    ).latency_ms
-                    fused = model.estimate(
-                        kernel, dataclasses.replace(cfg, fused=True)
-                    ).latency_ms
+                    columns = model.estimate_batch(
+                        kernel,
+                        [
+                            dataclasses.replace(cfg, fused=False),
+                            dataclasses.replace(cfg, fused=True),
+                        ],
+                    )
+                    # GPU: (latency, power); FPGA: (feasible, latency, power).
+                    plain, fused = columns[-2].tolist()
                     deltas[(kernel.name, spec.device_type.value)] = (plain, fused)
         return deltas
 
@@ -154,8 +157,7 @@ def test_ablation_gpu_batching(benchmark, asr):
         out = {}
         for kernel in app.kernels:
             point = spaces[(kernel.name, gpu_spec.name)].min_latency()
-            l1 = model.estimate(kernel, point.config, 1).latency_ms
-            l8 = model.estimate(kernel, point.config, 8).latency_ms
+            (l1, l8), _ = model.estimate_batch(kernel, [point.config] * 2, [1, 8])
             out[kernel.name] = (l1, l8 / 8.0)
         return out
 

@@ -9,7 +9,11 @@ utilization [51], which the paper argues is accurate enough to guide
 the exploration.
 
 As with the GPU model, this serves both as the DSE navigator and as the
-simulator's ground truth.
+simulator's ground truth, through one vectorized implementation
+(:meth:`FPGAModel.estimate_batch`).  The simulator reads an FPGA design
+point only at batch 1, so it uses the latency and power the DSE stored
+on the point.  The scalar :meth:`FPGAModel.resources` stays for the
+lint rule that names an over-subscribed resource.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from ..patterns.ppg import Kernel
 from .config import ImplConfig, config_columns
 from .specs import FPGASpec
 
-__all__ = ["ResourceUsage", "FPGAPerformanceEstimate", "FPGAModel"]
+__all__ = ["ResourceUsage", "FPGAModel"]
 
 
 @dataclass(frozen=True)
@@ -34,37 +38,6 @@ class ResourceUsage:
     dsp: int
     bram_bytes: int
     logic_cells_k: float
-
-    def fits(self, spec: FPGASpec) -> bool:
-        """Whether this implementation places on the given part."""
-        return (
-            self.dsp <= spec.dsp_slices
-            and self.bram_bytes <= spec.bram_bytes
-            and self.logic_cells_k <= spec.logic_cells_k
-        )
-
-    def utilization(self, spec: FPGASpec) -> float:
-        """Dominant-resource utilization fraction in [0, 1+]."""
-        return max(
-            self.dsp / spec.dsp_slices,
-            self.bram_bytes / spec.bram_bytes,
-            self.logic_cells_k / spec.logic_cells_k,
-        )
-
-
-@dataclass(frozen=True)
-class FPGAPerformanceEstimate:
-    """Latency/power/resource estimate of one (kernel, config) pair."""
-
-    latency_ms: float
-    active_power_w: float
-    resources: ResourceUsage
-    achieved_freq_mhz: float
-    initiation_interval: float
-
-    @property
-    def energy_mj(self) -> float:
-        return self.latency_ms * self.active_power_w
 
 
 class FPGAModel:
@@ -133,99 +106,6 @@ class FPGAModel:
         ws *= 1.0 + 0.10 * (config.bram_ports - 1)
         return int(min(ws, self.spec.bram_bytes * 0.95))
 
-    # -- timing model --------------------------------------------------------
-
-    def achieved_frequency_mhz(self, util: float, config: ImplConfig) -> float:
-        """Post-P&R clock: derates as the fabric fills (routing pressure)."""
-        base = self.spec.peak_freq_mhz * self.spec.achievable_freq_frac
-        if util > 0.7:
-            base *= 1.0 - 0.35 * (util - 0.7) / 0.3
-        return base * config.freq_scale
-
-    def estimate(
-        self, kernel: Kernel, config: ImplConfig, batch: int = 1
-    ) -> FPGAPerformanceEstimate:
-        """Estimate latency/power/resources for ``batch`` invocations.
-
-        Unlike GPUs, FPGAs stream requests through a customized pipeline:
-        batching does not change occupancy, it only multiplies the steady
-        state iterations (Section VI-B's IR discussion).
-        """
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        res = self.resources(kernel, config)
-        util = min(res.utilization(self.spec), 1.0)
-        freq_mhz = self.achieved_frequency_mhz(util, config)
-
-        lanes = config.parallel_lanes
-        # Throughput: `lanes` MACs per cycle when pipelined at II=1;
-        # otherwise the loop nest restarts every UNPIPELINED_II cycles.
-        ii = 1.0 if config.pipelined else self.UNPIPELINED_II
-        # BRAM bandwidth must feed the lanes: each port sustains ~1 word
-        # per cycle; starved lanes raise the effective II.
-        # Each partitioned bank is dual-ported and delivers a wide word
-        # (vector of 16 operands) per cycle.
-        feeds = config.bram_ports * 2.0 * 16.0
-        starvation = max(lanes / feeds, 1.0)
-        eff_ii = ii * starvation
-
-        ops = kernel.total_ops * batch
-        cycles = ops / max(lanes, 1) * eff_ii
-        n_stages = max(len(kernel.patterns), 1)
-        wl = kernel.workload_summary()
-        # Dependent phases only cost a pipeline drain each — the custom
-        # datapath keeps state on chip between phases.
-        fill = self.DEPTH_PER_STAGE * n_stages * max(wl.sequential_steps ** 0.5, 1.0)
-        compute_ms = (cycles + fill) / (freq_mhz * 1e3)
-
-        # Off-chip phase: DDR traffic; double-buffering overlaps it with
-        # compute (coarse-grained pipeline, Section IV-B).  Resident
-        # parameters that fit on chip (after structured compression) are
-        # loaded once and excluded from the steady-state stream; if they
-        # do not fit they must be re-streamed every dependent step.
-        stationary = float(kernel.resident_stationary_bytes)
-        streamed = float(kernel.resident_streamed_bytes)
-        activations = float(kernel.io_bytes) - stationary - streamed
-        if not config.fused:
-            activations += kernel.intermediate_bytes
-        # Stationary weights: pinned in BRAM after structured compression
-        # when they fit (one amortized fill); otherwise re-streamed every
-        # step like on a GPU.  Per-step weights are streamed dense — the
-        # streaming path has no decompressor.
-        compressed = stationary / self.RESIDENT_COMPRESSION
-        if compressed <= self.spec.bram_bytes * self.RESIDENT_BRAM_FRAC:
-            resident_stream = compressed  # one-time fill, amortized
-        else:
-            resident_stream = stationary * wl.sequential_steps
-        resident_stream += streamed * batch
-        bytes_moved = activations * batch + resident_stream
-        bw_eff = 0.75 if config.double_buffer else 0.45
-        memory_ms = bytes_moved / (self.spec.mem_bandwidth_gbps * 1e6 * bw_eff)
-        if config.double_buffer:
-            exec_ms = max(compute_ms, memory_ms) + 0.1 * min(compute_ms, memory_ms)
-        else:
-            exec_ms = compute_ms + memory_ms
-
-        power = self._active_power(util, config)
-        exec_ms *= kernel.latency_bias(self.spec.device_type)
-        return FPGAPerformanceEstimate(
-            latency_ms=exec_ms,
-            active_power_w=power,
-            resources=res,
-            achieved_freq_mhz=freq_mhz,
-            initiation_interval=eff_ii,
-        )
-
-    def _active_power(self, util: float, config: ImplConfig) -> float:
-        """Power ~ proportional to resource utilization [51], plus static."""
-        dynamic_range = self.spec.peak_power_w - self.spec.idle_power_w
-        activity = util * (0.8 if config.pipelined else 0.6)
-        return self.spec.idle_power_w + dynamic_range * activity * config.freq_scale ** 2
-
-    def feasible(self, kernel: Kernel, config: ImplConfig) -> bool:
-        """Whether the implementation places-and-routes on this part."""
-        return self.resources(kernel, config).fits(self.spec)
-
     # -- vectorized batch evaluation -----------------------------------------
 
     #: The knob columns the resource model reads.
@@ -236,17 +116,18 @@ class FPGAModel:
     def resource_columns(
         self, kernel: Kernel, cols: Mapping[str, np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`resources` + :meth:`ResourceUsage.fits` over
-        knob columns (``cols`` maps each :attr:`RESOURCE_KNOBS` name to
-        one array, as :func:`~repro.hardware.config.config_columns`
-        builds them).
+        """Vectorized :meth:`resources` and placement check over knob
+        columns (``cols`` maps each :attr:`RESOURCE_KNOBS` name to one
+        array, as :func:`~repro.hardware.config.config_columns` builds
+        them).
 
-        Returns ``(feasible, util, lanes)`` where ``util`` is the
+        Returns ``(feasible, util, lanes)``: whether each design places
+        on the part (every resource within its budget), the
         dominant-resource utilization capped at 1.0 (what the timing
-        and power models consume).  The arithmetic replicates the scalar
-        expressions operand-for-operand; resource counts stay well under
-        2**53, so the float64 ceil/trunc values equal the scalar ints
-        exactly.
+        and power models consume), and the parallel lanes.  The
+        arithmetic replicates :meth:`resources` operand-for-operand;
+        resource counts stay well under 2**53, so the float64
+        ceil/trunc values equal its ints exactly.
         """
         lanes = cols["unroll"] * cols["compute_units"]
         ports = cols["bram_ports"]
@@ -295,15 +176,18 @@ class FPGAModel:
     def estimate_batch(
         self, kernel: Kernel, configs: Sequence[ImplConfig], batch: int = 1
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Feasibility + latency/power for many configs in one pass.
+        """Feasibility, latency and power of ``batch`` invocations, for
+        many configs in one vectorized pass.
 
-        Float-identical to the scalar :meth:`feasible`/:meth:`estimate`
-        pair (the guided-DSE golden contract): branch-dependent factors
-        are selected per row, ``freq_scale ** 2`` and the step/fill
-        terms come from the same Python scalar expressions, and the
-        combining numpy float64 arithmetic mirrors the scalar grouping
-        exactly.  Returns ``(feasible, latency_ms, active_power_w)``;
-        infeasible rows carry NaN estimates (the DSE drops them).
+        Unlike GPUs, FPGAs stream requests through a customized
+        pipeline: batching does not change occupancy, it only
+        multiplies the steady-state iterations (Section VI-B's IR
+        discussion).  Branch-dependent factors are selected per row,
+        and ``freq_scale ** 2`` and the step/fill terms are Python
+        scalar expressions, so a row's floats do not depend on the
+        other rows.  Returns ``(feasible, latency_ms,
+        active_power_w)``; infeasible rows carry NaN estimates (the
+        DSE drops them).
         """
         if batch < 1:
             raise ValueError("batch must be >= 1")
@@ -327,12 +211,18 @@ class FPGAModel:
             freq[i] = f
             freq_sq[i] = fp
 
+        # Post-P&R clock: derates as the fabric fills (routing pressure).
         base = self.spec.peak_freq_mhz * self.spec.achievable_freq_frac
         base_arr = np.where(
             util > 0.7, base * (1.0 - 0.35 * (util - 0.7) / 0.3), base
         )
         freq_mhz = base_arr * freq
 
+        # Throughput: `lanes` MACs per cycle when pipelined at II=1;
+        # otherwise the loop nest restarts every UNPIPELINED_II cycles.
+        # Each partitioned BRAM bank is dual-ported and delivers a wide
+        # word (vector of 16 operands) per cycle; starved lanes raise
+        # the effective II.
         ii = np.where(pipelined, 1.0, self.UNPIPELINED_II)
         feeds = ports * 2.0 * 16.0
         starvation = np.maximum(lanes / feeds, 1.0)
@@ -342,9 +232,17 @@ class FPGAModel:
         cycles = ops / np.maximum(lanes, 1) * eff_ii
         n_stages = max(len(kernel.patterns), 1)
         wl = kernel.workload_summary()
+        # Dependent phases only cost a pipeline drain each — the custom
+        # datapath keeps state on chip between phases.
         fill = self.DEPTH_PER_STAGE * n_stages * max(wl.sequential_steps ** 0.5, 1.0)
         compute_ms = (cycles + fill) / (freq_mhz * 1e3)
 
+        # Off-chip phase: DDR traffic; double-buffering overlaps it with
+        # compute (coarse-grained pipeline, Section IV-B).  Stationary
+        # weights are pinned in BRAM after structured compression when
+        # they fit (one amortized fill); otherwise they are re-streamed
+        # every dependent step like on a GPU.  Per-step weights are
+        # streamed dense — the streaming path has no decompressor.
         stationary = float(kernel.resident_stationary_bytes)
         streamed = float(kernel.resident_streamed_bytes)
         act_base = float(kernel.io_bytes) - stationary - streamed
@@ -366,6 +264,7 @@ class FPGAModel:
         exec_ms = np.where(double_buffer, overlapped, compute_ms + memory_ms)
         exec_ms = exec_ms * kernel.latency_bias(self.spec.device_type)
 
+        # Power ~ proportional to resource utilization [51], plus static.
         dynamic_range = self.spec.peak_power_w - self.spec.idle_power_w
         activity = util * np.where(pipelined, 0.8, 0.6)
         power = self.spec.idle_power_w + dynamic_range * activity * freq_sq

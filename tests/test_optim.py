@@ -146,9 +146,8 @@ class TestDSE:
         from repro.hardware import FPGAModel
 
         k, spaces = explored_small_spaces
-        model = FPGAModel(XILINX_7V3)
-        for p in spaces[(k.name, XILINX_7V3.name)]:
-            assert model.feasible(k, p.config)
+        configs = [p.config for p in spaces[(k.name, XILINX_7V3.name)]]
+        assert FPGAModel(XILINX_7V3).feasible_batch(k, configs).all()
 
     def test_selection_helpers(self, explored_small_spaces):
         k, spaces = explored_small_spaces

@@ -336,12 +336,9 @@ class TestStoredAggregates:
         configs = [ImplConfig(), ImplConfig(work_group_size=256, unroll=4)]
         gpu, fpga = GPUModel(AMD_W9100), FPGAModel(XILINX_7V3)
         for batch in (1, 4):  # batch > 1 takes the GPU bias-floor path
-            for config in configs:
-                gpu.estimate(kernel, config, batch)
-                fpga.feasible(kernel, config)
-                fpga.estimate(kernel, config, batch)
             gpu.estimate_batch(kernel, configs, batch)
             fpga.estimate_batch(kernel, configs, batch)
+        gpu.estimate_batch(kernel, configs, [1, 4])  # one size per row
         assert sorts == []  # ...and the models make none
 
     def test_pickled_kernel_keeps_aggregates(self):
@@ -359,4 +356,6 @@ class TestStoredAggregates:
         assert clone.model_signature() == kernel.model_signature()
         config = ImplConfig(unroll=4)
         gpu = GPUModel(AMD_W9100)
-        assert gpu.estimate(clone, config, 4) == gpu.estimate(kernel, config, 4)
+        assert gpu.estimate_batch(clone, [config], 4) == gpu.estimate_batch(
+            kernel, [config], 4
+        )
