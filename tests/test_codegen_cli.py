@@ -143,8 +143,13 @@ class TestCLI:
         assert exc.value.code == 2
 
     def test_figure_unknown_name(self, capsys):
-        assert main(["figure", "fig99"]) == 2
-        assert "unknown figure" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "fig99"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert "invalid choice: 'fig99'" in line
 
     def test_figure_fig11_runs(self, capsys):
         assert main(["figure", "fig11"]) == 0
@@ -161,6 +166,10 @@ class TestCLI:
 
     def test_codegen_unknown_kernel(self, capsys):
         assert main(["codegen", "FQT", "Ghost"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert "unknown kernel 'Ghost'" in line
 
 
 class TestBadFlagValues:
@@ -193,6 +202,13 @@ class TestBadFlagValues:
             (["obs", "asr", "--rps", "0.01", "--ms", "1000"], "--rps"),
             (["faults", "--app", "asr", "--app", "nope",
               "--crash", "fpga0@100"], "'NOPE'"),
+            (["dse", "nope"], "'NOPE'"),
+            (["schedule", "nope"], "'NOPE'"),
+            (["simulate", "nope", "10"], "'NOPE'"),
+            (["codegen", "nope", "k"], "'NOPE'"),
+            (["lint", "--app", "asr", "--app", "nope"], "'NOPE'"),
+            (["obs", "nope"], "'NOPE'"),
+            (["cluster", "--app", "nope"], "'NOPE'"),
             (["cluster", "--seed", "-1"], "--seed"),
             (["cluster", "--trace-seed", "-1"], "--trace-seed"),
             (["cluster", "--trace", "--sample-rate", "0.5",

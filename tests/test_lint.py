@@ -508,7 +508,11 @@ class TestLintCLI:
         assert set(data["apps"]) == {"ASR", "IR"}
 
     def test_lint_unknown_app_exits_2(self, capsys):
-        assert main(["lint", "--app", "nope"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--app", "nope"])
+        assert exc.value.code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert "unknown app 'NOPE'" in line
 
     def test_broken_pipe_exits_without_traceback(self, monkeypatch):
         """``repro lint --json | head``: the reader closing the pipe
