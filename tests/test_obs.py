@@ -399,8 +399,10 @@ class TestCLI:
         assert "events" in stdout and "p99" in stdout
 
     def test_obs_command_unknown_app(self, tmp_path):
-        rc = cli_main(["obs", "NOPE", "--out-dir", str(tmp_path)])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["obs", "NOPE", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
 
     def test_obs_command_with_faults(self, tmp_path):
         out = tmp_path / "obs"
