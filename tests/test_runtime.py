@@ -30,7 +30,7 @@ from repro.runtime import (
     trace_arrivals,
     violation_ratio,
 )
-from repro.hardware import AMD_W9100, XILINX_7V3
+from repro.hardware import AMD_W9100, XILINX_7V3, FPGAModel, GPUModel
 from repro.hardware.specs import DeviceType
 from repro.runtime.node import AcceleratorInstance, LeafNode
 from repro.runtime.simulation import _power_timeline, run_simulation
@@ -342,6 +342,36 @@ def check_logs(node):
         assert dev.busy_ms_total() == sum(
             r.end_ms - r.start_ms for r in records
         )
+
+
+class TestNodeModelReads:
+    def test_one_ladder_call_per_batched_gpu_point(self, monkeypatch):
+        """The node reads batch-1 latency and power off the design
+        point and FPGAs at batch 1 only: its only model calls are one
+        ``estimate_batch`` per GPU design point it reads above batch 1,
+        over the point's whole ladder."""
+        app = apps_mod.build("ASR")
+        system = setting("I", "Heter-Poly")
+        spaces = app.explore(system.platforms)
+        calls = []
+        real = GPUModel.estimate_batch
+
+        def spy(model, kernel, configs, batch=1):
+            calls.append((kernel.name, tuple(configs), batch))
+            return real(model, kernel, configs, batch)
+
+        def no_fpga_call(*args, **kwargs):
+            raise AssertionError("the node evaluated the FPGA model")
+
+        monkeypatch.setattr(GPUModel, "estimate_batch", spy)
+        monkeypatch.setattr(FPGAModel, "estimate_batch", no_fpga_call)
+        arrivals = poisson_arrivals(60.0, 3_000.0, rng=np.random.default_rng(1))
+        result = run_simulation(system, app, spaces, arrivals, seed=1)
+        assert calls
+        assert all(batch == LeafNode._LADDER for _, _, batch in calls)
+        assert all(len(set(configs)) == 1 for _, configs, _ in calls)
+        points = [(name, configs[0]) for name, configs, _ in calls]
+        assert len(set(points)) == len(points) == len(result.node._ladders)
 
 
 class TestExecutionLog:
