@@ -20,13 +20,21 @@ second, slower implementation kept alive to compare against:
 * ``model_digests.json`` — one entry per application x platform spec:
   the device model's ``estimate_batch`` feasibility, latency and power
   columns over every kernel's full knob space, at batch 1 and, on the
-  GPUs, at every size in ``GPU_BATCHES``.
+  GPUs, at every size in ``GPU_BATCHES``;
+* ``dse_digests.json`` — the DSE's design spaces, every point in order
+  (index, latency, power, config repr): per application x Setting
+  I-III Heter-Poly platform set explored exhaustively, without and
+  with the app's ``dse_targets()``, and per application searched on
+  the ``ENLARGE``d Setting-I space at two seeds, with each search's
+  counters.
 
 The first two were recorded while the per-request reference loops still
 existed, and matched them; ``model_digests.json`` was recorded while the
 models' scalar ``estimate`` twins still existed, and matched them row by
-row.  Regenerate the files only for a change that is meant to move
-simulated outputs, lint verdicts or model outputs::
+row; ``dse_digests.json`` was recorded while the DSE still built every
+config and design point twice.  Regenerate the files only for a change
+that is meant to move simulated outputs, lint verdicts, model outputs
+or design spaces::
 
     PYTHONPATH=src python tests/golden_cases.py
 """
@@ -54,7 +62,8 @@ from repro.hardware import FPGA_SPECS, GPU_SPECS, model_for
 from repro.hardware.specs import DeviceType
 from repro.obs import SpanTracer
 from repro.obs.export import write_events_jsonl
-from repro.optim.dse import KnobSpace
+from repro.optim import SearchConfig
+from repro.optim.dse import KnobSpace, explore_application
 from repro.runtime.loadgen import flash_crowd_arrivals, poisson_arrivals
 from repro.runtime.node import LeafNode
 from repro.runtime.trace import synthesize_google_trace
@@ -64,6 +73,7 @@ SIM_FILE = GOLDEN_DIR / "sim_digests.json"
 FLEET_FILE = GOLDEN_DIR / "fleet_digests.json"
 LINT_FILE = GOLDEN_DIR / "lint_digests.json"
 MODEL_FILE = GOLDEN_DIR / "model_digests.json"
+DSE_FILE = GOLDEN_DIR / "dse_digests.json"
 
 APPS = tuple(apps_mod.APP_BUILDERS)
 SYSTEMS = ("Homo-GPU", "Homo-FPGA", "Heter-Poly")
@@ -393,6 +403,83 @@ def model_digest(columns) -> str:
     return h.hexdigest()[:16]
 
 
+# -- design spaces -----------------------------------------------------------
+
+#: The synthetic >=10x knob-space enlargement the guided search is tested
+#: and timed on: a 20-step frequency ladder and 8 work-group sizes, as
+#: ``SEARCH_OVERRIDES`` in ``bench/workloads.py`` and the guided-search
+#: ablation in ``benchmarks/test_ablations.py`` enlarge it.
+ENLARGE = {
+    "freq_scale": tuple(round(float(v), 4) for v in np.linspace(0.3, 1.0, 20)),
+    "work_group_size": (32, 64, 96, 128, 192, 256, 384, 512),
+}
+
+DSE_SETTINGS = ("I", "II", "III")
+#: Seeds of the guided cases.  They search Setting I, the platform set
+#: the benchmark's guided ops search (every setting at both seeds would
+#: take three times as long).
+DSE_SEEDS = (0, 1)
+DSE_KINDS = ("exhaustive", "targets") + tuple(f"guided-{s}" for s in DSE_SEEDS)
+
+
+def dse_cases(kind: str) -> Tuple[Tuple[str, str, str], ...]:
+    """The ``(kind, app, setting)`` cases of one kind."""
+    settings = ("I",) if kind.startswith("guided") else DSE_SETTINGS
+    return tuple((kind, a, s) for a in APPS for s in settings)
+
+
+def dse_case_id(kind: str, app_name: str, setting: str) -> str:
+    return f"{kind}/{app_name}/{setting}"
+
+
+def run_dse_case(kind: str, app_name: str, setting: str):
+    """The case's design spaces, keyed ``(kernel, platform)``."""
+    app = apps_mod.build(app_name)
+    platforms = runtime.setting(setting, "Heter-Poly").platforms
+    if kind == "exhaustive":
+        return explore_application(app.kernels, platforms)
+    if kind == "targets":  # the path ``harness.spaces_for`` takes
+        return explore_application(app.kernels, platforms, app.dse_targets())
+    seed = int(kind.split("-")[1])
+    return explore_application(
+        app.kernels,
+        platforms,
+        strategy="guided",
+        search=SearchConfig(max_evals=512, seed=seed),
+        candidate_overrides=ENLARGE,
+    )
+
+
+def search_sig(stats):
+    """What a guided search counted, or ``None`` for an exhaustive space."""
+    if stats is None:
+        return None
+    return (
+        stats.explored,
+        stats.screened_infeasible,
+        stats.evaluations,
+        stats.skipped,
+        stats.generations,
+        [(g.generation, g.evaluations, g.front_points, g.hypervolume)
+         for g in stats.generation_log],
+    )
+
+
+def dse_digest(spaces) -> str:
+    """Fingerprint of every point of every space, in order, plus each
+    space's search counters."""
+    return digest(
+        [
+            (
+                key,
+                [(p.index, p.latency_ms, p.power_w, repr(p.config)) for p in space],
+                search_sig(space.search_stats),
+            )
+            for key, space in sorted(spaces.items())
+        ]
+    )
+
+
 def record() -> None:
     """Rewrite every fixture file from the current code."""
     sims = {
@@ -414,6 +501,12 @@ def record() -> None:
         for spec in MODEL_SPECS
     }
     MODEL_FILE.write_text(json.dumps(models, indent=2, sort_keys=True) + "\n")
+    dse = {
+        dse_case_id(*case): dse_digest(run_dse_case(*case))
+        for kind in DSE_KINDS
+        for case in dse_cases(kind)
+    }
+    DSE_FILE.write_text(json.dumps(dse, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

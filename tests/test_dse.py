@@ -1,8 +1,20 @@
-"""DSE subsample determinism and the incremental Pareto frontier."""
+"""DSE outputs pinned by digest, subsample determinism and the
+incremental Pareto frontier."""
 
 import random
 
+import pytest
+
 from conftest import small_kernel
+from golden_cases import (
+    DSE_FILE,
+    DSE_KINDS,
+    dse_case_id,
+    dse_cases,
+    dse_digest,
+    load,
+    run_dse_case,
+)
 from repro.hardware import AMD_W9100
 from repro.optim import ParetoFrontier, explore_kernel, pareto_front
 from repro.optim.dse import _point_order_key, _subsample
@@ -10,6 +22,29 @@ from repro.optim.dse import _point_order_key, _subsample
 
 def _point_tuple(p):
     return (p.kernel_name, p.platform, p.config, p.latency_ms, p.power_w, p.index)
+
+
+DSE_GOLDEN = load(DSE_FILE)
+
+
+class TestDseDigests:
+    """Every point of the exhaustive spaces (without and with the apps'
+    subsampling targets) and of the guided spaces on the enlarged knobs,
+    in order with its index, plus each search's counters, against
+    ``tests/golden/dse_digests.json``.  The benchmark pins only the
+    Pareto fronts."""
+
+    def test_fixture_covers_every_case(self):
+        assert set(DSE_GOLDEN) == {
+            dse_case_id(*case) for kind in DSE_KINDS for case in dse_cases(kind)
+        }
+
+    @pytest.mark.parametrize("kind", DSE_KINDS)
+    def test_spaces_match_digests(self, kind):
+        for case in dse_cases(kind):
+            assert dse_digest(run_dse_case(*case)) == DSE_GOLDEN[
+                dse_case_id(*case)
+            ], case
 
 
 class TestSubsampleDeterminism:
