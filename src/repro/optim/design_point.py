@@ -9,7 +9,7 @@ pair — the object Fig. 1(c) plots and the runtime scheduler consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from ..hardware.config import ImplConfig
@@ -91,17 +91,10 @@ class KernelDesignSpace:
         #: :class:`~repro.optim.search.SearchStats` when this space was
         #: produced by the guided explorer; ``None`` on exhaustive paths.
         self.search_stats = None
-        # Re-index points so labels are stable.
+        # Points in (latency, power) order, indexed by position so labels
+        # are stable; a point already carrying its index is kept.
         self.points: List[DesignPoint] = [
-            DesignPoint(
-                kernel_name=p.kernel_name,
-                platform=p.platform,
-                device_type=p.device_type,
-                config=p.config,
-                latency_ms=p.latency_ms,
-                power_w=p.power_w,
-                index=i,
-            )
+            p if p.index == i else replace(p, index=i)
             for i, p in enumerate(
                 sorted(points, key=lambda p: (p.latency_ms, p.power_w))
             )
