@@ -164,15 +164,6 @@ class FPGAModel:
         util = np.minimum(util, 1.0)
         return feasible, util, lanes
 
-    def feasible_batch(
-        self, kernel: Kernel, configs: Sequence[ImplConfig]
-    ) -> np.ndarray:
-        """Vectorized placement check; one bool per config."""
-        if len(configs) == 0:
-            return np.zeros(0, dtype=bool)
-        cols = config_columns(configs, self.RESOURCE_KNOBS)
-        return self.resource_columns(kernel, cols)[0]
-
     def estimate_batch(
         self, kernel: Kernel, configs: Sequence[ImplConfig], batch: int = 1
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -147,7 +147,7 @@ class TestDSE:
 
         k, spaces = explored_small_spaces
         configs = [p.config for p in spaces[(k.name, XILINX_7V3.name)]]
-        assert FPGAModel(XILINX_7V3).feasible_batch(k, configs).all()
+        assert FPGAModel(XILINX_7V3).estimate_batch(k, configs)[0].all()
 
     def test_selection_helpers(self, explored_small_spaces):
         k, spaces = explored_small_spaces
