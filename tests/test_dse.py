@@ -9,14 +9,23 @@ from conftest import small_kernel
 from golden_cases import (
     DSE_FILE,
     DSE_KINDS,
+    OVERRIDE,
     dse_case_id,
     dse_cases,
     dse_digest,
     load,
     run_dse_case,
 )
-from repro.hardware import AMD_W9100
-from repro.optim import ParetoFrontier, explore_kernel, pareto_front
+from repro import apps, runtime
+from repro.hardware import AMD_W9100, model_for
+from repro.hardware.specs import DeviceType
+from repro.optim import (
+    KnobSpace,
+    ParetoFrontier,
+    explore_application,
+    explore_kernel,
+    pareto_front,
+)
 from repro.optim.dse import _point_order_key, _subsample
 
 
@@ -45,6 +54,41 @@ class TestDseDigests:
             assert dse_digest(run_dse_case(*case)) == DSE_GOLDEN[
                 dse_case_id(*case)
             ], case
+
+    def test_override_holds_configs_that_do_not_place(self):
+        """The override cases' FPGA space is the fixture's only one with
+        configs that do not place: 78 of its 576, which the exhaustive
+        space drops and the guided search screens out."""
+        exhaustive = run_dse_case("override", "ASR", "I")
+        guided = run_dse_case("override-guided", "ASR", "I")
+        [kernel] = [
+            k for k in apps.build("ASR").kernels if k.name == "LSTM_acoustic"
+        ]
+        [fpga] = [
+            s for s in runtime.setting("I", "Heter-Poly").platforms
+            if s.device_type == DeviceType.FPGA
+        ]
+        configs = KnobSpace(kernel, fpga, OVERRIDE).configs()
+        feasible = model_for(fpga).estimate_batch(kernel, configs)[0]
+        assert (len(configs), int((~feasible).sum())) == (576, 78)
+        key = (kernel.name, fpga.name)
+        assert len(exhaustive[key]) == 498
+        assert guided[key].search_stats.screened_infeasible == 78
+
+    def test_lint_gate_keeps_override_space(self):
+        """The lint gate prunes exactly the configs the model drops, so
+        the exhaustive override space is the same with it."""
+        kernels = [
+            k for k in apps.build("ASR").kernels if k.name == "LSTM_acoustic"
+        ]
+        spaces = explore_application(
+            kernels,
+            runtime.setting("I", "Heter-Poly").platforms,
+            validate=True,
+            candidate_overrides=OVERRIDE,
+        )
+        assert sum(s.pruned_invalid for s in spaces.values()) == 78
+        assert dse_digest(spaces) == DSE_GOLDEN["override/ASR/I"]
 
 
 class TestSubsampleDeterminism:
