@@ -207,11 +207,12 @@ def _cmd_codegen(args) -> int:
 
 def _lint_one_app(name: str, setting: str, dse: bool) -> LintReport:
     """Lint one bundled app; with ``dse`` also validate its design
-    spaces and the scheduler admission on an idle node."""
+    spaces and the scheduler admission on an idle node, when the app
+    itself lints clean (the DSE assumes what the rules check)."""
     app = apps_mod.build(name)
     system = runtime.setting(setting, "Heter-Poly")
     report = run_lint(app, LintContext(specs=tuple(system.platforms)))
-    if dse:
+    if dse and report.ok:
         spaces = app.explore(system.platforms, validate=True)
         devices = [
             DeviceSlot(device_id, spec.name, spec.device_type)

@@ -526,6 +526,9 @@ class TestLintCLI:
         assert main(["lint", "--app", "asr", "--json"]) == 1
 
     def test_lint_bad_app_exits_nonzero_with_error(self, capsys, monkeypatch):
+        """With ``--dse`` too, a kernel failing PPG001 ends the command
+        with the report and exit 1, before any DSE runs."""
+
         def build_bad():
             graph = KernelGraph("BAD")
             graph.add_kernel(_bad_shape_kernel("BAD"))
@@ -539,9 +542,10 @@ class TestLintCLI:
             )
 
         monkeypatch.setitem(apps_mod.APP_BUILDERS, "BAD", build_bad)
-        assert main(["lint", "--app", "bad"]) == 1
-        out = capsys.readouterr().out
-        assert "[FAIL]" in out and "ERROR" in out and "PPG001" in out
+        for flags in ([], ["--dse"]):
+            assert main(["lint", "--app", "bad", *flags]) == 1
+            out = capsys.readouterr().out
+            assert "[FAIL]" in out and "ERROR" in out and "PPG001" in out
 
 
 # ---------------------------------------------------------------------------
