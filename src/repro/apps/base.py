@@ -66,7 +66,6 @@ class Application:
     def explore(
         self,
         specs: Sequence,
-        validate: bool = False,
         strategy: str = "exhaustive",
         search=None,
         metrics=None,
@@ -74,15 +73,13 @@ class Application:
     ) -> Dict[Tuple[str, str], KernelDesignSpace]:
         """Run the offline DSE for this application on the given platforms.
 
-        ``validate=True`` lints every kernel and prunes lint-rejected
-        design points before model evaluation; ``strategy="guided"``
-        runs the budgeted successive-halving + genetic explorer under
-        ``search``; ``metrics``/``tracer`` forward to
-        :func:`repro.optim.dse.explore_application`.
+        ``strategy="guided"`` runs the budgeted successive-halving +
+        genetic explorer under ``search``; ``metrics``/``tracer``
+        forward to :func:`repro.optim.dse.explore_application`.
         """
         return explore_application(
-            self.kernels, specs, self.dse_targets(), validate=validate,
-            strategy=strategy, search=search, metrics=metrics, tracer=tracer,
+            self.kernels, specs, self.dse_targets(), strategy=strategy,
+            search=search, metrics=metrics, tracer=tracer,
         )
 
     def table2_row(self) -> List[Tuple[str, str, int, int]]:

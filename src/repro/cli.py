@@ -28,9 +28,10 @@ Commands
 
 ``lint [--app NAME] [--json] [--dse] [--setting I]``
     Run the static diagnostics engine over the bundled benchmarks
-    (all six by default).  ``--dse`` additionally validates the DSE
-    product and the scheduler admission of each app.  Exits nonzero
-    when any ERROR diagnostic fires.
+    (all six by default).  ``--dse`` additionally explores the design
+    spaces of each app that lints clean and runs the scheduler's
+    admission check against them.  Exits nonzero when any ERROR
+    diagnostic fires.
 
 ``faults [--app ASR ...] [--rps 30] [--crash DEV@MS] [--recover DEV@MS]
         [--mtbf-ms N --mttr-ms N] [--seed 0] [--json]``
@@ -213,7 +214,7 @@ def _lint_one_app(name: str, setting: str, dse: bool) -> LintReport:
     system = runtime.setting(setting, "Heter-Poly")
     report = run_lint(app, LintContext(specs=tuple(system.platforms)))
     if dse and report.ok:
-        spaces = app.explore(system.platforms, validate=True)
+        spaces = app.explore(system.platforms)
         devices = [
             DeviceSlot(device_id, spec.name, spec.device_type)
             for device_id, spec in system.device_inventory()
@@ -456,9 +457,8 @@ def _cmd_obs(args) -> int:
 
     tracer = SpanTracer()
     registry = MetricsRegistry()
-    # The DSE reports its own counters (dse_design_points_total,
-    # dse_pruned_invalid_total) through the registry — identical for
-    # the exhaustive and guided paths.
+    # The DSE reports its own counter (dse_design_points_total) through
+    # the registry — identical for the exhaustive and guided paths.
     spaces = app.explore(system.platforms, metrics=registry)
     result = runtime.run_simulation(
         system,

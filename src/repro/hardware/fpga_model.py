@@ -12,8 +12,10 @@ As with the GPU model, this serves both as the DSE navigator and as the
 simulator's ground truth, through one vectorized implementation
 (:meth:`FPGAModel.estimate_batch`).  The simulator reads an FPGA design
 point only at batch 1, so it uses the latency and power the DSE stored
-on the point.  The scalar :meth:`FPGAModel.resources` stays for the
-lint rule that names an over-subscribed resource.
+on the point.  Whether a design places is the batch model's
+feasibility column: the DSE drops the rows that do not.  The scalar
+:meth:`FPGAModel.resources` is the reference the tests hold that
+column's resource counts to.
 """
 
 from __future__ import annotations
@@ -79,7 +81,11 @@ class FPGAModel:
     # -- resource model ------------------------------------------------------
 
     def resources(self, kernel: Kernel, config: ImplConfig) -> ResourceUsage:
-        """Estimate post-P&R resource usage of an implementation."""
+        """Estimate post-P&R resource usage of one implementation.
+
+        The scalar reference of :meth:`resource_columns`, which is what
+        the DSE and the simulator run; the tests check the columns
+        against it."""
         lanes = config.parallel_lanes
         op_kind = kernel.workload_summary().op_kind
         dsp = int(math.ceil(lanes * self.DSP_PER_LANE.get(op_kind, 2.0)))

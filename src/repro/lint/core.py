@@ -2,11 +2,10 @@
 
 Poly's correctness rests on invariants that the optimizing layers assume
 rather than enforce: PPG edges must carry shape/dtype-compatible
-tensors, knob assignments must respect Table I's applicability matrix,
-FPGA design points must fit the part's resource budget, and kernel DAGs
-handed to the two-step scheduler must be QoS-feasible on the device
-pool.  This module provides the machinery that turns those invariants
-into *diagnostics* — actionable messages with a rule id, severity and
+tensors, and kernel DAGs handed to the two-step scheduler must be
+covered by the DSE product and QoS-feasible on the device pool.  This
+module provides the machinery that turns those invariants into
+*diagnostics* — actionable messages with a rule id, severity and
 location — instead of wrong numbers or deep stack traces.  (What a
 constructor can check, such as PPG and kernel-graph acyclicity, it
 checks itself.)
@@ -15,8 +14,8 @@ Rules are plain functions registered with :func:`register_rule`; each
 declares the object types it inspects.  :func:`run_lint` expands a
 lintable object (an :class:`~repro.apps.base.Application`, a
 :class:`~repro.scheduler.kernel_graph.KernelGraph`, a
-:class:`~repro.patterns.ppg.Kernel`, a PPG, or a single design point)
-into its constituent targets and runs every applicable rule.
+:class:`~repro.patterns.ppg.Kernel`, a PPG, or any object a rule
+targets) into its constituent targets and runs every applicable rule.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import enum
 import json
 from dataclasses import dataclass, replace
 from typing import (
-    Any,
     Callable,
     Dict,
     Iterable,
@@ -38,8 +36,7 @@ from typing import (
     Type,
 )
 
-from ..hardware.specs import spec_by_name
-from ..optim.design_point import DesignPoint
+from ..apps.base import Application
 from ..patterns.ppg import Kernel
 from ..scheduler.kernel_graph import KernelGraph
 
@@ -50,7 +47,6 @@ __all__ = [
     "LintError",
     "LintContext",
     "LintRule",
-    "DesignCheck",
     "register_rule",
     "all_rules",
     "rules_for",
@@ -113,15 +109,12 @@ class LintContext:
     """Optional context a rule may need beyond the target object itself.
 
     Every field is optional; rules that need missing context simply skip
-    (a structural lint of a bare PPG cannot check FPGA budgets).
+    (a structural lint of a bare PPG cannot check QoS feasibility).
     """
 
-    #: Hardware spec (GPUSpec/FPGASpec) the target is being checked against.
-    spec: Optional[Any] = None
-    #: Device pool specs (for coverage checks across a node's platforms).
+    #: Hardware specs (GPUSpec/FPGASpec) the target is checked against:
+    #: a node's platforms, or one spec.
     specs: Tuple = ()
-    #: Enclosing kernel, for config/design-point applicability checks.
-    kernel: Optional[Kernel] = None
     #: QoS tail-latency bound in milliseconds.
     qos_ms: Optional[float] = None
     #: ``{(kernel_name, platform_name): KernelDesignSpace}`` from DSE.
@@ -136,24 +129,6 @@ class LintContext:
 
     def prefix(self, location: str) -> str:
         return f"{self.app_name}/{location}" if self.app_name else location
-
-
-@dataclass(frozen=True)
-class DesignCheck:
-    """A (kernel, config, spec) triple — the optimization-layer target.
-
-    DSE validation builds these directly for every enumerated config;
-    ``run_lint`` on a :class:`DesignPoint` resolves one from the point's
-    platform name and the context kernel.
-    """
-
-    kernel: Kernel
-    config: Any  # ImplConfig
-    spec: Any    # GPUSpec | FPGASpec
-
-    @property
-    def location(self) -> str:
-        return f"{self.kernel.name}@{getattr(self.spec, 'name', '?')}"
 
 
 @dataclass(frozen=True)
@@ -284,29 +259,17 @@ class LintReport:
 # ---------------------------------------------------------------------------
 
 
-def _is_application(obj: object) -> bool:
-    # Duck-typed to avoid a circular import with repro.apps.base (which
-    # imports the DSE, which imports this package for validation).
-    return (
-        hasattr(obj, "graph")
-        and isinstance(getattr(obj, "graph", None), KernelGraph)
-        and hasattr(obj, "qos_ms")
-    )
-
-
 def _expand(obj: object, ctx: LintContext) -> Iterator[Tuple[object, LintContext]]:
     """Yield (target, context) pairs for one lintable object.
 
     Containers recurse: an Application yields its kernel graph, every
     kernel and every PPG; a Kernel yields itself plus its PPG.
     """
-    if _is_application(obj):
+    if isinstance(obj, Application):
         sub = replace(
-            ctx,
-            qos_ms=ctx.qos_ms or getattr(obj, "qos_ms", None),
-            app_name=ctx.app_name or getattr(obj, "name", ""),
+            ctx, qos_ms=ctx.qos_ms or obj.qos_ms, app_name=ctx.app_name or obj.name
         )
-        yield from _expand(getattr(obj, "graph"), sub)
+        yield from _expand(obj.graph, sub)
         return
     if isinstance(obj, KernelGraph):
         yield obj, ctx
@@ -314,21 +277,8 @@ def _expand(obj: object, ctx: LintContext) -> Iterator[Tuple[object, LintContext
             yield from _expand(kernel, ctx)
         return
     if isinstance(obj, Kernel):
-        sub = replace(ctx, kernel=obj)
-        yield obj, sub
-        yield obj.ppg, sub
-        return
-    if isinstance(obj, DesignPoint):
-        kernel = ctx.kernel
-        if kernel is not None:
-            spec = ctx.spec
-            if spec is None:
-                try:
-                    spec = spec_by_name(obj.platform)
-                except KeyError:
-                    spec = None
-            if spec is not None:
-                yield DesignCheck(kernel, obj.config, spec), ctx
+        yield obj, ctx
+        yield obj.ppg, ctx
         return
     yield obj, ctx
 

@@ -182,7 +182,7 @@ def check_fusion_legality(ppg: PPG, ctx: LintContext) -> Iterator[Diagnostic]:
     """Pre-check of Section IV-B's capacity constraint: an edge whose
     intermediate exceeds every candidate platform's on-chip budget can
     never be fused and will always round-trip through global memory."""
-    specs = list(ctx.specs) or ([ctx.spec] if ctx.spec is not None else [])
+    specs = list(ctx.specs)
     if not specs:  # fall back to the largest built-in parts
         specs = list(GPU_SPECS.values()) + list(FPGA_SPECS.values())
     capacity = max(GlobalOptimizer(s).onchip_capacity_bytes for s in specs)

@@ -111,7 +111,6 @@ EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
         "platform",
         "strategy",
         "explored",
-        "pruned_invalid",
         "skipped",
         "evaluations",
         "generations",

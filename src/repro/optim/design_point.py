@@ -75,7 +75,6 @@ class KernelDesignSpace:
         platform: str,
         device_type: DeviceType,
         points: Sequence[DesignPoint],
-        pruned_invalid: int = 0,
     ) -> None:
         if not points:
             raise ValueError(
@@ -85,9 +84,6 @@ class KernelDesignSpace:
         self.kernel_name = kernel_name
         self.platform = platform
         self.device_type = device_type
-        #: Number of enumerated configs the lint validation gate dropped
-        #: before model evaluation (``explore_kernel(validate=True)``).
-        self.pruned_invalid = pruned_invalid
         #: :class:`~repro.optim.search.SearchStats` when this space was
         #: produced by the guided explorer; ``None`` on exhaustive paths.
         self.search_stats = None

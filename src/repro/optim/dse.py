@@ -39,7 +39,6 @@ __all__ = [
     "explore_kernel",
     "explore_application",
     "enumerate_configs",
-    "prune_invalid_configs",
 ]
 
 
@@ -160,36 +159,6 @@ def enumerate_configs(
     return KnobSpace(kernel, spec, overrides).configs()
 
 
-def _lint_verdicts(
-    kernel: Kernel, spec, configs: Sequence[ImplConfig]
-) -> Tuple[List[bool], "LintReport"]:
-    """Whether the optimization-layer lint rules keep each config, plus
-    the full report."""
-    from ..lint import DesignCheck, LintReport, run_lint
-
-    report = LintReport()
-    keep: List[bool] = []
-    for config in configs:
-        point_report = run_lint(DesignCheck(kernel, config, spec))
-        report.extend(point_report)
-        keep.append(point_report.ok)
-    return keep, report
-
-
-def prune_invalid_configs(
-    kernel: Kernel, spec, configs: Sequence[ImplConfig]
-) -> Tuple[List[ImplConfig], "LintReport"]:
-    """Drop configs the optimization-layer lint rules reject.
-
-    Runs the ``OPT00x`` rules (knob applicability, FPGA resource budget,
-    degenerate work-groups) over every candidate *before* the analytical
-    models are evaluated; returns the surviving configs plus the full
-    report so callers can surface why points were pruned.
-    """
-    keep, report = _lint_verdicts(kernel, spec, configs)
-    return [c for c, ok in zip(configs, keep) if ok], report
-
-
 def _design_points(
     kernel: Kernel,
     spec,
@@ -274,33 +243,15 @@ def explore_kernel(
     kernel: Kernel,
     spec,
     target_points: Optional[int] = None,
-    validate: bool = False,
     candidate_overrides: Optional[Dict[str, Sequence]] = None,
 ) -> KernelDesignSpace:
     """Explore one kernel on one platform; returns its design space.
 
     ``target_points`` mirrors Table II's per-kernel design counts; when
     given, the evaluated space is thinned to that size (``>= 1``).
-
-    ``validate=True`` lints the kernel first (raising
-    :class:`~repro.lint.LintError` on pattern-layer errors) and prunes
-    configs the optimization-layer rules reject *before* the analytical
-    models run; the number of pruned points is recorded on the returned
-    space as ``pruned_invalid``.
     """
     _check_target(kernel, target_points)
-    pruned = 0
-    if validate:
-        from ..lint import LintContext, run_lint
-
-        run_lint(kernel, LintContext(spec=spec)).raise_if_errors(
-            f"kernel {kernel.name!r}"
-        )
     configs = enumerate_configs(kernel, spec, overrides=candidate_overrides)
-    if validate:
-        kept, _report = prune_invalid_configs(kernel, spec, configs)
-        pruned = len(configs) - len(kept)
-        configs = kept
     points = _evaluate(kernel, spec, configs)
     if not points:
         raise RuntimeError(
@@ -308,9 +259,7 @@ def explore_kernel(
         )
     if target_points is not None:
         points = _subsample(points, target_points)
-    return KernelDesignSpace(
-        kernel.name, spec.name, spec.device_type, points, pruned_invalid=pruned
-    )
+    return KernelDesignSpace(kernel.name, spec.name, spec.device_type, points)
 
 
 def _report_exploration(
@@ -322,15 +271,13 @@ def _report_exploration(
     """Metrics/trace reporting over the finished explorations.
 
     Runs once after every (kernel, platform) pair is explored, under
-    either strategy, so counters (including ``dse_pruned_invalid_total``)
-    and ``dse.search.*`` events do not depend on the strategy taken.
+    either strategy, so ``dse_design_points_total`` counts the same way
+    on both and ``dse.search.*`` events come in exploration order.
     """
     if metrics is not None:
         points_c = metrics.counter("dse_design_points_total")
-        pruned_c = metrics.counter("dse_pruned_invalid_total")
         for space in spaces:
             points_c.inc(len(space))
-            pruned_c.inc(space.pruned_invalid)
         search_stats = [s for s in stats_list if s is not None]
         if search_stats:
             evals_c = metrics.counter("dse_search_evaluations_total")
@@ -377,7 +324,6 @@ def _report_exploration(
                 platform=stats.platform,
                 strategy=stats.strategy,
                 explored=stats.explored,
-                pruned_invalid=stats.pruned_invalid,
                 skipped=stats.skipped,
                 evaluations=stats.evaluations,
                 generations=stats.generations,
@@ -388,7 +334,6 @@ def explore_application(
     kernels: Sequence[Kernel],
     specs: Sequence,
     targets: Optional[Dict[Tuple[str, DeviceType], int]] = None,
-    validate: bool = False,
     strategy: str = "exhaustive",
     search=None,
     metrics=None,
@@ -399,8 +344,6 @@ def explore_application(
 
     Returns ``{(kernel_name, platform_name): KernelDesignSpace}`` — the
     complete compile-time product the runtime scheduler loads.
-    ``validate`` gates each per-kernel exploration through the lint
-    rules (see :func:`explore_kernel`).
 
     ``strategy`` selects the explorer: ``"exhaustive"`` enumerates and
     evaluates the whole pruned space; ``"guided"`` runs the
@@ -434,7 +377,6 @@ def explore_application(
                     spec,
                     search=search,
                     target_points=target,
-                    validate=validate,
                     candidate_overrides=candidate_overrides,
                 )
                 stats_list.append(stats)
@@ -443,7 +385,6 @@ def explore_application(
                     kernel,
                     spec,
                     target_points=target,
-                    validate=validate,
                     candidate_overrides=candidate_overrides,
                 )
                 stats_list.append(None)

@@ -50,14 +50,7 @@ from ..hardware.model_cache import model_cache
 from ..hardware.specs import DeviceType
 from ..patterns.ppg import Kernel
 from .design_point import DesignPoint, KernelDesignSpace
-from .dse import (
-    KnobSpace,
-    _check_target,
-    _design_points,
-    _evaluate,
-    _lint_verdicts,
-    _subsample,
-)
+from .dse import KnobSpace, _check_target, _design_points, _evaluate, _subsample
 from .pareto import IncrementalHypervolume, ParetoFrontier
 
 __all__ = [
@@ -137,17 +130,16 @@ class SearchStats:
     """Everything a guided exploration did.
 
     ``explored`` is the enumerated space size; ``evaluations`` the
-    configs evaluated with the real models; ``skipped`` the
-    duplicate/pruned children the GA declined to re-evaluate;
-    ``screened_infeasible`` the FPGA configs the vectorized resource
-    screen dropped before any latency/power model ran.
+    configs evaluated with the real models; ``skipped`` the duplicate
+    children the GA declined to re-evaluate; ``screened_infeasible``
+    the FPGA configs the vectorized resource screen dropped before any
+    latency/power model ran.
     """
 
     kernel_name: str
     platform: str
     strategy: str = "guided"
     explored: int = 0
-    pruned_invalid: int = 0
     screened_infeasible: int = 0
     skipped: int = 0
     evaluations: int = 0
@@ -434,14 +426,13 @@ def explore_kernel_guided(
     spec,
     search: Optional[SearchConfig] = None,
     target_points: Optional[int] = None,
-    validate: bool = False,
     candidate_overrides: Optional[Dict[str, Sequence]] = None,
 ) -> Tuple[KernelDesignSpace, SearchStats]:
     """Guided exploration of one (kernel, platform) pair.
 
-    Mirrors :func:`~repro.optim.dse.explore_kernel` (same lint gate,
-    same ``pruned_invalid`` accounting, same subsampling) but spends at
-    most ``search.max_evals`` model evaluations.  When the enumerated
+    Mirrors :func:`~repro.optim.dse.explore_kernel` (same space, same
+    subsampling) but spends at most ``search.max_evals`` model
+    evaluations.  When the enumerated
     space fits the budget the search is exhaustive-equivalent and the
     returned front is exactly the exhaustive one.  Returns the design
     space (built from every feasible evaluated point, with the stats
@@ -450,35 +441,19 @@ def explore_kernel_guided(
     search = search or SearchConfig()
     _check_target(kernel, target_points)
     stats = SearchStats(kernel_name=kernel.name, platform=spec.name)
-    if validate:
-        from ..lint import LintContext, run_lint
-
-        run_lint(kernel, LintContext(spec=spec)).raise_if_errors(
-            f"kernel {kernel.name!r}"
-        )
     space = KnobSpace(kernel, spec, candidate_overrides)
     stats.explored = len(space)
-    index = np.arange(len(space))
-    configs: Optional[List[ImplConfig]] = None
-    pruned: frozenset = frozenset()
-    if validate:
-        configs = space.configs()
-        keep, _report = _lint_verdicts(kernel, spec, configs)
-        pruned = frozenset(i for i, ok in enumerate(keep) if not ok)
-        index = np.flatnonzero(keep)
-        stats.pruned_invalid = len(configs) - len(index)
 
-    if len(index) <= search.max_evals:
+    if len(space) <= search.max_evals:
         # Budget covers the whole space: evaluate everything, so the
         # guided front IS the exhaustive front.
         stats.exhaustive_equivalent = True
-        stats.evaluations = len(index)
-        if configs is None:
-            configs = space.configs()
-        points = _evaluate(kernel, spec, [configs[i] for i in index])
+        stats.evaluations = len(space)
+        points = _evaluate(kernel, spec, space.configs())
         return _finish(kernel, spec, points, target_points, stats)
 
     rng = search_rng(search.seed, kernel, spec)
+    index = np.arange(len(space))
 
     # FPGA placement screen: the vectorized resource model rejects
     # un-placeable configs without spending latency/power evaluations.
@@ -545,7 +520,7 @@ def explore_kernel_guided(
             attempts += 1
             genome = _breed(rng, ranked, position, search, alleles)
             child = sum(map(mul, genome, strides))
-            if child in evaluated or child in pending or child in pruned:
+            if child in evaluated or child in pending:
                 stats.skipped += 1
                 continue
             pending[child] = genome
@@ -585,13 +560,7 @@ def _finish(
         )
     if target_points is not None:
         points = _subsample(points, target_points)
-    space = KernelDesignSpace(
-        kernel.name,
-        spec.name,
-        spec.device_type,
-        points,
-        pruned_invalid=stats.pruned_invalid,
-    )
+    space = KernelDesignSpace(kernel.name, spec.name, spec.device_type, points)
     stats.hypervolume = space_hypervolume(space)
     space.search_stats = stats
     return space, stats

@@ -22,6 +22,15 @@ def small_kernel(name="K", elements=4096, ops=8.0, steps=1):
     return Kernel(name, ppg)
 
 
+def fp64_kernel(name="big"):
+    """A wide fp64 Map whose widest FPGA configs over-subscribe an
+    Arria 10's DSPs."""
+    x = Tensor(f"{name}_x", (1 << 20,), "fp64")
+    ppg = PPG(name)
+    ppg.add_pattern(Map((x,), func="mac", ops_per_element=64.0))
+    return Kernel(name, ppg)
+
+
 def chain_graph(n=3, elements=4096):
     """A linear n-kernel application graph."""
     graph = KernelGraph("chain")

@@ -19,13 +19,7 @@ from golden_cases import (
 from repro import apps, runtime
 from repro.hardware import AMD_W9100, model_for
 from repro.hardware.specs import DeviceType
-from repro.optim import (
-    KnobSpace,
-    ParetoFrontier,
-    explore_application,
-    explore_kernel,
-    pareto_front,
-)
+from repro.optim import KnobSpace, ParetoFrontier, explore_kernel, pareto_front
 from repro.optim.dse import _point_order_key, _subsample
 
 
@@ -74,21 +68,6 @@ class TestDseDigests:
         key = (kernel.name, fpga.name)
         assert len(exhaustive[key]) == 498
         assert guided[key].search_stats.screened_infeasible == 78
-
-    def test_lint_gate_keeps_override_space(self):
-        """The lint gate prunes exactly the configs the model drops, so
-        the exhaustive override space is the same with it."""
-        kernels = [
-            k for k in apps.build("ASR").kernels if k.name == "LSTM_acoustic"
-        ]
-        spaces = explore_application(
-            kernels,
-            runtime.setting("I", "Heter-Poly").platforms,
-            validate=True,
-            candidate_overrides=OVERRIDE,
-        )
-        assert sum(s.pruned_invalid for s in spaces.values()) == 78
-        assert dse_digest(spaces) == DSE_GOLDEN["override/ASR/I"]
 
 
 class TestSubsampleDeterminism:

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import small_kernel
+from conftest import fp64_kernel, small_kernel
 from repro.hardware import (
     AMD_W9100,
     DVFSPolicy,
     FPGAModel,
     GPUModel,
+    INTEL_ARRIA10,
     ImplConfig,
     NVIDIA_K20,
     PCIeLink,
@@ -218,6 +219,16 @@ class TestFPGAModel:
             feasible, lat, power = _row(self.model, self.kernel, cfg)
             assert feasible == fits == (cfg.unroll == 16)
             assert np.isnan(lat) == np.isnan(power) == (not fits)
+
+    def test_wide_fp64_design_does_not_place_on_arria10(self):
+        """256 fp64 lanes need 2048 DSPs and an Arria 10 has 1518: that
+        design does not place, while the default design does."""
+        kernel = fp64_kernel()
+        model = FPGAModel(INTEL_ARRIA10)
+        wide = ImplConfig(unroll=32, compute_units=8)
+        assert model.resources(kernel, wide).dsp > INTEL_ARRIA10.dsp_slices
+        assert _row(model, kernel, wide)[0] is False
+        assert _row(model, kernel, ImplConfig())[0] is True
 
     def test_int8_packs_more_lanes_per_dsp(self):
         x8 = Tensor("x", (1 << 16,), "int8")

@@ -1,8 +1,8 @@
 """Tests for the static diagnostics engine (repro.lint).
 
 One positive (rule fires) and one negative (rule stays quiet) case per
-rule, the engine machinery, the DSE validate gate and the scheduler
-admission check, the CLI subcommand, and a property test that
+rule, the engine machinery, the lint of a built kernel and the
+scheduler admission check, the CLI subcommand, and a property test that
 lint-clean PPGs never raise inside DSE.
 """
 
@@ -21,10 +21,9 @@ from repro.apps.base import Application
 from repro.cli import main
 from repro.cluster import AutoscalerConfig
 from repro.frontend import build_kernel, parse
-from repro.hardware import AMD_W9100, ImplConfig
+from repro.hardware import AMD_W9100
 from repro.hardware.specs import DeviceType, INTEL_ARRIA10, XILINX_7V3
 from repro.lint import (
-    DesignCheck,
     Diagnostic,
     LintContext,
     LintError,
@@ -35,14 +34,13 @@ from repro.lint import (
     run_lint,
 )
 from repro.lint.core import _REGISTRY
-from repro.optim.dse import enumerate_configs, explore_kernel, prune_invalid_configs
+from repro.optim.dse import enumerate_configs, explore_kernel
 from repro.patterns import Kernel, Map, PPG, Reduce, Scatter, Tensor
 from repro.scheduler import DeviceSlot, KernelGraph, PolyScheduler
 
 EXPECTED_RULES = {
     "PPG001", "PPG002", "PPG003", "PPG004", "PPG005", "PPG006", "PPG007",
-    "OPT001", "OPT002", "OPT003", "OPT004", "RT002", "RT003", "RT004",
-    "RT007", "OBS002",
+    "OPT004", "RT002", "RT003", "RT004", "RT007", "OBS002",
 }
 
 
@@ -59,14 +57,6 @@ def _producer_consumer(consumed: Tensor):
     m = ppg.add_pattern(Map((consumed,), func="mul"))
     ppg.connect(r, m)
     return ppg
-
-
-def _big_fp64_kernel(name="big"):
-    """A kernel whose widest FPGA configs over-subscribe Arria 10 DSPs."""
-    x = Tensor(f"{name}_x", (1 << 20,), "fp64")
-    ppg = PPG(name)
-    ppg.add_pattern(Map((x,), func="mac", ops_per_element=64.0))
-    return Kernel(name, ppg)
 
 
 def _bad_shape_kernel(name="BAD"):
@@ -250,59 +240,9 @@ class TestPatternRules:
 
 
 class TestOptimRules:
-    def test_opt001_inapplicable_knob_fires(self):
-        # Table I gives Map on GPU only work_group_size/unroll; a
-        # scratchpad request is dead configuration.
-        check = DesignCheck(
-            small_kernel(), ImplConfig(use_scratchpad=True), AMD_W9100
-        )
-        report = run_lint(check)
-        diags = report.by_rule("OPT001")
-        assert diags and not report.ok
-        assert "use_scratchpad" in diags[0].message
-
-    def test_opt001_applicable_knob_clean(self):
-        check = DesignCheck(small_kernel(), ImplConfig(unroll=4), AMD_W9100)
-        assert run_lint(check).ok
-
-    def test_opt002_fpga_oversubscription_fires(self):
-        # 256 fp64 lanes need ~2048 DSPs; Arria 10 has 1518.
-        check = DesignCheck(
-            _big_fp64_kernel(),
-            ImplConfig(unroll=32, compute_units=8),
-            INTEL_ARRIA10,
-        )
-        report = run_lint(check)
-        assert report.by_rule("OPT002") and not report.ok
-
-    def test_opt002_modest_design_fits(self):
-        check = DesignCheck(_big_fp64_kernel(), ImplConfig(), INTEL_ARRIA10)
-        assert not run_lint(check).by_rule("OPT002")
-
-    def test_opt002_ignores_gpus(self):
-        check = DesignCheck(
-            _big_fp64_kernel(), ImplConfig(unroll=32), AMD_W9100
-        )
-        assert not run_lint(check).by_rule("OPT002")
-
-    def test_opt003_non_power_of_two_fires(self):
-        check = DesignCheck(small_kernel(), ImplConfig(work_group_size=48), AMD_W9100)
-        diags = run_lint(check).by_rule("OPT003")
-        assert diags and diags[0].severity == Severity.WARNING
-
-    def test_opt003_oversized_group_fires(self):
-        tiny = small_kernel("tiny", elements=32)
-        check = DesignCheck(tiny, ImplConfig(work_group_size=64), AMD_W9100)
-        diags = run_lint(check).by_rule("OPT003")
-        assert diags and "parallelism" in diags[0].message
-
-    def test_opt003_sane_group_clean(self):
-        check = DesignCheck(small_kernel(), ImplConfig(work_group_size=64), AMD_W9100)
-        assert not run_lint(check).by_rule("OPT003")
-
     def test_opt004_explosion_fires_under_tight_budget(self):
         kernel = small_kernel("boom", elements=1 << 16, ops=16.0)
-        ctx = LintContext(spec=AMD_W9100, config_budget=4)
+        ctx = LintContext(specs=(AMD_W9100,), config_budget=4)
         diags = run_lint(kernel, ctx).by_rule("OPT004")
         assert diags and diags[0].severity == Severity.WARNING
         assert "configs" in diags[0].message
@@ -310,11 +250,11 @@ class TestOptimRules:
     def test_opt004_count_matches_enumeration(self):
         kernel = small_kernel("boom", elements=1 << 16, ops=16.0)
         enumerated = len(enumerate_configs(kernel, AMD_W9100))
-        ctx = LintContext(spec=AMD_W9100, config_budget=enumerated - 1)
+        ctx = LintContext(specs=(AMD_W9100,), config_budget=enumerated - 1)
         diags = run_lint(kernel, ctx).by_rule("OPT004")
         assert diags and f"enumerates {enumerated} configs" in diags[0].message
         # At exactly the enumerated count the budget is respected.
-        ctx = LintContext(spec=AMD_W9100, config_budget=enumerated)
+        ctx = LintContext(specs=(AMD_W9100,), config_budget=enumerated)
         assert not run_lint(kernel, ctx).by_rule("OPT004")
 
     def test_opt004_checks_every_context_spec(self):
@@ -429,7 +369,7 @@ class TestAutoscalerConfigRule:
 
 
 # ---------------------------------------------------------------------------
-# gates: the DSE's validate=True and the scheduler admission check
+# gates: a built kernel's lint and the scheduler admission check
 # ---------------------------------------------------------------------------
 
 BAD_KERNEL_SRC = """
@@ -448,26 +388,6 @@ class TestGates:
         kernel = build_kernel(parse(BAD_KERNEL_SRC).kernels["Bad"])
         with pytest.raises(LintError, match="PPG001"):
             run_lint(kernel).raise_if_errors("kernel 'Bad'")
-
-    def test_dse_validate_prunes_oversized_fpga_points(self):
-        # The acceptance case: wide fp64 configs cannot place on Arria 10
-        # and must be pruned before model evaluation.
-        kernel = _big_fp64_kernel()
-        space = explore_kernel(kernel, INTEL_ARRIA10, validate=True)
-        assert space.pruned_invalid > 0
-        baseline = explore_kernel(kernel, INTEL_ARRIA10)
-        assert baseline.pruned_invalid == 0
-
-    def test_prune_invalid_configs_reports_why(self):
-        kernel = _big_fp64_kernel()
-        configs = enumerate_configs(kernel, INTEL_ARRIA10)
-        kept, report = prune_invalid_configs(kernel, INTEL_ARRIA10, configs)
-        assert len(kept) < len(configs)
-        assert report.by_rule("OPT002")
-
-    def test_dse_validate_rejects_broken_kernel(self):
-        with pytest.raises(LintError, match="PPG001"):
-            explore_kernel(_bad_shape_kernel(), AMD_W9100, validate=True)
 
     def test_scheduler_admission_rejects_coverage_gap(self):
         graph = chain_graph(n=2)
@@ -563,7 +483,7 @@ class TestLintCleanProperty:
     def test_clean_kernel_never_raises_in_dse(self, elements, ops, steps):
         kernel = small_kernel("H", elements=elements, ops=ops, steps=steps)
         assert run_lint(kernel).ok
-        space = explore_kernel(kernel, AMD_W9100, target_points=16, validate=True)
+        space = explore_kernel(kernel, AMD_W9100, target_points=16)
         assert len(space) > 0
 
 

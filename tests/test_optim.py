@@ -2,8 +2,8 @@
 
 import pytest
 
-from conftest import small_kernel, synthetic_space
-from repro.hardware import AMD_W9100, XILINX_7V3
+from conftest import fp64_kernel, small_kernel, synthetic_space
+from repro.hardware import AMD_W9100, INTEL_ARRIA10, XILINX_7V3, FPGAModel
 from repro.hardware.specs import DeviceType
 from repro.optim import (
     GlobalOptimizer,
@@ -143,11 +143,22 @@ class TestDSE:
         assert [p.index for p in space] == list(range(len(space)))
 
     def test_fpga_points_all_feasible(self, explored_small_spaces):
-        from repro.hardware import FPGAModel
-
         k, spaces = explored_small_spaces
         configs = [p.config for p in spaces[(k.name, XILINX_7V3.name)]]
         assert FPGAModel(XILINX_7V3).estimate_batch(k, configs)[0].all()
+
+    def test_configs_that_do_not_place_are_dropped(self):
+        """The space keeps exactly the configs the FPGA model's
+        feasibility column places: wide fp64 designs over-subscribe an
+        Arria 10's DSPs and are left out."""
+        kernel = fp64_kernel()
+        configs = enumerate_configs(kernel, INTEL_ARRIA10)
+        feasible = FPGAModel(INTEL_ARRIA10).estimate_batch(kernel, configs)[0]
+        space = explore_kernel(kernel, INTEL_ARRIA10)
+        assert 0 < len(space) < len(configs)
+        assert sorted(repr(p.config) for p in space) == sorted(
+            repr(c) for c, ok in zip(configs, feasible) if ok
+        )
 
     def test_selection_helpers(self, explored_small_spaces):
         k, spaces = explored_small_spaces
