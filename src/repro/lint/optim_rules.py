@@ -14,6 +14,7 @@ from typing import Iterator, List
 
 from ..optim.global_opt import GlobalOptimizer
 from ..optim.local_opt import LocalOptimizer
+from ..patterns.analysis import analyze_kernel
 from ..patterns.ppg import Kernel
 from .core import Diagnostic, LintContext, Severity, register_rule
 
@@ -36,12 +37,15 @@ def check_config_budget(kernel: Kernel, ctx: LintContext) -> Iterator[Diagnostic
     multiplies the space); a kernel whose enumerated space blows past
     the budget makes every DSE run pay model-evaluation time linearly in
     the excess.  Counting via the local plan's candidate lists costs
-    nothing — the space itself is never materialized.
+    one kernel analysis — the space itself is never materialized.
     """
+    if not ctx.specs:
+        return
     budget = ctx.config_budget if ctx.config_budget is not None else DEFAULT_CONFIG_BUDGET
+    analysis = analyze_kernel(kernel)
     for spec in ctx.specs:
-        local = LocalOptimizer(spec.device_type).plan(kernel)
-        fused_variants = 2 if GlobalOptimizer(spec).plan(kernel).worthwhile else 1
+        local = LocalOptimizer(spec.device_type).plan(analysis)
+        fused_variants = 2 if GlobalOptimizer(spec).plan(analysis).worthwhile else 1
         count = local.space_size * fused_variants
         if count > budget:
             yield Diagnostic(

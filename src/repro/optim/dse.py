@@ -29,6 +29,7 @@ from ..hardware import ImplConfig
 from ..hardware.config import FIELD_DTYPES
 from ..hardware.model_cache import model_cache
 from ..hardware.specs import DeviceType
+from ..patterns.analysis import analyze_kernel
 from ..patterns.ppg import Kernel
 from .design_point import DesignPoint, KernelDesignSpace
 from .global_opt import GlobalOptimizer
@@ -49,7 +50,8 @@ _DEFAULTS: Dict[str, Any] = {f.name: f.default for f in dataclasses.fields(ImplC
 class KnobSpace:
     """The pruned knob space of one (kernel, platform) pair, numbered.
 
-    The local pass supplies per-knob candidates and forced values; the
+    The kernel is analyzed once, and both passes read that analysis:
+    the local pass supplies per-knob candidates and forced values; the
     global pass decides whether a fused variant is worth exploring
     (doubling the space when it is).  ``overrides`` replaces the
     candidate list of knobs already present in the plan (names the
@@ -77,7 +79,8 @@ class KnobSpace:
     def __init__(
         self, kernel: Kernel, spec, overrides: Optional[Dict[str, Sequence]] = None
     ) -> None:
-        local = LocalOptimizer(spec.device_type).plan(kernel)
+        analysis = analyze_kernel(kernel)
+        local = LocalOptimizer(spec.device_type).plan(analysis)
         candidates: Dict[str, Tuple] = dict(local.candidates)
         if overrides:
             for name, values in overrides.items():
@@ -86,7 +89,7 @@ class KnobSpace:
         self.names: Tuple[str, ...] = tuple(sorted(candidates))
         self.values: Tuple[Tuple, ...] = tuple([candidates[n] for n in self.names])
         self.forced: Dict[str, Any] = dict(local.forced)
-        worthwhile = GlobalOptimizer(spec).plan(kernel).worthwhile
+        worthwhile = GlobalOptimizer(spec).plan(analysis).worthwhile
         self.fused_options: Tuple[bool, ...] = (False, True) if worthwhile else (False,)
         # The digits of a config number, most significant first.
         self.genes: Tuple[str, ...] = self.names + ("fused",)

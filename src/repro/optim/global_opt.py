@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from ..hardware.specs import DeviceType
-from ..patterns.analysis import analyze_kernel
+from ..patterns.analysis import KernelAnalysis
 from ..patterns.annotations import Pattern
 from ..patterns.ppg import Kernel
 
@@ -78,11 +78,11 @@ class GlobalOptimizer:
             return int(self.spec.scratchpad_kb_per_cu * 1024 * 32)
         return int(self.spec.bram_bytes * 0.6)
 
-    def plan(self, kernel: Kernel) -> GlobalPlan:
-        """Build the global plan: greedy capacity-bounded fusion plus
-        deferred-pattern resolution (both per Section IV-B)."""
-        analysis = analyze_kernel(kernel)
-        plan = GlobalPlan(kernel=kernel, device_type=self.device_type)
+    def plan(self, analysis: KernelAnalysis) -> GlobalPlan:
+        """Build the global plan for the analyzed kernel: greedy
+        capacity-bounded fusion plus deferred-pattern resolution (both
+        per Section IV-B)."""
+        plan = GlobalPlan(kernel=analysis.kernel, device_type=self.device_type)
 
         budget = self.onchip_capacity_bytes
         for cand in analysis.fusion_candidates(budget):

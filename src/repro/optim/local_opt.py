@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..hardware.specs import DeviceType
-from ..patterns.analysis import KernelAnalysis, analyze_kernel
+from ..patterns.analysis import KernelAnalysis
 from ..patterns.annotations import Pattern, PatternKind
 from ..patterns.ppg import Kernel
 from .knobs import knob_candidates
@@ -55,9 +55,9 @@ class LocalOptimizer:
     def __init__(self, device_type: DeviceType) -> None:
         self.device_type = device_type
 
-    def plan(self, kernel: Kernel) -> LocalPlan:
-        """Build the local optimization plan for ``kernel``."""
-        analysis = analyze_kernel(kernel)
+    def plan(self, analysis: KernelAnalysis) -> LocalPlan:
+        """Build the local optimization plan for the analyzed kernel."""
+        kernel = analysis.kernel
         candidates = dict(knob_candidates(kernel.pattern_kinds, self.device_type))
         plan = LocalPlan(kernel=kernel, device_type=self.device_type)
 

@@ -16,7 +16,7 @@ from repro.optim import (
     knob_candidates,
     pareto_front,
 )
-from repro.patterns import Gather, Kernel, Map, PatternKind, PPG, Tensor
+from repro.patterns import Gather, Kernel, Map, PatternKind, PPG, Tensor, analyze_kernel
 
 
 class TestKnobs:
@@ -53,7 +53,7 @@ class TestKnobs:
 class TestLocalOptimizer:
     def test_parallelism_prunes_unroll(self):
         tiny = small_kernel("t", elements=2, ops=1.0)
-        plan = LocalOptimizer(DeviceType.FPGA).plan(tiny)
+        plan = LocalOptimizer(DeviceType.FPGA).plan(analyze_kernel(tiny))
         assert max(plan.candidates.get("unroll", (1,))) <= 2
 
     def test_forced_coalescing_for_gather(self):
@@ -63,7 +63,7 @@ class TestLocalOptimizer:
         m = ppg.add_pattern(Map((x,)))
         ppg.connect(g, m)
         k = Kernel("g", ppg)
-        plan = LocalOptimizer(DeviceType.GPU).plan(k)
+        plan = LocalOptimizer(DeviceType.GPU).plan(analyze_kernel(k))
         assert plan.forced.get("memory_coalescing") is True
         assert "memory_coalescing" not in plan.candidates
 
@@ -72,12 +72,12 @@ class TestLocalOptimizer:
         ppg = PPG("g")
         g = ppg.add_pattern(Gather((x,)))
         k = Kernel("g", ppg)
-        plan = LocalOptimizer(DeviceType.GPU).plan(k)
+        plan = LocalOptimizer(DeviceType.GPU).plan(analyze_kernel(k))
         assert g in plan.pending
 
     def test_space_size_counts_combinations(self):
         k = small_kernel("s", elements=1 << 12, ops=8.0)
-        plan = LocalOptimizer(DeviceType.GPU).plan(k)
+        plan = LocalOptimizer(DeviceType.GPU).plan(analyze_kernel(k))
         expected = 1
         for values in plan.candidates.values():
             expected *= len(values)
@@ -92,7 +92,7 @@ class TestGlobalOptimizer:
         b = ppg.add_pattern(Map((x,)))
         ppg.connect(a, b)
         k = Kernel("f", ppg)
-        plan = GlobalOptimizer(XILINX_7V3).plan(k)
+        plan = GlobalOptimizer(XILINX_7V3).plan(analyze_kernel(k))
         assert plan.fusions
         assert plan.fused_bytes == k.intermediate_bytes
         assert plan.fusion_fraction == pytest.approx(1.0)
@@ -103,7 +103,7 @@ class TestGlobalOptimizer:
         a = ppg.add_pattern(Map((x,)))
         b = ppg.add_pattern(Map((x,)))
         ppg.connect(a, b)
-        plan = GlobalOptimizer(XILINX_7V3).plan(Kernel("f", ppg))
+        plan = GlobalOptimizer(XILINX_7V3).plan(analyze_kernel(Kernel("f", ppg)))
         assert not plan.fusions
         assert not plan.worthwhile
 
@@ -114,7 +114,7 @@ class TestGlobalOptimizer:
         a, b, c = (ppg.add_pattern(Map((x,))) for _ in range(3))
         ppg.connect(a, b)
         ppg.connect(b, c)
-        plan = GlobalOptimizer(XILINX_7V3).plan(Kernel("f", ppg))
+        plan = GlobalOptimizer(XILINX_7V3).plan(analyze_kernel(Kernel("f", ppg)))
         assert len(plan.fusions) == 2  # both fit within the budget
 
 

@@ -70,6 +70,7 @@ from repro.optim.search import (
     _normalized,
     _successive_halving,
 )
+from repro.patterns.analysis import KernelAnalysis, analyze_kernel
 
 PLATFORMS = runtime.setting("I", "Heter-Poly").platforms
 
@@ -661,13 +662,14 @@ def _reference_shape(kernel, spec, overrides):
     """What the enumeration reads from the local and global plans: the
     sorted knob names with their (overridden) candidates, the forced
     values and the fusion options."""
-    local = LocalOptimizer(spec.device_type).plan(kernel)
+    analysis = analyze_kernel(kernel)
+    local = LocalOptimizer(spec.device_type).plan(analysis)
     candidates = dict(local.candidates)
     for name, values in (overrides or {}).items():
         if name in candidates:
             candidates[name] = tuple(values)
     fused_options = (
-        (False, True) if GlobalOptimizer(spec).plan(kernel).worthwhile else (False,)
+        (False, True) if GlobalOptimizer(spec).plan(analysis).worthwhile else (False,)
     )
     return (
         tuple((n, candidates[n]) for n in sorted(candidates)),
@@ -778,6 +780,23 @@ class TestKnobSpace:
             int(np.prod(radices[k + 1 :])) for k in range(len(radices))
         )
         assert space.strides[-1] == 1 and len(space) == int(np.prod(radices))
+
+    def test_one_kernel_analysis_per_space(self, monkeypatch):
+        """The local and the global pass read one analysis of the
+        kernel: building a space analyzes its kernel once."""
+        app = apps.build("ASR")
+        built = []
+        init = KernelAnalysis.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(KernelAnalysis, "__init__", counting_init)
+        for kernel in app.kernels:
+            for spec in _SETTING_PLATFORMS:
+                KnobSpace(kernel, spec)
+        assert len(built) == len(app.kernels) * len(_SETTING_PLATFORMS)
 
 
 class TestTargetPoints:
