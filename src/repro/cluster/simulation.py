@@ -272,15 +272,6 @@ class ClusterResult:
     def terminations(self) -> int:
         return sum(1 for e in self.timeline if e.action == "terminate")
 
-    def fleet_size_at(self, t_ms: float) -> int:
-        """Live nodes at a timeline instant (for plotting/tests)."""
-        size = 0
-        for event in self.timeline:
-            if event.t_ms > t_ms:
-                break
-            size = event.fleet_size
-        return size
-
     @property
     def scale_up_lag_ms(self) -> float:
         lags = self.scale_up_lags_ms

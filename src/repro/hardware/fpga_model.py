@@ -274,9 +274,5 @@ class FPGAModel:
         """Power with an idle (minimal) bitstream loaded."""
         return self.spec.idle_power_w
 
-    def reconfiguration_ms(self) -> float:
-        """Cost of swapping the loaded kernel implementation."""
-        return self.spec.reconfig_ms
-
     def __repr__(self) -> str:
         return f"<FPGAModel {self.spec.name!r}>"

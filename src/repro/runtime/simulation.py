@@ -96,12 +96,6 @@ class SimulationResult:
         """The offered-load window the power bins cover."""
         return len(self.power_bins_w) * self.bin_ms
 
-    @property
-    def throughput_rps(self) -> float:
-        effective = self.arrival_span_ms - self.warmup_ms
-        n = len(self.latencies_ms())
-        return n * 1000.0 / effective if effective > 0 else 0.0
-
     def __repr__(self) -> str:
         return (
             f"<SimulationResult {self.app} on {self.system}: "

@@ -37,10 +37,6 @@ class UtilizationTrace:
             raise ValueError("utilization values must lie in [0, 1]")
 
     @property
-    def duration_s(self) -> float:
-        return len(self.utilization) * self.interval_s
-
-    @property
     def mean_utilization(self) -> float:
         return float(np.mean(np.asarray(self.utilization)))
 

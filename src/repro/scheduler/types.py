@@ -99,12 +99,6 @@ class Schedule:
         """Sum of per-kernel active energies."""
         return sum(a.energy_mj for a in self.assignments.values())
 
-    @property
-    def avg_active_power_w(self) -> float:
-        """Energy-weighted average power over the busy intervals."""
-        busy = sum(a.latency_ms for a in self.assignments.values())
-        return self.total_energy_mj / busy if busy > 0 else 0.0
-
     def device_busy_ms(self) -> Dict[str, float]:
         """Per-device busy time under this schedule."""
         busy: Dict[str, float] = {}
