@@ -274,8 +274,8 @@ def _report_exploration(
     """Metrics/trace reporting over the finished explorations.
 
     Runs once after every (kernel, platform) pair is explored, under
-    either strategy, so ``dse_design_points_total`` counts the same way
-    on both and ``dse.search.*`` events come in exploration order.
+    either strategy, so counters and ``dse.search.*`` events do not
+    depend on the strategy taken.
     """
     if metrics is not None:
         points_c = metrics.counter("dse_design_points_total")

@@ -432,9 +432,9 @@ def explore_kernel_guided(
 
     Mirrors :func:`~repro.optim.dse.explore_kernel` (same space, same
     subsampling) but spends at most ``search.max_evals`` model
-    evaluations.  When the enumerated
-    space fits the budget the search is exhaustive-equivalent and the
-    returned front is exactly the exhaustive one.  Returns the design
+    evaluations.  When the enumerated space fits the budget the search
+    is exhaustive-equivalent and the returned front is exactly the
+    exhaustive one.  Returns the design
     space (built from every feasible evaluated point, with the stats
     attached as ``space.search_stats``) plus the :class:`SearchStats`.
     """
