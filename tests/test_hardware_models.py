@@ -221,13 +221,17 @@ class TestFPGAModel:
             assert np.isnan(lat) == np.isnan(power) == (not fits)
 
     def test_wide_fp64_design_does_not_place_on_arria10(self):
-        """256 fp64 lanes need 2048 DSPs and an Arria 10 has 1518: that
-        design does not place, while the default design does."""
+        """256 fp64 lanes need 2048 DSPs and an Arria 10 has 1518."""
         kernel = fp64_kernel()
         model = FPGAModel(INTEL_ARRIA10)
         wide = ImplConfig(unroll=32, compute_units=8)
         assert model.resources(kernel, wide).dsp > INTEL_ARRIA10.dsp_slices
         assert _row(model, kernel, wide)[0] is False
+
+    def test_default_fp64_design_places_on_arria10(self):
+        kernel = fp64_kernel()
+        model = FPGAModel(INTEL_ARRIA10)
+        assert model.resources(kernel, ImplConfig()).dsp <= INTEL_ARRIA10.dsp_slices
         assert _row(model, kernel, ImplConfig())[0] is True
 
     def test_int8_packs_more_lanes_per_dsp(self):
