@@ -58,10 +58,6 @@ __all__ = [
 #:   launches/terminations, and per-interval autoscaler evaluations.
 #: * ``slo.*``     — SLO evaluation over the windowed rollups:
 #:   multi-window burn-rate alerts at their firing edge.
-#: * ``dse.*``     — guided design-space exploration: per-rung
-#:   successive-halving pool sizes, per-generation genetic progress,
-#:   and the per-(kernel, platform) search summary, emitted once the
-#:   whole application is explored.
 EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
     "request.admit": ("req", "priority"),
     "request.shed": ("req",),
@@ -97,24 +93,6 @@ EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
     "cluster.terminate": ("node", "reason"),
     "cluster.scale": ("n_nodes", "demand_rps", "utilization"),
     "slo.alert": ("slo", "series", "burn_fast", "burn_slow", "objective"),
-    "dse.search.rung": ("kernel", "platform", "rung", "pool", "kept"),
-    "dse.search.generation": (
-        "kernel",
-        "platform",
-        "generation",
-        "evaluations",
-        "front_points",
-        "hypervolume",
-    ),
-    "dse.search.done": (
-        "kernel",
-        "platform",
-        "strategy",
-        "explored",
-        "skipped",
-        "evaluations",
-        "generations",
-    ),
 }
 
 

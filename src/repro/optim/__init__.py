@@ -16,16 +16,8 @@ from .dse import (
 from .global_opt import FusionDecision, GlobalOptimizer, GlobalPlan
 from .knobs import applicable_knobs, knob_candidates
 from .local_opt import LocalOptimizer, LocalPlan
-from .pareto import (
-    IncrementalHypervolume,
-    ParetoFrontier,
-    dominated_fraction,
-    hypervolume_2d,
-    pareto_front,
-)
 from .search import (
     GenerationStats,
-    RungStats,
     SearchConfig,
     SearchStats,
     explore_kernel_guided,
@@ -47,14 +39,8 @@ __all__ = [
     "FusionDecision",
     "knob_candidates",
     "applicable_knobs",
-    "ParetoFrontier",
-    "IncrementalHypervolume",
-    "pareto_front",
-    "dominated_fraction",
-    "hypervolume_2d",
     "SearchConfig",
     "SearchStats",
-    "RungStats",
     "GenerationStats",
     "space_hypervolume",
 ]

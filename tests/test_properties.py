@@ -22,7 +22,7 @@ from repro.faults import FaultSchedule
 from repro.hardware import AMD_W9100, GPUModel, ImplConfig, PCIeLink, XILINX_7V3, FPGAModel
 from repro.hardware.specs import DeviceType
 from repro.obs import SpanTracer
-from repro.optim import explore_application, pareto_front
+from repro.optim import explore_application
 from repro.patterns import Kernel, Map, PPG, Tensor
 from repro.runtime import (
     energy_proportionality,
@@ -67,9 +67,11 @@ class TestParetoProperties:
 
     @given(point_lists)
     def test_extreme_points_on_frontier_generic(self, points):
-        front = pareto_front(points, lambda t: t)
+        front = synthetic_space("k", "p", DeviceType.GPU, points).pareto()
         min_lat = min(p[0] for p in points)
-        assert any(math.isclose(p[0], min_lat) for p in front)
+        min_pow = min(p[1] for p in points)
+        assert front[0].latency_ms == min_lat
+        assert front[-1].power_w == min_pow
 
 
 class TestModelProperties:
