@@ -418,8 +418,11 @@ ENLARGE = {
 #: A knob override under which ASR's ``LSTM_acoustic`` over-subscribes
 #: the Virtex-7 of Setting I: 78 of its 576 FPGA configs do not place.
 #: Every other case's spaces place in full, so the two override kinds
-#: (exhaustive, and guided at seed 0 on 64 evaluations) are the ones
-#: that pin how the DSE drops unplaceable configs.
+#: are the ones that pin how the DSE leaves such configs out: the
+#: exhaustive kind drops them by the model's feasibility column, and
+#: the guided kind (seed 0, 64 evaluations) screens them out of its
+#: seeds and its bred children before any evaluation, so its space
+#: holds one point per evaluation.
 OVERRIDE = {"unroll": (1, 16, 256, 1024), "compute_units": (1, 4, 8)}
 OVERRIDE_KINDS = ("override", "override-guided")
 
