@@ -4,15 +4,12 @@ Each module builds one :class:`~repro.apps.base.Application`: a kernel
 DAG of parallel-pattern compositions matching Table II's inventory.
 """
 
-from typing import List
-
 from . import asr, cs, fqt, ir, mf, wt
 from .base import DEFAULT_QOS_MS, Application
 
 __all__ = [
     "Application",
     "DEFAULT_QOS_MS",
-    "build_all",
     "build",
     "APP_BUILDERS",
     "asr",
@@ -43,7 +40,3 @@ def build(name: str) -> Application:
             f"unknown benchmark {name!r}; expected one of {sorted(APP_BUILDERS)}"
         ) from None
 
-
-def build_all() -> List[Application]:
-    """Build all six benchmarks in Table II order."""
-    return [builder() for builder in APP_BUILDERS.values()]

@@ -159,9 +159,6 @@ class FaultSchedule:
 
     # -- queries --------------------------------------------------------------
 
-    def for_device(self, device_id: str) -> List[FaultEvent]:
-        return list(self._by_device.get(device_id, ()))
-
     def device_ids(self) -> List[str]:
         return sorted(self._by_device)
 

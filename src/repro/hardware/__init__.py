@@ -10,7 +10,7 @@ model has one latency/power implementation, the vectorized
 """
 
 from .config import ImplConfig
-from .dvfs import DVFSPolicy, OperatingPoint, PowerState
+from .dvfs import DVFSPolicy
 from .fpga_model import FPGAModel, ResourceUsage
 from .gpu_model import GPUModel
 from .model_cache import ModelEvalCache, clear_model_cache, model_cache
@@ -47,8 +47,6 @@ __all__ = [
     "ResourceUsage",
     "PCIeLink",
     "DVFSPolicy",
-    "OperatingPoint",
-    "PowerState",
     "ModelEvalCache",
     "model_cache",
     "clear_model_cache",

@@ -9,29 +9,11 @@ the idle states each device family supports.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import Tuple
 
 from .specs import DeviceType
 
-__all__ = ["PowerState", "DVFSPolicy", "OperatingPoint"]
-
-
-class PowerState(enum.Enum):
-    """Device power states."""
-
-    ACTIVE = "active"         # executing a kernel
-    IDLE = "idle"             # powered, clocked, no work
-    LOW_POWER = "low_power"   # GPU low clocks / FPGA low-power bitstream
-
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    """One DVFS level: relative frequency and the idle power it implies."""
-
-    freq_scale: float
-    idle_power_w: float
+__all__ = ["DVFSPolicy"]
 
 
 class DVFSPolicy:
@@ -55,11 +37,6 @@ class DVFSPolicy:
         if self.device_type == DeviceType.GPU:
             return self.GPU_LEVELS
         return self.FPGA_LEVELS
-
-    def operating_point(self, freq_scale: float) -> OperatingPoint:
-        """Snap to the nearest supported level and give its idle power."""
-        level = min(self.levels, key=lambda lv: abs(lv - freq_scale))
-        return OperatingPoint(level, self.idle_power_w(level))
 
     def idle_power_w(self, freq_scale: float = 1.0) -> float:
         """Idle power at a given DVFS level.

@@ -101,7 +101,6 @@ class KernelDesignSpace:
         # failover candidates); computing each selection once turns those
         # into attribute reads.
         self._min_latency: Optional[DesignPoint] = None
-        self._min_power: Optional[DesignPoint] = None
         self._max_efficiency: Optional[DesignPoint] = None
         self._pareto: Optional[List[DesignPoint]] = None
 
@@ -121,12 +120,6 @@ class KernelDesignSpace:
         if self._min_latency is None:
             self._min_latency = min(self.points, key=lambda p: p.latency_ms)
         return self._min_latency
-
-    def min_power(self) -> DesignPoint:
-        """Lowest-power implementation (deep energy saving mode)."""
-        if self._min_power is None:
-            self._min_power = min(self.points, key=lambda p: p.power_w)
-        return self._min_power
 
     def max_efficiency(self) -> DesignPoint:
         """Most energy-efficient implementation (baseline under slack QoS)."""
@@ -151,10 +144,6 @@ class KernelDesignSpace:
                     best_power = p.power_w
             self._pareto = frontier
         return list(self._pareto)
-
-    def within_latency(self, bound_ms: float) -> List[DesignPoint]:
-        """All points meeting a latency bound."""
-        return [p for p in self.points if p.latency_ms <= bound_ms]
 
     def summary(self) -> Dict[str, float]:
         """Extent of the space: latency and power ranges."""

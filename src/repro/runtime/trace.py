@@ -40,16 +40,6 @@ class UtilizationTrace:
     def mean_utilization(self) -> float:
         return float(np.mean(np.asarray(self.utilization)))
 
-    def resampled(self, factor: int) -> "UtilizationTrace":
-        """Keep every ``factor``-th sample (coarser replay)."""
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
-        return UtilizationTrace(
-            tuple(self.utilization[::factor]),
-            self.interval_s * factor,
-            f"{self.name}/{factor}x",
-        )
-
 
 def synthesize_google_trace(
     hours: float = 24.0,

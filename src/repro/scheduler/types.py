@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from ..hardware.specs import DeviceType
 from ..optim.design_point import DesignPoint
@@ -105,15 +105,6 @@ class Schedule:
         for a in self.assignments.values():
             busy[a.device_id] = busy.get(a.device_id, 0.0) + a.latency_ms
         return busy
-
-    def devices_used(self) -> List[str]:
-        return sorted({a.device_id for a in self.assignments.values()})
-
-    def replaced(self, new: Assignment) -> "Schedule":
-        """Copy of this schedule with one assignment swapped out."""
-        assignments = dict(self.assignments)
-        assignments[new.kernel_name] = new
-        return Schedule(self.app_name, list(assignments.values()))
 
     def gantt(self) -> str:
         """Fig.-6-style textual schedule, one line per assignment."""

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import chain_graph
-from repro.apps import APP_BUILDERS, build, build_all
+from repro.apps import APP_BUILDERS, build
 from repro.apps.base import Application
 from repro.hardware.specs import DeviceType
 from repro.patterns import PatternKind
@@ -19,8 +19,12 @@ def _cyclic_graph():
 
 class TestInventory:
     def test_six_benchmarks(self):
-        apps = build_all()
-        assert [a.name for a in apps] == ["ASR", "FQT", "IR", "CS", "MF", "WT"]
+        """The builders come in Table II order and build the app they
+        are keyed by."""
+        assert list(APP_BUILDERS) == ["ASR", "FQT", "IR", "CS", "MF", "WT"]
+        assert [builder().name for builder in APP_BUILDERS.values()] == list(
+            APP_BUILDERS
+        )
 
     def test_build_by_name_case_insensitive(self):
         assert build("asr").name == "ASR"
@@ -126,15 +130,19 @@ class TestAffinities:
 
     def test_calibration_biases_present(self):
         # Every benchmark carries fitted per-kernel calibration constants.
-        for app in build_all():
+        for name in APP_BUILDERS:
+            app = build(name)
             assert any(k.platform_bias for k in app.kernels), app.name
 
 
 class TestTable2Rows:
     def test_row_shape(self):
-        rows = build("FQT").table2_row()
-        assert len(rows) == 3
-        name, patterns, gpu_n, fpga_n = rows[0]
-        assert name == "PRNG"
-        assert "Map" in patterns and "Pipeline" in patterns
-        assert (gpu_n, fpga_n) == (64, 128)
+        """FQT's first Table II row: PRNG, a Map in a Pipeline, with 64
+        GPU and 128 FPGA designs."""
+        app = build("FQT")
+        assert len(app.kernels) == 3
+        prng = app.kernels[0]
+        assert prng.name == "PRNG"
+        assert {PatternKind.MAP, PatternKind.PIPELINE} <= set(prng.pattern_kinds)
+        targets = app.design_targets[prng.name]
+        assert (targets[DeviceType.GPU], targets[DeviceType.FPGA]) == (64, 128)

@@ -336,8 +336,3 @@ class TestDVFS:
         levels = [policy.pick_level(load) for load in (0.0, 0.3, 0.6, 0.95)]
         assert levels == sorted(levels)
         assert policy.pick_level(0.95) == 1.0
-
-    def test_operating_point_snaps_to_ladder(self):
-        policy = DVFSPolicy(AMD_W9100)
-        op = policy.operating_point(0.7)
-        assert op.freq_scale in policy.levels

@@ -187,12 +187,6 @@ class TestTrace:
         t = synthesize_google_trace(base=0.9, diurnal_amplitude=0.5)
         assert all(0.0 <= u <= 1.0 for u in t.utilization)
 
-    def test_resample(self):
-        t = synthesize_google_trace()
-        coarse = t.resampled(4)
-        assert len(coarse.utilization) == len(t.utilization) // 4
-        assert coarse.interval_s == t.interval_s * 4
-
     def test_invalid_trace_rejected(self):
         with pytest.raises(ValueError):
             UtilizationTrace((), 300.0)
