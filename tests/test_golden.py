@@ -1,5 +1,6 @@
 """Golden single-node runs: every app x Setting-I system x mode against
-the digests pinned in ``tests/golden/sim_digests.json``.
+the digests pinned in ``tests/golden/sim_digests.json``, and every app x
+Setting I-III system's schedules against ``schedule_digests.json``.
 
 Every mode runs on the event-heap engine's generated dispatch programs:
 fault-free, a crash of the system's first device repaired later
@@ -9,6 +10,10 @@ thermal slowdowns and request priorities, untraced and traced (chaos,
 chaos-traced), whose entries also pin the resilience report.  A digest
 names the aspect that moved: request records, power bins, monitor
 state, device executions, the resilience report or the JSONL bytes.
+
+A schedule entry pins what the system's scheduler decides on idle
+device slots and on slots queued to fixed horizons: every assignment
+and every Step-2 swap.
 """
 
 import functools
@@ -20,15 +25,21 @@ from golden_cases import (
     CHAOS_MODES,
     FAULT_MODES,
     MODES,
+    SCHEDULE_FILE,
     SIM_FILE,
     SYSTEMS,
     load,
+    run_schedule_case,
     run_sim_case,
+    schedule_case_id,
+    schedule_cases,
+    schedule_digest,
     sim_case_id,
     sim_digests,
 )
 
 GOLDEN = load(SIM_FILE)
+SCHEDULES = load(SCHEDULE_FILE)
 
 CASES = [(a, s, m) for a in APPS for s in SYSTEMS for m in MODES]
 
@@ -78,3 +89,19 @@ def test_chaos_cases_cover_every_fault_kind():
                 if key in counted:
                     totals[counted[key]] += 1
     assert all(totals.values()), totals
+
+
+def test_schedule_fixture_covers_every_case():
+    assert set(SCHEDULES) == {schedule_case_id(*c) for c in schedule_cases()}
+
+
+@pytest.mark.parametrize(
+    "app_name,setting,system_name",
+    schedule_cases(),
+    ids=["-".join(c) for c in schedule_cases()],
+)
+def test_schedule_digests(app_name, setting, system_name):
+    results = run_schedule_case(app_name, setting, system_name)
+    assert {
+        load: schedule_digest(*result) for load, result in results.items()
+    } == SCHEDULES[schedule_case_id(app_name, setting, system_name)]

@@ -4,9 +4,9 @@ String hashing is salted per process, so any output that leaned on the
 iteration order of a hash-keyed container would differ between two
 processes with different hash seeds.  Two subprocesses, one with
 ``PYTHONHASHSEED=0`` and one with ``=1``, each run one golden
-single-node case (chaos, traced), the seeded diurnal fleet replay, and
-a budgeted guided DSE on an enlarged knob space, and print digests of
-all three.
+single-node case (chaos, traced), the seeded diurnal fleet replay, a
+budgeted guided DSE on an enlarged knob space and every golden
+schedule case, and print digests of all four.
 """
 
 import json
@@ -15,7 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from golden_cases import FLEET_FILE, SIM_FILE, load, sim_case_id
+from golden_cases import FLEET_FILE, SCHEDULE_FILE, SIM_FILE, load, sim_case_id
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,7 +25,8 @@ SCRIPT = f"""
 import dataclasses, json
 import numpy as np
 from golden_cases import (
-    asr_heter, digest, fleet_sig, run_sim_case, run_trace_replay, sim_digests,
+    asr_heter, digest, fleet_sig, run_sim_case, run_trace_replay,
+    schedule_digests, sim_digests,
 )
 from repro import apps, runtime
 from repro.optim import SearchConfig, explore_application
@@ -55,6 +56,7 @@ print(json.dumps({{
     "fleet": digest(fleet_sig(run_trace_replay(asr_heter()))),
     "guided": digest(guided),
     "guided_generations": sum(s.search_stats.generations for s in spaces.values()),
+    "schedules": schedule_digests(),
     "salt": hash("repro"),
 }}, sort_keys=True))
 """
@@ -87,7 +89,8 @@ def test_digests_equal_under_two_hash_seeds():
     # ...and agree on every digest.
     assert outs[0] == outs[1]
     # The guided search ran generations, not an exhaustive pass, and
-    # the simulations reproduce their recorded digests.
+    # the simulations and schedules reproduce their recorded digests.
     assert outs[0]["guided_generations"] > 0
     assert outs[0]["sim"] == load(SIM_FILE)[sim_case_id(*SIM_CASE)]
     assert outs[0]["fleet"] == load(FLEET_FILE)["trace_replay"]
+    assert outs[0]["schedules"] == load(SCHEDULE_FILE)
