@@ -52,9 +52,7 @@ def test_ablation_energy_step(benchmark, asr):
 
     def run():
         with_e, _ = scheduler.schedule(app.graph, list(devices))
-        without_e, _ = scheduler.schedule(
-            app.graph, list(devices), optimize_energy=False
-        )
+        without_e = scheduler.min_latency_schedule(app.graph, list(devices))
         return with_e, without_e
 
     with_e, without_e = run_once(benchmark, run)

@@ -122,11 +122,10 @@ class KernelDesignSpace:
         return self._min_latency
 
     def max_efficiency(self) -> DesignPoint:
-        """Most energy-efficient implementation (baseline under slack QoS)."""
+        """Most energy-efficient implementation: the lowest energy per
+        invocation (baseline under slack QoS; Step 2's W_E constant)."""
         if self._max_efficiency is None:
-            self._max_efficiency = max(
-                self.points, key=lambda p: p.energy_efficiency
-            )
+            self._max_efficiency = min(self.points, key=lambda p: p.energy_mj)
         return self._max_efficiency
 
     def pareto(self) -> List[DesignPoint]:

@@ -95,9 +95,13 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         # The seed keys the RNG by its text: None would key a stream of
-        # its own instead of failing.
-        if not isinstance(self.seed, numbers.Integral):
-            raise ValueError("seed must be an int")
+        # its own instead of failing, and a fractional budget would fail
+        # deep in the search as a slice bound.  A bool is an Integral
+        # but neither a count nor a seed.
+        for name in ("max_evals", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an int")
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
 

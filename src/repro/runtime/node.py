@@ -515,18 +515,14 @@ class LeafNode:
 
         return fn
 
-    def _device_slots(self, now_ms: float) -> List[DeviceSlot]:
+    def _device_slots(self) -> List[DeviceSlot]:
+        """Idle scheduling slots for the schedulable devices."""
         devices = (
             self.devices
             if self._injector is None
             else [d for d in self.devices if d.is_schedulable]
         )
-        return [
-            DeviceSlot(
-                d.device_id, d.spec.name, d.device_type, d.backlog_ms(now_ms)
-            )
-            for d in devices
-        ]
+        return [DeviceSlot(d.device_id, d.spec.name, d.device_type) for d in devices]
 
     def maybe_replan(self, now_ms: float) -> None:
         """Refresh the kernel plan once per interval (Section V: "at each
@@ -609,15 +605,10 @@ class LeafNode:
         self,
     ) -> Tuple[Dict[str, Dict[str, DesignPoint]], float]:
         """Run the policy's scheduler on an idle node -> light-load plan."""
-        slots = self._device_slots(now_ms=float("inf"))
+        slots = self._device_slots()
         if not slots:  # total blackout: every device is quarantined
             return {}, 0.0
-        for slot in slots:
-            slot.available_at_ms = 0.0
-        if isinstance(self._scheduler, PolyScheduler):
-            schedule, _ = self._scheduler.schedule(self.app.graph, slots)
-        else:
-            schedule = self._scheduler.schedule(self.app.graph, slots)
+        schedule, _ = self._scheduler.schedule(self.app.graph, slots)
         platform_of = {s.device_id: s.platform for s in slots}
         live = self._live_by_platform()
         plan: Dict[str, Dict[str, DesignPoint]] = {}

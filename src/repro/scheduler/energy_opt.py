@@ -18,10 +18,19 @@ the energy-reduction form, which matches the prose "indicates the
 maximum energy reduction we could achieve") and repeatedly apply the
 best swap that keeps the end-to-end latency within the bound.  Swaps
 may move a kernel to a different device (Fig. 6's K4 GPU->FPGA move).
+
+Floating-point subtraction is monotone, so the maximum over points of
+``E0 - E`` is exactly ``E0`` minus the lowest ``E``: W_E is the current
+energy less a per-kernel constant, the smallest
+:meth:`~repro.optim.design_point.KernelDesignSpace.max_efficiency`
+energy over the kernel's spaces on the device pool (clamped at 0, the
+value with no cheaper point).  It is computed once per kernel per
+iteration, without scanning any front.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..optim.design_point import DesignPoint, KernelDesignSpace
@@ -101,14 +110,19 @@ class EnergyOptimizer:
         if latency_bound_ms <= 0:
             raise ValueError("latency bound must be positive")
 
+        # W_E's per-kernel constant: the lowest energy of any of the
+        # kernel's spaces on this device pool.
+        lowest: Dict[str, float] = {}
+        for a in schedule:
+            spaces = [self.design_spaces.get((a.kernel_name, d.platform)) for d in devices]
+            lowest[a.kernel_name] = min(
+                (s.max_efficiency().energy_mj for s in spaces if s is not None),
+                default=math.inf,
+            )
         steps: List[EnergyStep] = []
         current = schedule
-        platform_of = {d.device_id: d.platform for d in devices}
-
         for _ in range(self.MAX_ITERS):
-            swap = self._best_swap(
-                graph, devices, current, latency_bound_ms, platform_of
-            )
+            swap = self._best_swap(graph, devices, current, latency_bound_ms, lowest)
             if swap is None:
                 break
             current, step = swap
@@ -123,20 +137,20 @@ class EnergyOptimizer:
         devices: Sequence[DeviceSlot],
         schedule: Schedule,
         latency_bound_ms: float,
-        platform_of: Mapping[str, str],
+        lowest: Mapping[str, float],
     ) -> Optional[Tuple[Schedule, EnergyStep]]:
         """Find the highest-W_E kernel whose best swap fits the bound.
 
         Kernels are visited in descending W_E (Eq. 5); the first kernel
         owning a feasible, energy-saving swap wins the iteration.
         """
-        ranked = sorted(
-            schedule.assignments.values(),
-            key=lambda a: self._w_e(a, devices, platform_of),
-            reverse=True,
-        )
+        w_e = {
+            a.kernel_name: max(0.0, a.energy_mj - lowest[a.kernel_name])
+            for a in schedule
+        }
+        ranked = sorted(schedule, key=lambda a: w_e[a.kernel_name], reverse=True)
         for assignment in ranked:
-            if self._w_e(assignment, devices, platform_of) <= self.MIN_GAIN_MJ:
+            if w_e[assignment.kernel_name] <= self.MIN_GAIN_MJ:
                 break  # nothing below can do better (sorted)
             found = self._apply_best_candidate(
                 graph, devices, schedule, assignment, latency_bound_ms
@@ -144,25 +158,6 @@ class EnergyOptimizer:
             if found is not None:
                 return found
         return None
-
-    def _w_e(
-        self,
-        assignment: Assignment,
-        devices: Sequence[DeviceSlot],
-        platform_of: Mapping[str, str],
-    ) -> float:
-        """Energy priority: best per-invocation energy reduction (Eq. 5)."""
-        current_energy = assignment.energy_mj
-        best = 0.0
-        for dev in devices:
-            space = self.design_spaces.get(
-                (assignment.kernel_name, dev.platform)
-            )
-            if space is None:
-                continue
-            for point in space.pareto():
-                best = max(best, current_energy - point.energy_mj)
-        return best
 
     def _apply_best_candidate(
         self,
@@ -188,10 +183,10 @@ class EnergyOptimizer:
                     candidates.append((saving, point, dev.device_id))
         candidates.sort(key=lambda t: t[0], reverse=True)
 
+        choices: Dict[str, Tuple[DesignPoint, str]] = {
+            a.kernel_name: (a.point, a.device_id) for a in schedule
+        }
         for saving, point, device_id in candidates:
-            choices: Dict[str, Tuple[DesignPoint, str]] = {
-                a.kernel_name: (a.point, a.device_id) for a in schedule
-            }
             choices[assignment.kernel_name] = (point, device_id)
             retimed = self.latency_optimizer.retime(graph, devices, choices)
             if retimed.makespan_ms <= latency_bound_ms:

@@ -12,11 +12,14 @@ each (kernel, device) pair
 (Eq. 4; we additionally charge the PCIe transfer when a predecessor
 ran on a *different* device), then place the kernel where it finishes
 earliest using the fastest implementation available on that device.
+:meth:`LatencyOptimizer.place` is that loop, over any per-kernel
+candidates: Step 2 retimes fixed choices with it, and the static
+baselines place their frozen implementations with it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..hardware.pcie import PCIeLink
 from ..optim.design_point import DesignPoint, KernelDesignSpace
@@ -25,6 +28,9 @@ from .priority import priority_order as _priority_order
 from .types import Assignment, DeviceSlot, Schedule
 
 __all__ = ["LatencyOptimizer"]
+
+#: One kernel's placement candidates: ``(slot, point)`` pairs.
+Options = Iterable[Tuple[DeviceSlot, DesignPoint]]
 
 
 class LatencyOptimizer:
@@ -50,10 +56,10 @@ class LatencyOptimizer:
     ) -> List[str]:
         """Eq. 2-3 descending-W_L kernel order, memoized.
 
-        Step 1, :meth:`retime` (called once per Step-2 swap candidate)
-        and the static baseline all rank the same graph identically —
-        one ranks table serves them all.  Callers must not mutate the
-        returned list.
+        Every :meth:`place` call on a graph — Step 1, :meth:`retime`
+        once per Step-2 swap candidate, the static baselines — ranks it
+        identically, so one ranks table serves them all.  Callers must
+        not mutate the returned list.
         """
         key = (graph.structural_signature(), tuple(platforms))
         order = self._rank_memo.get(key)
@@ -71,39 +77,9 @@ class LatencyOptimizer:
         graph.validate()
         if not devices:
             raise ValueError("no devices to schedule on")
-        platforms = sorted({d.platform for d in devices})
-        order = self.priority_order(graph, platforms)
-
-        available = {d.device_id: d.available_at_ms for d in devices}
-        placed: Dict[str, Assignment] = {}
-
-        for name in order:
-            best: Optional[Assignment] = None
-            for dev in devices:
-                space = self.design_spaces.get((name, dev.platform))
-                if space is None:
-                    continue
-                point = space.min_latency()
-                est = self._earliest_start(
-                    name, dev, graph, placed, available[dev.device_id]
-                )
-                finish = est + point.latency_ms
-                if best is None or finish < best.end_ms:
-                    best = Assignment(
-                        kernel_name=name,
-                        point=point,
-                        device_id=dev.device_id,
-                        start_ms=est,
-                        end_ms=finish,
-                    )
-            if best is None:
-                raise RuntimeError(
-                    f"kernel {name!r} has no implementation on any device"
-                )
-            placed[name] = best
-            available[best.device_id] = best.end_ms
-
-        return Schedule(graph.name, list(placed.values()))
+        return self.place(
+            graph, devices, self.each_device(devices, KernelDesignSpace.min_latency)
+        )
 
     def retime(
         self,
@@ -117,24 +93,65 @@ class LatencyOptimizer:
         implementation, only the timing needs recomputation — placement
         is given.  Kernels keep the Step-1 priority order on each device.
         """
-        platforms = sorted({d.platform for d in devices})
-        order = self.priority_order(graph, platforms)
-        available = {d.device_id: d.available_at_ms for d in devices}
         by_id = {d.device_id: d for d in devices}
+
+        def fixed(name: str) -> Options:
+            point, device_id = choices[name]
+            return ((by_id[device_id], point),)
+
+        return self.place(graph, devices, fixed)
+
+    def each_device(
+        self,
+        devices: Sequence[DeviceSlot],
+        select: Callable[[KernelDesignSpace], DesignPoint],
+    ) -> Callable[[str], Options]:
+        """:meth:`place` options: ``select(space)`` on every device
+        holding a design space for the kernel, in device order."""
+        spaces = self.design_spaces
+
+        def options(name: str) -> Options:
+            for dev in devices:
+                space = spaces.get((name, dev.platform))
+                if space is not None:
+                    yield dev, select(space)
+
+        return options
+
+    def place(
+        self,
+        graph: KernelGraph,
+        devices: Sequence[DeviceSlot],
+        options: Callable[[str], Options],
+    ) -> Schedule:
+        """The list-scheduling loop of Step 1, Step-2 retiming and the
+        static baselines.
+
+        Walks the kernels in descending W_L (Eqs. 2-3) with one device
+        availability table, seeded with each slot's queueing horizon.
+        Each kernel goes to the ``(slot, point)`` candidate of
+        ``options(name)`` that finishes earliest from its Eq. 4 start;
+        the first strictly smaller finish wins.
+        """
+        order = self.priority_order(graph, sorted({d.platform for d in devices}))
+        available = {d.device_id: d.available_at_ms for d in devices}
         placed: Dict[str, Assignment] = {}
 
         for name in order:
-            point, device_id = choices[name]
-            dev = by_id[device_id]
-            est = self._earliest_start(name, dev, graph, placed, available[device_id])
-            placed[name] = Assignment(
-                kernel_name=name,
-                point=point,
-                device_id=device_id,
-                start_ms=est,
-                end_ms=est + point.latency_ms,
-            )
-            available[device_id] = placed[name].end_ms
+            best: Optional[Assignment] = None
+            for dev, point in options(name):
+                est = self._earliest_start(
+                    name, dev, graph, placed, available[dev.device_id]
+                )
+                finish = est + point.latency_ms
+                if best is None or finish < best.end_ms:
+                    best = Assignment(name, point, dev.device_id, est, finish)
+            if best is None:
+                raise RuntimeError(
+                    f"kernel {name!r} has no implementation on any device"
+                )
+            placed[name] = best
+            available[best.device_id] = best.end_ms
 
         return Schedule(graph.name, list(placed.values()))
 

@@ -18,11 +18,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..hardware.pcie import PCIeLink
 from ..obs.tracer import NULL_TRACER
-from ..optim.design_point import DesignPoint, KernelDesignSpace
+from ..optim.design_point import KernelDesignSpace
 from .energy_opt import EnergyOptimizer, EnergyStep
 from .kernel_graph import KernelGraph
 from .latency_opt import LatencyOptimizer
-from .types import Assignment, DeviceSlot, Schedule
+from .types import DeviceSlot, Schedule
 
 __all__ = ["PolyScheduler", "StaticScheduler"]
 
@@ -68,10 +68,7 @@ class PolyScheduler:
         return run_lint(graph, ctx, expand=False)
 
     def schedule(
-        self,
-        graph: KernelGraph,
-        devices: Sequence[DeviceSlot],
-        optimize_energy: bool = True,
+        self, graph: KernelGraph, devices: Sequence[DeviceSlot]
     ) -> Tuple[Schedule, List[EnergyStep]]:
         """Run both steps; returns the final schedule and accepted swaps.
 
@@ -81,9 +78,6 @@ class PolyScheduler:
         latency optimization.
         """
         step1 = self.latency_optimizer.schedule(graph, devices)
-        if not optimize_energy:
-            self._trace_schedule(step1, [])
-            return step1, []
         final, steps = self.energy_optimizer.optimize(
             graph, devices, step1, self.latency_bound_ms
         )
@@ -144,73 +138,41 @@ class StaticScheduler:
         latency_bound_ms: float,
         pcie: Optional[PCIeLink] = None,
     ) -> None:
-        self.design_spaces = design_spaces
+        if latency_bound_ms <= 0:
+            raise ValueError("latency bound must be positive")
         self.latency_bound_ms = latency_bound_ms
-        self.pcie = pcie or PCIeLink()
         self._latency_optimizer = LatencyOptimizer(design_spaces, pcie)
         #: Per-graph frozen policy: graph name -> use_max_eff.  Keyed by
         #: name so each application's offline decision survives other
         #: graphs being scheduled through the same instance.
         self._fixed_choice: Dict[str, bool] = {}
 
-    def _fixed_point(
-        self, kernel_name: str, platform: str, use_max_eff: bool
-    ) -> DesignPoint:
-        space = self.design_spaces.get((kernel_name, platform))
-        if space is None:
-            raise KeyError(f"no design space for {kernel_name!r} on {platform!r}")
-        return space.max_efficiency() if use_max_eff else space.min_latency()
-
-    def _choose_policy(
-        self, graph: KernelGraph, devices: Sequence[DeviceSlot]
-    ) -> bool:
-        """True -> max-efficiency implementations fit the latency bound."""
-        fresh = [
-            DeviceSlot(d.device_id, d.platform, d.device_type, 0.0)
-            for d in devices
-        ]
-        trial = self._schedule_fixed(graph, fresh, use_max_eff=True)
-        # Keep queueing headroom: the hard mapping is frozen offline, so
-        # the max-efficiency choice must fit well inside the bound.
-        return trial.makespan_ms <= 0.6 * self.latency_bound_ms
-
     def schedule(
         self, graph: KernelGraph, devices: Sequence[DeviceSlot]
-    ) -> Schedule:
-        """Schedule with the frozen per-kernel implementation choice."""
-        key = graph.name
-        policy = self._fixed_choice.get(key)
+    ) -> Tuple[Schedule, List[EnergyStep]]:
+        """Schedule with the frozen per-kernel implementation choice;
+        a static baseline makes no energy swaps."""
+        policy = self._fixed_choice.get(graph.name)
         if policy is None:
-            # Freeze the policy on first use (offline decision).
-            policy = self._choose_policy(graph, devices)
-            self._fixed_choice[key] = policy
-        return self._schedule_fixed(graph, devices, policy)
+            # Freeze the policy on first use (offline decision), keeping
+            # queueing headroom: the max-efficiency choice must fit well
+            # inside the bound on idle devices.
+            idle = [DeviceSlot(d.device_id, d.platform, d.device_type) for d in devices]
+            trial = self._place(graph, idle, use_max_eff=True)
+            policy = trial.makespan_ms <= 0.6 * self.latency_bound_ms
+            self._fixed_choice[graph.name] = policy
+        return self._place(graph, devices, policy), []
 
-    def _schedule_fixed(
+    def _place(
         self,
         graph: KernelGraph,
         devices: Sequence[DeviceSlot],
         use_max_eff: bool,
     ) -> Schedule:
-        platforms = sorted({d.platform for d in devices})
-        order = self._latency_optimizer.priority_order(graph, platforms)
-        available = {d.device_id: d.available_at_ms for d in devices}
-        placed: Dict[str, Assignment] = {}
-        for name in order:
-            best: Optional[Assignment] = None
-            for dev in devices:
-                try:
-                    point = self._fixed_point(name, dev.platform, use_max_eff)
-                except KeyError:
-                    continue
-                est = self._latency_optimizer._earliest_start(
-                    name, dev, graph, placed, available[dev.device_id]
-                )
-                finish = est + point.latency_ms
-                if best is None or finish < best.end_ms:
-                    best = Assignment(name, point, dev.device_id, est, finish)
-            if best is None:
-                raise RuntimeError(f"kernel {name!r} unschedulable")
-            placed[name] = best
-            available[best.device_id] = best.end_ms
-        return Schedule(graph.name, list(placed.values()))
+        select = (
+            KernelDesignSpace.max_efficiency
+            if use_max_eff
+            else KernelDesignSpace.min_latency
+        )
+        opt = self._latency_optimizer
+        return opt.place(graph, devices, opt.each_device(devices, select))

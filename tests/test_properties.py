@@ -22,7 +22,7 @@ from repro.faults import FaultSchedule
 from repro.hardware import AMD_W9100, GPUModel, ImplConfig, PCIeLink, XILINX_7V3, FPGAModel
 from repro.hardware.specs import DeviceType
 from repro.obs import SpanTracer
-from repro.optim import explore_application
+from repro.optim import explore_kernel
 from repro.patterns import Kernel, Map, PPG, Tensor
 from repro.runtime import (
     energy_proportionality,
@@ -34,7 +34,15 @@ from repro.runtime import (
     synthesize_google_trace,
     trace_arrivals,
 )
-from repro.scheduler import KernelGraph
+from repro.scheduler import (
+    DeviceSlot,
+    EnergyOptimizer,
+    KernelGraph,
+    LatencyOptimizer,
+    PolyScheduler,
+    StaticScheduler,
+    min_latency_ms,
+)
 
 point_lists = st.lists(
     st.tuples(
@@ -352,38 +360,6 @@ class TestFleetReplayProperties:
             assert iv.n_serving >= 1
 
 
-class TestSchedulerProperties:
-    @given(
-        lat_gpu=st.floats(min_value=1.0, max_value=100.0),
-        lat_fpga=st.floats(min_value=1.0, max_value=100.0),
-        n=st.integers(min_value=1, max_value=5),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_chain_schedule_invariants(self, lat_gpu, lat_fpga, n):
-        from conftest import chain_graph, synthetic_space
-        from repro.scheduler import DeviceSlot, LatencyOptimizer
-
-        graph = chain_graph(n)
-        spaces = {}
-        for name in graph.kernel_names:
-            spaces[(name, AMD_W9100.name)] = synthetic_space(
-                name, AMD_W9100.name, DeviceType.GPU, [(lat_gpu, 100.0)]
-            )
-            spaces[(name, XILINX_7V3.name)] = synthetic_space(
-                name, XILINX_7V3.name, DeviceType.FPGA, [(lat_fpga, 20.0)]
-            )
-        devices = [
-            DeviceSlot("gpu0", AMD_W9100.name, DeviceType.GPU),
-            DeviceSlot("fpga0", XILINX_7V3.name, DeviceType.FPGA),
-        ]
-        sched = LatencyOptimizer(spaces).schedule(graph, devices)
-        # Precedence holds and makespan is at least the serial minimum.
-        names = graph.kernel_names
-        for a, b in zip(names, names[1:]):
-            assert sched[b].start_ms >= sched[a].end_ms - 1e-9
-        assert sched.makespan_ms >= n * min(lat_gpu, lat_fpga) * 0.999
-
-
 # -- engine invariants (DESIGN.md section 6) ---------------------------------
 
 #: Kernel shapes ``(elements, ops per element, pipeline steps)`` for the
@@ -398,7 +374,9 @@ KERNEL_SHAPES = (
     (1 << 21, 64.0, 50),
     (65536, 64.0, 100),
 )
-SETTING_I = ("Homo-GPU", "Homo-FPGA", "Heter-Poly")
+SYSTEMS = ("Homo-GPU", "Homo-FPGA", "Heter-Poly")
+#: Design points per (kernel, platform) space of a random DAG.
+DESIGN_POINTS = 8
 
 
 class EngineCase(NamedTuple):
@@ -415,10 +393,9 @@ class EngineCase(NamedTuple):
 
 
 @st.composite
-def engine_cases(draw):
-    """A random DAG of 2-6 kernels with forward edges, one Setting-I
-    system, a seeded Poisson stream, and with or without a seeded
-    MTBF/MTTR fault schedule with transients and thermal slowdowns."""
+def random_dags(draw):
+    """A random DAG of 2-6 kernels with forward edges: each kernel's
+    ``KERNEL_SHAPES`` index and the edges as index pairs."""
     n = draw(st.integers(min_value=2, max_value=6))
     shapes = draw(
         st.lists(
@@ -426,10 +403,19 @@ def engine_cases(draw):
         )
     )
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return tuple(shapes), frozenset(draw(st.sets(st.sampled_from(pairs))))
+
+
+@st.composite
+def engine_cases(draw):
+    """A random DAG, one Setting-I system, a seeded Poisson stream, and
+    with or without a seeded MTBF/MTTR fault schedule with transients
+    and thermal slowdowns."""
+    shapes, edges = draw(random_dags())
     return EngineCase(
-        shapes=tuple(shapes),
-        edges=frozenset(draw(st.sets(st.sampled_from(pairs)))),
-        system=draw(st.sampled_from(SETTING_I)),
+        shapes=shapes,
+        edges=edges,
+        system=draw(st.sampled_from(SYSTEMS)),
         rps=draw(st.floats(min_value=5.0, max_value=200.0)),
         horizon_ms=draw(st.floats(min_value=500.0, max_value=3000.0)),
         seed=draw(st.integers(min_value=0, max_value=2**16)),
@@ -442,37 +428,48 @@ def engine_cases(draw):
 
 @pytest.fixture(scope="module")
 def kernel_spaces():
-    """Design spaces per (kernel index, shape, system), shared by the
+    """Design spaces per (kernel index, shape, platform), shared by the
     examples of this module: exploration is deterministic."""
     return {}
 
 
-def _case_app(case: EngineCase, kernel_spaces):
-    """The case's application, system and design spaces (each kernel
-    explored once per shape and system)."""
-    system = setting("I", case.system)
+def _random_graph(shapes, edges) -> KernelGraph:
     graph = KernelGraph("random")
-    for i, shape in enumerate(case.shapes):
+    for i, shape in enumerate(shapes):
         graph.add_kernel(small_kernel(f"K{i}", *KERNEL_SHAPES[shape]))
-    for a, b in sorted(case.edges):
+    for a, b in sorted(edges):
         graph.connect(f"K{a}", f"K{b}")
+    return graph
+
+
+def _explored(graph, shapes, platforms, kernel_spaces):
+    """The graph's design spaces on the platforms, each kernel explored
+    once per shape and platform."""
+    spaces = {}
+    for i, shape in enumerate(shapes):
+        name = f"K{i}"
+        for spec in platforms:
+            key = (i, shape, spec.name)
+            if key not in kernel_spaces:
+                kernel_spaces[key] = explore_kernel(
+                    graph.kernel(name), spec, DESIGN_POINTS
+                )
+            spaces[(name, spec.name)] = kernel_spaces[key]
+    return spaces
+
+
+def _case_app(case: EngineCase, kernel_spaces):
+    """The case's application, system and design spaces."""
+    system = setting("I", case.system)
+    graph = _random_graph(case.shapes, case.edges)
+    points = {DeviceType.GPU: DESIGN_POINTS, DeviceType.FPGA: DESIGN_POINTS}
     app = Application(
         "RANDOM",
         "random DAG",
         graph,
-        {name: {DeviceType.GPU: 8, DeviceType.FPGA: 8} for name in graph.kernel_names},
+        {name: points for name in graph.kernel_names},
     )
-    targets = app.dse_targets()
-    spaces = {}
-    for i, shape in enumerate(case.shapes):
-        key = (i, shape, case.system)
-        if key not in kernel_spaces:
-            kernel = graph.kernel(f"K{i}")
-            kernel_spaces[key] = explore_application(
-                [kernel], system.platforms, targets
-            )
-        spaces.update(kernel_spaces[key])
-    return app, system, spaces
+    return app, system, _explored(graph, case.shapes, system.platforms, kernel_spaces)
 
 
 def _case_inputs(case: EngineCase, system):
@@ -681,3 +678,208 @@ class TestEngineProperties:
             if succ["start_ms"] < end:
                 late.append((req, pred, kernel, end - succ["start_ms"]))
         assert not late, f"{len(late)} edges start early, e.g. {late[0]}"
+
+
+# -- scheduler invariants (DESIGN.md section 6) ------------------------------
+
+SETTINGS = ("I", "II", "III")
+
+
+class SchedulerCase(NamedTuple):
+    shapes: Tuple[int, ...]
+    edges: FrozenSet[Tuple[int, int]]
+    setting: str
+    system: str
+    horizons_ms: Tuple[float, ...]
+    slack: float
+
+
+@st.composite
+def scheduler_cases(draw):
+    """A random DAG on one Setting I-III system's device pool, each
+    device queued to a random horizon (Eq. 4's T_queue, zero on about
+    half of them), and a latency bound as a multiple (``slack``) of
+    the Step-1 makespan."""
+    shapes, edges = draw(random_dags())
+    setting_name = draw(st.sampled_from(SETTINGS))
+    system = draw(st.sampled_from(SYSTEMS))
+    n_devices = len(setting(setting_name, system).device_inventory())
+    horizon = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=50.0))
+    return SchedulerCase(
+        shapes=shapes,
+        edges=edges,
+        setting=setting_name,
+        system=system,
+        horizons_ms=tuple(
+            draw(st.lists(horizon, min_size=n_devices, max_size=n_devices))
+        ),
+        slack=draw(st.floats(min_value=0.8, max_value=4.0)),
+    )
+
+
+def _schedule_inputs(case: SchedulerCase, kernel_spaces):
+    """The case's graph, design spaces and queued device slots."""
+    system = setting(case.setting, case.system)
+    graph = _random_graph(case.shapes, case.edges)
+    spaces = _explored(graph, case.shapes, system.platforms, kernel_spaces)
+    slots = [
+        DeviceSlot(device_id, spec.name, spec.device_type, horizon)
+        for (device_id, spec), horizon in zip(
+            system.device_inventory(), case.horizons_ms
+        )
+    ]
+    return graph, spaces, slots
+
+
+def _timetable(schedule):
+    return [
+        (a.kernel_name, a.device_id, a.point, a.start_ms, a.end_ms)
+        for a in schedule
+    ]
+
+
+def _check_timetable(graph, schedule, slots, pcie):
+    """Transfer-charged precedence, device exclusivity and horizons.
+
+    Walked in placement order: each kernel starts exactly at its Eq. 4
+    time, the later of its predecessors' ends (plus the PCIe transfer
+    across devices) and its device's free time, which is the slot's
+    horizon until a kernel placed earlier on that device ends.
+    """
+    assert {a.kernel_name for a in schedule} == set(graph.kernel_names)
+    free = {s.device_id: s.available_at_ms for s in slots}
+    for a in schedule:
+        ready = 0.0
+        for pred in graph.predecessors(a.kernel_name):
+            p = schedule[pred]
+            arrival = p.end_ms
+            if p.device_id != a.device_id:
+                arrival += pcie.device_to_device_ms(
+                    graph.edge_bytes(pred, a.kernel_name)
+                )
+            assert a.start_ms >= arrival
+            ready = max(ready, arrival)
+        assert a.start_ms >= free[a.device_id]
+        assert a.start_ms == max(ready, free[a.device_id])
+        assert a.end_ms == a.start_ms + a.point.latency_ms
+        free[a.device_id] = a.end_ms
+
+
+class TestSchedulerProperties:
+    @given(
+        lat_gpu=st.floats(min_value=1.0, max_value=100.0),
+        lat_fpga=st.floats(min_value=1.0, max_value=100.0),
+        n=st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_chain_schedule_invariants(self, lat_gpu, lat_fpga, n):
+        from conftest import chain_graph
+
+        graph = chain_graph(n)
+        spaces = {}
+        for name in graph.kernel_names:
+            spaces[(name, AMD_W9100.name)] = synthetic_space(
+                name, AMD_W9100.name, DeviceType.GPU, [(lat_gpu, 100.0)]
+            )
+            spaces[(name, XILINX_7V3.name)] = synthetic_space(
+                name, XILINX_7V3.name, DeviceType.FPGA, [(lat_fpga, 20.0)]
+            )
+        devices = [
+            DeviceSlot("gpu0", AMD_W9100.name, DeviceType.GPU),
+            DeviceSlot("fpga0", XILINX_7V3.name, DeviceType.FPGA),
+        ]
+        sched = LatencyOptimizer(spaces).schedule(graph, devices)
+        # Precedence holds and makespan is at least the serial minimum.
+        names = graph.kernel_names
+        for a, b in zip(names, names[1:]):
+            assert sched[b].start_ms >= sched[a].end_ms - 1e-9
+        assert sched.makespan_ms >= n * min(lat_gpu, lat_fpga) * 0.999
+
+    @given(case=scheduler_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_step1_invariants(self, kernel_spaces, case):
+        """Step 1 keeps the timetable invariants, runs each kernel's
+        fastest point on its device, and ends by the latest horizon plus
+        every kernel's minimum latency and largest in-edge transfer."""
+        graph, spaces, slots = _schedule_inputs(case, kernel_spaces)
+        opt = LatencyOptimizer(spaces)
+        sched = opt.schedule(graph, slots)
+        _check_timetable(graph, sched, slots, opt.pcie)
+        platform_of = {s.device_id: s.platform for s in slots}
+        for a in sched:
+            space = spaces[(a.kernel_name, platform_of[a.device_id])]
+            assert a.point == space.min_latency()
+        platforms = sorted(set(platform_of.values()))
+        bound = max(s.available_at_ms for s in slots)
+        for name in graph.kernel_names:
+            bound += min_latency_ms(name, spaces, platforms)
+            bound += max(
+                (
+                    opt.pcie.device_to_device_ms(graph.edge_bytes(pred, name))
+                    for pred in graph.predecessors(name)
+                ),
+                default=0.0,
+            )
+        assert sched.makespan_ms <= bound * (1 + 1e-12)
+
+    @given(case=scheduler_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_retime_reproduces_step1(self, kernel_spaces, case):
+        graph, spaces, slots = _schedule_inputs(case, kernel_spaces)
+        opt = LatencyOptimizer(spaces)
+        sched = opt.schedule(graph, slots)
+        choices = {a.kernel_name: (a.point, a.device_id) for a in sched}
+        assert _timetable(opt.retime(graph, slots, choices)) == _timetable(sched)
+
+    @given(case=scheduler_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_step2_invariants(self, kernel_spaces, case):
+        """Replayed from Step 1, every accepted swap retimes to its
+        recorded makespan within the bound and saves more than
+        ``MIN_GAIN_MJ``; there are at most ``MAX_ITERS`` of them, and
+        the last replay is the final schedule."""
+        graph, spaces, slots = _schedule_inputs(case, kernel_spaces)
+        step1 = LatencyOptimizer(spaces).schedule(graph, slots)
+        bound = case.slack * step1.makespan_ms
+        scheduler = PolyScheduler(spaces, bound)
+        final, steps = scheduler.schedule(graph, slots)
+        assert len(steps) <= EnergyOptimizer.MAX_ITERS
+        platform_of = {s.device_id: s.platform for s in slots}
+        current = step1
+        choices = {a.kernel_name: (a.point, a.device_id) for a in step1}
+        for step in steps:
+            before = current[step.kernel_name]
+            assert (before.point, before.device_id) == (step.before, step.device_before)
+            saved = step.before.energy_mj - step.after.energy_mj
+            assert saved == step.energy_saved_mj > EnergyOptimizer.MIN_GAIN_MJ
+            fastest = spaces[(step.kernel_name, platform_of[step.device_after])]
+            assert step.after.latency_ms <= (
+                fastest.min_latency().latency_ms * EnergyOptimizer.MAX_SLOWDOWN
+            )
+            choices[step.kernel_name] = (step.after, step.device_after)
+            retimed = scheduler.latency_optimizer.retime(graph, slots, choices)
+            assert retimed.makespan_ms == step.makespan_ms <= bound
+            assert retimed.total_energy_mj < current.total_energy_mj
+            current = retimed
+        assert _timetable(final) == _timetable(current)
+        _check_timetable(graph, final, slots, scheduler.latency_optimizer.pcie)
+
+    @given(case=scheduler_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_static_baseline_invariants(self, kernel_spaces, case):
+        """The static baseline keeps the timetable invariants with one
+        frozen kind of point (all most efficient or all fastest) and
+        makes no energy swaps."""
+        graph, spaces, slots = _schedule_inputs(case, kernel_spaces)
+        bound = case.slack * LatencyOptimizer(spaces).schedule(graph, slots).makespan_ms
+        sched, steps = StaticScheduler(spaces, bound).schedule(graph, slots)
+        assert steps == []
+        _check_timetable(graph, sched, slots, PCIeLink())
+        platform_of = {s.device_id: s.platform for s in slots}
+        used = [
+            (a.point, spaces[(a.kernel_name, platform_of[a.device_id])])
+            for a in sched
+        ]
+        assert all(p == space.max_efficiency() for p, space in used) or all(
+            p == space.min_latency() for p, space in used
+        )

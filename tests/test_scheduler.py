@@ -245,11 +245,18 @@ class TestSchedulers:
         spaces = _diamond_spaces()
         static = StaticScheduler(spaces, 200.0)
         gpu_only = [DeviceSlot("gpu0", GPU, DeviceType.GPU)]
-        s1 = static.schedule(g, gpu_only)
-        s2 = static.schedule(g, gpu_only)
-        # Same frozen choice across calls.
+        s1, steps = static.schedule(g, gpu_only)
+        s2, _ = static.schedule(g, gpu_only)
+        # Same frozen choice across calls, and no energy swaps.
+        assert steps == []
         for k in s1.assignments:
             assert s1[k].point.index == s2[k].point.index
+
+    @pytest.mark.parametrize("scheduler", [PolyScheduler, StaticScheduler])
+    @pytest.mark.parametrize("bound_ms", [0.0, -5.0])
+    def test_non_positive_bound_rejected(self, scheduler, bound_ms):
+        with pytest.raises(ValueError, match="latency bound must be positive"):
+            scheduler(_diamond_spaces(), bound_ms)
 
     def test_schedule_record_helpers(self):
         g = _diamond_graph()
@@ -275,7 +282,7 @@ class TestStaticSchedulerPolicyIsolation:
         spaces = _diamond_spaces()
         scheduler = StaticScheduler(spaces, 500.0)
         diamond = _diamond_graph()
-        first = scheduler.schedule(diamond, _devices())
+        first, _ = scheduler.schedule(diamond, _devices())
 
         # A serial chain over the same kernels busts 60% of the bound at
         # zero load, freezing the *other* policy (min-latency).
@@ -290,7 +297,7 @@ class TestStaticSchedulerPolicyIsolation:
             != scheduler._fixed_choice["serial"]
         )
 
-        replay = scheduler.schedule(diamond, _devices())
+        replay, _ = scheduler.schedule(diamond, _devices())
         assert [
             (a.kernel_name, a.point.index, a.device_id) for a in first
         ] == [

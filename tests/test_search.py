@@ -207,6 +207,28 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("max_evals", 64.5),
+            ("max_evals", 64.0),
+            ("max_evals", True),
+            ("max_evals", "64"),
+            ("seed", True),
+            ("seed", False),
+        ],
+    )
+    def test_non_integers_rejected(self, field, value):
+        """A fractional budget used to build and then fail deep in the
+        search (``slice indices must be integers``); a bool is an
+        ``Integral`` but neither a budget nor a seed."""
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            SearchConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SearchConfig(max_evals=np.int64(64), seed=np.int64(3))
+        assert (cfg.max_evals, cfg.seed) == (64, 3)
+
 
 # ---------------------------------------------------------------------------
 # Golden A/B: guided == exhaustive at full budget
