@@ -14,6 +14,10 @@ state, device executions, the resilience report or the JSONL bytes.
 A schedule entry pins what the system's scheduler decides on idle
 device slots and on slots queued to fixed horizons: every assignment
 and every Step-2 swap.
+
+A command entry (``cli_digests.json``) pins what one single-node run
+invocation prints with ``--json`` or as plain text, or the bytes of
+every artifact a traced one writes.
 """
 
 import functools
@@ -23,12 +27,15 @@ import pytest
 from golden_cases import (
     APPS,
     CHAOS_MODES,
+    CLI_CASES,
+    CLI_FILE,
     FAULT_MODES,
     MODES,
     SCHEDULE_FILE,
     SIM_FILE,
     SYSTEMS,
     load,
+    run_cli_case,
     run_schedule_case,
     run_sim_case,
     schedule_case_id,
@@ -40,6 +47,7 @@ from golden_cases import (
 
 GOLDEN = load(SIM_FILE)
 SCHEDULES = load(SCHEDULE_FILE)
+COMMANDS = load(CLI_FILE)
 
 CASES = [(a, s, m) for a in APPS for s in SYSTEMS for m in MODES]
 
@@ -105,3 +113,12 @@ def test_schedule_digests(app_name, setting, system_name):
     assert {
         load: schedule_digest(*result) for load, result in results.items()
     } == SCHEDULES[schedule_case_id(app_name, setting, system_name)]
+
+
+def test_cli_fixture_covers_every_case():
+    assert set(COMMANDS) == set(CLI_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_digests(name):
+    assert run_cli_case(name) == COMMANDS[name]

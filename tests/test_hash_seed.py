@@ -5,8 +5,9 @@ iteration order of a hash-keyed container would differ between two
 processes with different hash seeds.  Two subprocesses, one with
 ``PYTHONHASHSEED=0`` and one with ``=1``, each run one golden
 single-node case (chaos, traced), the seeded diurnal fleet replay, a
-budgeted guided DSE on an enlarged knob space and every golden
-schedule case, and print digests of all four.
+budgeted guided DSE on an enlarged knob space, every golden schedule
+case and every golden command invocation, and print digests of all
+five.
 """
 
 import json
@@ -15,7 +16,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from golden_cases import FLEET_FILE, SCHEDULE_FILE, SIM_FILE, load, sim_case_id
+from golden_cases import (
+    CLI_FILE,
+    FLEET_FILE,
+    SCHEDULE_FILE,
+    SIM_FILE,
+    load,
+    sim_case_id,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,8 +33,8 @@ SCRIPT = f"""
 import dataclasses, json
 import numpy as np
 from golden_cases import (
-    asr_heter, digest, fleet_sig, run_sim_case, run_trace_replay,
-    schedule_digests, sim_digests,
+    asr_heter, cli_digests, digest, fleet_sig, run_sim_case,
+    run_trace_replay, schedule_digests, sim_digests,
 )
 from repro import apps, runtime
 from repro.optim import SearchConfig, explore_application
@@ -57,6 +65,7 @@ print(json.dumps({{
     "guided": digest(guided),
     "guided_generations": sum(s.search_stats.generations for s in spaces.values()),
     "schedules": schedule_digests(),
+    "commands": cli_digests(),
     "salt": hash("repro"),
 }}, sort_keys=True))
 """
@@ -89,8 +98,10 @@ def test_digests_equal_under_two_hash_seeds():
     # ...and agree on every digest.
     assert outs[0] == outs[1]
     # The guided search ran generations, not an exhaustive pass, and
-    # the simulations and schedules reproduce their recorded digests.
+    # the simulations, schedules and commands reproduce their recorded
+    # digests.
     assert outs[0]["guided_generations"] > 0
     assert outs[0]["sim"] == load(SIM_FILE)[sim_case_id(*SIM_CASE)]
     assert outs[0]["fleet"] == load(FLEET_FILE)["trace_replay"]
     assert outs[0]["schedules"] == load(SCHEDULE_FILE)
+    assert outs[0]["commands"] == load(CLI_FILE)
