@@ -20,8 +20,21 @@ Commands
     Print the two-step runtime schedule (Fig.-6 style) for one request
     of a benchmark on an idle Heter-Poly node.
 
-``simulate APP RPS [--setting I] [--system Heter-Poly] [--ms 10000]``
-    Serve a Poisson stream and report tail latency / power.
+``simulate APP [--setting I] [--system Heter-Poly] [--rps 30] [--ms 10000]
+        [--seed 0] [FAULTS] [--out-dir DIR ...] [--summary | --json]``
+    Serve a seeded Poisson stream on one leaf node and report tail
+    latency, power and QoS violations.  ``--seed`` seeds the arrivals,
+    the node and the ``--mtbf-ms`` draw.  Faults (``--crash``/
+    ``--recover`` events, or an ``--mtbf-ms``/``--mttr-ms`` schedule),
+    linted by RT004 before the run, add availability and
+    failover/recovery statistics.  ``--out-dir`` attaches the span
+    tracer and metrics registry and writes ``trace.perfetto.json``
+    (per-device timeline tracks for ui.perfetto.dev), ``events.jsonl``,
+    ``metrics.json`` and ``metrics.prom`` there, byte-identical across
+    runs of the same seed; ``--report`` adds the windowed SLO table and
+    ``report.json``, and ``--sample-*`` a bounded
+    ``trace.sampled.perfetto.json``.  A flag that would have no effect
+    is refused.
 
 ``codegen APP KERNEL [--fpga] [--unroll N] ...``
     Emit the optimized OpenCL source of one kernel implementation.
@@ -32,14 +45,6 @@ Commands
     spaces of each app that lints clean and runs the scheduler's
     admission check against them.  Exits nonzero when any ERROR
     diagnostic fires.
-
-``faults [--app ASR ...] [--rps 30] [--crash DEV@MS] [--recover DEV@MS]
-        [--mtbf-ms N --mttr-ms N] [--seed 0] [--json]``
-    Chaos experiment: serve a Poisson stream while injecting device
-    faults (explicit ``--crash``/``--recover`` events, or a random
-    MTBF/MTTR schedule) and report availability, tail latency, QoS
-    violations and failover/recovery statistics.  The schedule is
-    linted (RT004) before the run.
 
 ``cluster [--app ASR] [--system NAME ...] [--hours 24] [--compress 200]
         [--min-nodes 1] [--max-nodes 8] [--timeline] [--json]``
@@ -52,17 +57,6 @@ Commands
     templates.  Autoscaler flags the fleet cannot converge under exit 1
     before any DSE runs; RT007 and OBS002 warnings print before the
     replay, and a replay stream with no arrival exits 2.
-
-``obs APP [--rps 20] [--ms 4000] [--seed 0] [--out-dir obs_out]
-        [--summary] [--crash DEV@MS] [--recover DEV@MS]``
-    Traced simulation: serve a seeded Poisson stream with the span
-    tracer and metrics registry attached, and write four artifacts to
-    ``--out-dir``: ``trace.perfetto.json`` (open at ui.perfetto.dev —
-    per-device timeline tracks), ``events.jsonl`` (the typed event
-    stream), ``metrics.json`` and ``metrics.prom``.  Artifacts are
-    byte-identical across runs of the same seed.  ``--summary`` prints
-    a placement/occupancy digest; ``--crash``/``--recover`` injects
-    faults so the trace shows detection, failover and replanning.
 """
 
 from __future__ import annotations
@@ -71,10 +65,14 @@ import argparse
 import json
 import math
 import os
+import pathlib
 import sys
+from typing import List
+
+import numpy as np
 
 from . import apps as apps_mod
-from . import experiments, runtime
+from . import experiments, obs, runtime
 from .codegen import generate_host_snippet, generate_kernel_source
 from .hardware import ImplConfig
 from .hardware.specs import DeviceType
@@ -88,6 +86,32 @@ _FIGURES = {
         "fig10", "fig11", "fig12", "fig13", "fig14", "faults",
     )
 }
+
+
+class _Refusal(Exception):
+    """A flag value or combination a command refuses before its DSE:
+    ``main`` prints the message as one stderr line and exits 2."""
+
+
+def _device_slots(system) -> List[DeviceSlot]:
+    """One idle slot per device of ``system``: the pool the scheduler,
+    its admission check and the fault-schedule gate see."""
+    return [
+        DeviceSlot(device_id, spec.name, spec.device_type)
+        for device_id, spec in system.device_inventory()
+    ]
+
+
+def _artifact_dir(path: str, flag: str) -> pathlib.Path:
+    """Create an artifact directory before any DSE runs."""
+    out_dir = pathlib.Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _Refusal(
+            f"{flag}: cannot create directory {path!r} ({exc.strerror})"
+        ) from None
+    return out_dir
 
 
 def _cmd_figure(args) -> int:
@@ -133,56 +157,18 @@ def _cmd_schedule(args) -> int:
     app = apps_mod.build(args.app)
     system = runtime.setting(args.setting, "Heter-Poly")
     spaces = app.explore(system.platforms)
-    devices = [
-        DeviceSlot(device_id, spec.name, spec.device_type)
-        for device_id, spec in system.device_inventory()
-    ]
     scheduler = PolyScheduler(spaces, app.qos_ms)
-    schedule, swaps = scheduler.schedule(app.graph, devices)
+    schedule, swaps = scheduler.schedule(app.graph, _device_slots(system))
     print(schedule.gantt())
     for swap in swaps:
         print(f"  {swap!r}")
     return 0
 
 
-def _arrivals(args, rps_flag: str = "--rps", rng=None):
-    """The run's Poisson arrivals, built before any DSE: ``None`` after
-    one stderr line when ``args.rps`` over ``--ms`` yields no arrival."""
-    arrivals = runtime.poisson_arrivals(args.rps, args.ms, rng=rng)
-    if not arrivals:
-        print(
-            f"{rps_flag} {args.rps:g} over --ms {args.ms:g} yields no "
-            f"arrival; raise {rps_flag} or --ms",
-            file=sys.stderr,
-        )
-        return None
-    return arrivals
-
-
-def _cmd_simulate(args) -> int:
-    app = apps_mod.build(args.app)
-    system = runtime.setting(args.setting, args.system)
-    arrivals = _arrivals(args, rps_flag="RPS")
-    if arrivals is None:
-        return 2
-    spaces = app.explore(system.platforms)
-    result = runtime.run_simulation(system, app, spaces, arrivals)
-    print(result)
-    print(f"  p99        : {result.p99_ms:.1f} ms (bound {app.qos_ms:.0f} ms)")
-    print(f"  mean       : {result.mean_latency_ms:.1f} ms")
-    print(f"  avg power  : {result.avg_power_w:.1f} W")
-    print(f"  violations : {result.qos_violations(app.qos_ms)*100:.2f} %")
-    return 0
-
-
 def _cmd_codegen(args) -> int:
     app = apps_mod.build(args.app)
     if args.kernel not in app.graph:
-        print(
-            f"unknown kernel {args.kernel!r}; app has {app.kernel_names}",
-            file=sys.stderr,
-        )
-        return 2
+        raise _Refusal(f"unknown kernel {args.kernel!r}; app has {app.kernel_names}")
     kernel = app.graph.kernel(args.kernel)
     device_type = DeviceType.FPGA if args.fpga else DeviceType.GPU
     try:
@@ -198,8 +184,7 @@ def _cmd_codegen(args) -> int:
             fused=args.fused,
         )
     except ValueError as exc:
-        print(f"bad codegen knob: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"bad codegen knob: {exc}") from None
     print(generate_kernel_source(kernel, config, device_type))
     print()
     print(generate_host_snippet(kernel, config, device_type))
@@ -215,12 +200,8 @@ def _lint_one_app(name: str, setting: str, dse: bool) -> LintReport:
     report = run_lint(app, LintContext(specs=tuple(system.platforms)))
     if dse and report.ok:
         spaces = app.explore(system.platforms)
-        devices = [
-            DeviceSlot(device_id, spec.name, spec.device_type)
-            for device_id, spec in system.device_inventory()
-        ]
         scheduler = PolyScheduler(spaces, app.qos_ms)
-        report.extend(scheduler.admission_check(app.graph, devices))
+        report.extend(scheduler.admission_check(app.graph, _device_slots(system)))
     return report
 
 
@@ -309,9 +290,11 @@ def _parse_device_at(text: str):
     return device, at_ms
 
 
-def _device_events(args, system):
-    """The ``--crash``/``--recover`` events, or ``None`` after one
-    stderr line when an event names a device ``system`` lacks."""
+def _fault_schedule(args, system):
+    """The run's fault schedule, or ``None`` for a fault-free run: the
+    ``--crash``/``--recover`` events, or an ``--mtbf-ms`` draw over
+    every device seeded by ``--seed``."""
+    from .faults import FaultSchedule
     from .faults.events import FaultEvent, FaultKind
 
     known = [device_id for device_id, _ in system.device_inventory()]
@@ -322,217 +305,166 @@ def _device_events(args, system):
     ):
         for device, at_ms in specs or ():
             if device not in known:
-                print(
+                raise _Refusal(
                     f"{flag}: unknown device {device!r}; {args.system} "
-                    f"on Setting-{args.setting} has {known}",
-                    file=sys.stderr,
+                    f"on Setting-{args.setting} has {known}"
                 )
-                return None
             events.append(FaultEvent(at_ms, kind, device))
-    return events
+    if args.mtbf_ms is None:
+        return FaultSchedule(events) if events else None
+    if events:
+        raise _Refusal("--mtbf-ms cannot be combined with --crash/--recover")
+    return FaultSchedule.from_mtbf(
+        known,
+        duration_ms=args.ms,
+        mtbf_ms=args.mtbf_ms,
+        mttr_ms=args.mttr_ms or 1_000.0,
+        seed=args.seed,
+    )
 
 
-def _build_fault_schedule(args, system):
-    from .faults import FaultSchedule
-
-    events = _device_events(args, system)
-    if events is None:
-        return None
-    if args.mtbf_ms is not None:
-        if events:
-            print(
-                "--mtbf-ms cannot be combined with --crash/--recover",
-                file=sys.stderr,
-            )
-            return None
-        device_ids = [device_id for device_id, _ in system.device_inventory()]
-        return FaultSchedule.from_mtbf(
-            device_ids,
-            duration_ms=args.ms,
-            mtbf_ms=args.mtbf_ms,
-            mttr_ms=args.mttr_ms,
-            seed=args.seed,
-        )
-    if not events:
-        print(
-            "no faults given: use --crash/--recover or --mtbf-ms",
-            file=sys.stderr,
-        )
-        return None
-    return FaultSchedule(tuple(events))
+def _refuse_idle_flags(args) -> None:
+    """Refuse a flag the run would ignore: each needs the one after it."""
+    for flag, value, needed, present in (
+        ("--mttr-ms", args.mttr_ms, "--mtbf-ms", args.mtbf_ms),
+        ("--window-ms", args.window_ms, "--report", args.report),
+        ("--sample-seed", args.sample_seed, "--sample-rate", args.sample_rate),
+        ("--report", args.report, "--out-dir", args.out_dir),
+        ("--sample-rate", args.sample_rate, "--out-dir", args.out_dir),
+        ("--sample-top-k", args.sample_top_k, "--out-dir", args.out_dir),
+    ):
+        if value is not None and present is None:
+            raise _Refusal(f"{flag} has no effect without {needed}")
 
 
-def _cmd_faults(args) -> int:
+def _cmd_simulate(args) -> int:
+    _refuse_idle_flags(args)
     system = runtime.setting(args.setting, args.system)
-    schedule = _build_fault_schedule(args, system)
-    if schedule is None:
-        return 2
-    names = args.app or ["ASR"]
-    arrivals = _arrivals(args)
-    if arrivals is None:
-        return 2
-    rows = {}
-    for name in names:
-        app = apps_mod.build(name)
-        spaces = app.explore(system.platforms)
-        node = runtime.LeafNode(system, app, spaces)
-        ctx = LintContext(
-            design_spaces=spaces, devices=tuple(node.devices), qos_ms=app.qos_ms
+    faults = _fault_schedule(args, system)
+    arrivals = runtime.poisson_arrivals(
+        args.rps, args.ms, rng=np.random.default_rng(args.seed)
+    )
+    if not arrivals:
+        raise _Refusal(
+            f"--rps {args.rps:g} over --ms {args.ms:g} yields no arrival; "
+            "raise --rps or --ms"
         )
-        gate = run_lint(schedule, ctx)
+    out_dir = tracer = registry = None
+    if args.out_dir is not None:
+        out_dir = _artifact_dir(args.out_dir, "--out-dir")
+        tracer, registry = obs.SpanTracer(), obs.MetricsRegistry()
+    app = apps_mod.build(args.app)
+    # With --out-dir the DSE reports its own counter
+    # (dse_design_points_total) through the registry.
+    spaces = app.explore(system.platforms, metrics=registry)
+    if faults is not None:
+        ctx = LintContext(
+            design_spaces=spaces,
+            devices=tuple(_device_slots(system)),
+            qos_ms=app.qos_ms,
+        )
+        gate = run_lint(faults, ctx)
         for diag in gate:
             print(f"  {diag.render()}", file=sys.stderr)
         if not gate.ok:
             return 1
-        result = runtime.run_simulation(
-            system, app, spaces, arrivals, faults=schedule,
-        )
-        report = result.faults
-        rows[name] = {
-            "availability": result.availability,
-            "p99_ms": result.p99_ms,
-            "violations": result.qos_violations(app.qos_ms),
-            "mean_recovery_ms": report.mean_recovery_ms,
-            **{
-                k: v
-                for k, v in report.summary().items()
-                if k != "mean_recovery_ms"
-            },
-        }
+    result = runtime.run_simulation(
+        system, app, spaces, arrivals, seed=args.seed, faults=faults,
+        tracer=tracer, metrics=registry,
+    )
+    report = None
+    if out_dir is not None:
+        report = _write_artifacts(args, app, result, tracer, registry, out_dir)
+
+    row = {
+        "availability": result.availability,
+        "p99_ms": result.p99_ms,
+        "violations": result.qos_violations(app.qos_ms),
+    }
+    if result.faults is not None:
+        # The recovery mean leads the counters: the --json key order is
+        # what scripts and the golden command digests read.
+        summary = result.faults.summary()
+        row["mean_recovery_ms"] = summary.pop("mean_recovery_ms")
+        row.update(summary)
     if args.json:
         print(json.dumps({"setting": args.setting, "system": args.system,
-                          "rps": args.rps, "apps": rows}, indent=2))
+                          "rps": args.rps, "apps": {app.name: row}}, indent=2))
         return 0
-    for name, row in rows.items():
-        print(f"{name} on {args.system}/Setting-{args.setting} @ {args.rps:g} rps")
-        print(f"  availability : {row['availability']*100:.2f} %")
-        print(f"  p99          : {row['p99_ms']:.1f} ms")
-        print(f"  violations   : {row['violations']*100:.2f} %")
-        print(f"  recovery     : {row['mean_recovery_ms']:.1f} ms mean "
+    print(result)
+    print(f"  p99        : {result.p99_ms:.1f} ms (bound {app.qos_ms:.0f} ms)")
+    print(f"  mean       : {result.mean_latency_ms:.1f} ms")
+    print(f"  avg power  : {result.avg_power_w:.1f} W")
+    print(f"  violations : {row['violations']*100:.2f} %")
+    if result.faults is not None:
+        print(f"  available  : {row['availability']*100:.2f} %")
+        print(f"  recovery   : {row['mean_recovery_ms']:.1f} ms mean "
               f"({int(row['recoveries'])} episode(s))")
-        print(f"  retries      : {int(row['retries'])} "
+        print(f"  retries    : {int(row['retries'])} "
               f"({int(row['failovers'])} failovers)")
-        print(f"  shed         : {int(row['shed'])}   "
+        print(f"  shed       : {int(row['shed'])}   "
               f"failed: {int(row['failed_requests'])}")
+    if report is not None:
+        print(_render_report(*report))
+    if args.summary:
+        print(obs.placement_digest(result, result.node))
     return 0
 
 
-def _cmd_obs(args) -> int:
-    import pathlib
-
-    import numpy as np
-
-    from .obs import (
-        MetricsRegistry,
-        SamplingPolicy,
-        SpanTracer,
-        TimeSeriesStore,
-        default_slos,
-        evaluate_slos,
-        feed_simulation_result,
-        placement_digest,
-        render_slo_json,
-        sample_events,
-        write_events_jsonl,
-        write_metrics_json,
-        write_metrics_prom,
-        write_perfetto_json,
-    )
-
-    name = args.app
-    system = runtime.setting(args.setting, args.system)
-    app = apps_mod.build(name)
-
-    faults = None
-    if args.crash or args.recover:
-        from .faults.events import FaultSchedule
-
-        events = _device_events(args, system)
-        if events is None:
-            return 2
-        faults = FaultSchedule(events)
-    arrivals = _arrivals(args, rng=np.random.default_rng(args.seed))
-    if arrivals is None:
-        return 2
-
-    tracer = SpanTracer()
-    registry = MetricsRegistry()
-    # The DSE reports its own counter (dse_design_points_total) through
-    # the registry — identical for the exhaustive and guided paths.
-    spaces = app.explore(system.platforms, metrics=registry)
-    result = runtime.run_simulation(
-        system,
-        app,
-        spaces,
-        arrivals,
-        seed=args.seed,
-        faults=faults,
-        tracer=tracer,
-        metrics=registry,
-    )
-
-    store = slos = alerts = None
+def _write_artifacts(args, app, result, tracer, registry, out_dir):
+    """Write a traced run's artifacts to ``out_dir``, naming each on
+    stderr; returns the ``--report`` rollups ``(store, slos, alerts)``,
+    or ``None``."""
+    report = None
     if args.report:
-        store = TimeSeriesStore(window_ms=args.window_ms)
-        feed_simulation_result(store, result, qos_ms=app.qos_ms)
-        slos = default_slos(app.qos_ms, store.window_ms)
+        store = obs.TimeSeriesStore(window_ms=args.window_ms or 1_000.0)
+        obs.feed_simulation_result(store, result, qos_ms=app.qos_ms)
+        slos = obs.default_slos(app.qos_ms, store.window_ms)
         # Fired alerts land in the trace (slo.alert events) and the
         # registry before the artifacts serialize below.
-        alerts = evaluate_slos(store, slos, tracer=tracer, registry=registry)
-
-    policy = None
-    if args.sample_rate < 1.0 or args.sample_top_k:
-        policy = SamplingPolicy(
-            head_rate=args.sample_rate,
-            seed=args.sample_seed,
-            tail_qos_ms=app.qos_ms,
-            tail_top_k=args.sample_top_k,
+        alerts = obs.evaluate_slos(store, slos, tracer=tracer, registry=registry)
+        report = (store, slos, alerts)
+    rate = 1.0 if args.sample_rate is None else args.sample_rate
+    sampled = None
+    if rate < 1.0 or args.sample_top_k:
+        policy = obs.SamplingPolicy(
+            head_rate=rate, seed=args.sample_seed or 0,
+            tail_qos_ms=app.qos_ms, tail_top_k=args.sample_top_k or 0,
         )
-    sampled = (
-        sample_events(tracer.events, policy, registry=registry)
-        if policy is not None
-        else None
-    )
+        sampled = obs.sample_events(tracer.events, policy, registry=registry)
 
-    out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = [
-        write_perfetto_json(tracer.events, out_dir / "trace.perfetto.json"),
-        write_events_jsonl(tracer.events, out_dir / "events.jsonl"),
-        write_metrics_json(registry, out_dir / "metrics.json"),
-        write_metrics_prom(registry, out_dir / "metrics.prom"),
+        obs.write_perfetto_json(tracer.events, out_dir / "trace.perfetto.json"),
+        obs.write_events_jsonl(tracer.events, out_dir / "events.jsonl"),
+        obs.write_metrics_json(registry, out_dir / "metrics.json"),
+        obs.write_metrics_prom(registry, out_dir / "metrics.prom"),
     ]
     if sampled is not None:
-        paths.append(
-            write_perfetto_json(
-                sampled.events, out_dir / "trace.sampled.perfetto.json"
-            )
-        )
-    if store is not None:
-        report_path = out_dir / "report.json"
-        report_path.write_text(render_slo_json(store, slos, alerts))
-        paths.append(report_path)
+        paths.append(obs.write_perfetto_json(
+            sampled.events, out_dir / "trace.sampled.perfetto.json"
+        ))
+    if report is not None:
+        path = out_dir / "report.json"
+        path.write_text(obs.render_slo_json(*report))
+        paths.append(path)
     print(
-        f"{name} on {args.system}/Setting-{args.setting} @ {args.rps:g} rps: "
-        f"{len(tracer)} events, {len(registry)} metric series"
+        f"  traced {len(tracer)} events, {len(registry)} metric series",
+        file=sys.stderr,
     )
     if sampled is not None:
         print(
             f"  sampled {len(sampled.events)} of {len(tracer)} events "
             f"({len(sampled.kept_requests)} request(s) kept, "
-            f"{sampled.dropped_spans} span(s) dropped)"
+            f"{sampled.dropped_spans} span(s) dropped)",
+            file=sys.stderr,
         )
     for path in paths:
-        print(f"  wrote {path}")
-    if store is not None:
-        print(_render_obs_report(store, slos, alerts))
-    if args.summary:
-        print(placement_digest(result, result.node))
-    return 0
+        print(f"  wrote {path}", file=sys.stderr)
+    return report
 
 
-def _render_obs_report(store, slos, alerts) -> str:
-    """The ``repro obs --report`` table: per-window rollups + alerts."""
+def _render_report(store, slos, alerts) -> str:
+    """The ``repro simulate --report`` table: per-window rollups + alerts."""
     lines = [
         f"windowed rollups ({store.window_ms:g} ms windows)",
         "  window        n    p50 ms    p95 ms    p99 ms   qos-ok     W",
@@ -584,6 +516,7 @@ def _cmd_cluster(args) -> int:
         print(exc, file=sys.stderr)
         return 1
 
+    trace_dir = _artifact_dir(args.trace_out, "--trace-out") if args.trace else None
     systems = args.system or ["Heter-Poly"]
     templates = [runtime.setting(args.setting, s) for s in systems]
     app = apps_mod.build(name)
@@ -596,11 +529,9 @@ def _cmd_cluster(args) -> int:
     )
     tracer = sampler = None
     if args.trace:
-        from .obs import SamplingPolicy, SpanTracer
-
-        tracer = SpanTracer()
+        tracer = obs.SpanTracer()
         if args.sample_rate < 1.0:
-            sampler = SamplingPolicy(
+            sampler = obs.SamplingPolicy(
                 head_rate=args.sample_rate,
                 seed=args.sample_seed,
                 tail_qos_ms=app.qos_ms,
@@ -624,27 +555,17 @@ def _cmd_cluster(args) -> int:
     try:
         result = sim.replay(trace, peak_rps=peak_rps, compress=args.compress)
     except ValueError as exc:  # the replay stream holds no arrival
-        print(
-            f"{exc}: raise --peak-rps (or --peak-factor) or --hours",
-            file=sys.stderr,
-        )
-        return 2
+        raise _Refusal(f"{exc}: raise --peak-rps (or --peak-factor) or --hours") from None
 
     if tracer is not None:
-        import pathlib
-
-        from .obs import sample_events, write_events_jsonl, write_perfetto_json
-
-        out_dir = pathlib.Path(args.trace_out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         trace_paths = [
-            write_events_jsonl(tracer.events, out_dir / "events.jsonl")
+            obs.write_events_jsonl(tracer.events, trace_dir / "events.jsonl")
         ]
         if sampler is not None:
-            sampled = sample_events(tracer.events, sampler)
+            sampled = obs.sample_events(tracer.events, sampler)
             trace_paths.append(
-                write_perfetto_json(
-                    sampled.events, out_dir / "trace.sampled.perfetto.json"
+                obs.write_perfetto_json(
+                    sampled.events, trace_dir / "trace.sampled.perfetto.json"
                 )
             )
             print(
@@ -653,8 +574,8 @@ def _cmd_cluster(args) -> int:
             )
         else:
             trace_paths.append(
-                write_perfetto_json(
-                    tracer.events, out_dir / "trace.perfetto.json"
+                obs.write_perfetto_json(
+                    tracer.events, trace_dir / "trace.perfetto.json"
                 )
             )
         for path in trace_paths:
@@ -748,6 +669,9 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
+_SYSTEMS = ("Homo-GPU", "Homo-FPGA", "Heter-Poly")
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one stderr line and exits 2."""
 
@@ -793,16 +717,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--setting", default="I", choices=("I", "II", "III"))
     p.set_defaults(fn=_cmd_schedule)
 
-    p = sub.add_parser("simulate", help="serve a Poisson request stream")
+    p = sub.add_parser("simulate", help="serve a Poisson stream on one node")
     p.add_argument("app", type=_app_name)
-    p.add_argument("rps", type=_positive_float)
     p.add_argument("--setting", default="I", choices=("I", "II", "III"))
-    p.add_argument(
-        "--system",
-        default="Heter-Poly",
-        choices=("Homo-GPU", "Homo-FPGA", "Heter-Poly"),
-    )
+    p.add_argument("--system", default="Heter-Poly", choices=_SYSTEMS)
+    p.add_argument("--rps", type=_positive_float, default=30.0)
     p.add_argument("--ms", type=_positive_float, default=10_000.0)
+    p.add_argument(
+        "--seed", type=_non_negative_int, default=0,
+        help="seeds the arrivals, the node and the --mtbf-ms draw",
+    )
+    for flag, verb in (("--crash", "fail"), ("--recover", "repair")):
+        p.add_argument(
+            flag, action="append", type=_parse_device_at, metavar="DEVICE@MS",
+            help=f"{verb} a device at a time (repeatable), e.g. fpga0@4000",
+        )
+    p.add_argument(
+        "--mtbf-ms", type=_positive_float,
+        help="draw a random fault schedule with this mean time between failures",
+    )
+    p.add_argument(
+        "--mttr-ms", type=_positive_float,
+        help="mean time to repair for --mtbf-ms schedules (default 1000)",
+    )
+    p.add_argument(
+        "--out-dir",
+        help="attach the tracer and metrics registry and write the run's "
+        "artifacts here (created if missing)",
+    )
+    p.add_argument(
+        "--report", action="store_true", default=None,
+        help="windowed rollup table + SLO burn-rate alerts (also writes report.json)",
+    )
+    p.add_argument(
+        "--window-ms", type=_positive_float,
+        help="rollup window for --report (simulated ms; default 1000)",
+    )
+    p.add_argument(
+        "--sample-rate", type=_probability,
+        help="head-sampling keep probability; < 1.0 adds a bounded "
+        "trace.sampled.perfetto.json (QoS violators always kept)",
+    )
+    p.add_argument(
+        "--sample-seed", type=_non_negative_int, help="sampling-key seed (default 0)"
+    )
+    p.add_argument(
+        "--sample-top-k", type=_non_negative_int,
+        help="always keep the k highest-latency request spans",
+    )
+    output = p.add_mutually_exclusive_group()
+    output.add_argument(
+        "--summary", action="store_true", help="print the placement/occupancy digest"
+    )
+    output.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("codegen", help="emit optimized OpenCL source")
@@ -836,50 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--setting", default="I", choices=("I", "II", "III"))
     p.set_defaults(fn=_cmd_lint)
 
-    p = sub.add_parser("faults", help="fault-injection chaos experiment")
-    p.add_argument(
-        "--app",
-        action="append",
-        type=_app_name,
-        help="benchmark short name (repeatable); ASR when omitted",
-    )
-    p.add_argument("--setting", default="I", choices=("I", "II", "III"))
-    p.add_argument(
-        "--system",
-        default="Heter-Poly",
-        choices=("Homo-GPU", "Homo-FPGA", "Heter-Poly"),
-    )
-    p.add_argument("--rps", type=_positive_float, default=30.0)
-    p.add_argument("--ms", type=_positive_float, default=8_000.0)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument(
-        "--crash",
-        action="append",
-        type=_parse_device_at,
-        metavar="DEVICE@MS",
-        help="fail a device at a time (repeatable), e.g. fpga0@4000",
-    )
-    p.add_argument(
-        "--recover",
-        action="append",
-        type=_parse_device_at,
-        metavar="DEVICE@MS",
-        help="repair a device at a time (repeatable)",
-    )
-    p.add_argument(
-        "--mtbf-ms",
-        type=_positive_float,
-        help="draw a random fault schedule with this mean time between failures",
-    )
-    p.add_argument(
-        "--mttr-ms",
-        type=_positive_float,
-        default=1_000.0,
-        help="mean time to repair for --mtbf-ms schedules",
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(fn=_cmd_faults)
-
     p = sub.add_parser(
         "cluster", help="fleet replay: dispatcher + autoscaler over a trace"
     )
@@ -890,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--system",
         action="append",
-        choices=("Homo-GPU", "Homo-FPGA", "Heter-Poly"),
+        choices=_SYSTEMS,
         help="node template (repeatable for a heterogeneous fleet); "
         "launches rotate through the given templates",
     )
@@ -982,78 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(fn=_cmd_cluster)
-
-    p = sub.add_parser(
-        "obs", help="traced simulation with Perfetto/metrics artifacts"
-    )
-    p.add_argument("app", type=_app_name)
-    p.add_argument("--setting", default="I", choices=("I", "II", "III"))
-    p.add_argument(
-        "--system",
-        default="Heter-Poly",
-        choices=("Homo-GPU", "Homo-FPGA", "Heter-Poly"),
-    )
-    p.add_argument("--rps", type=_positive_float, default=20.0)
-    p.add_argument("--ms", type=_positive_float, default=4_000.0)
-    p.add_argument(
-        "--seed", type=_non_negative_int, default=0, help="arrival-stream seed"
-    )
-    p.add_argument(
-        "--out-dir",
-        default="obs_out",
-        help="artifact directory (created if missing)",
-    )
-    p.add_argument(
-        "--summary",
-        action="store_true",
-        help="print the placement/occupancy digest",
-    )
-    p.add_argument(
-        "--report",
-        action="store_true",
-        help="windowed rollup table + SLO burn-rate alerts "
-        "(also writes report.json)",
-    )
-    p.add_argument(
-        "--window-ms",
-        type=_positive_float,
-        default=1_000.0,
-        help="rollup window for --report (simulated ms)",
-    )
-    p.add_argument(
-        "--sample-rate",
-        type=_probability,
-        default=1.0,
-        help="head-sampling keep probability; < 1.0 adds a bounded "
-        "trace.sampled.perfetto.json (QoS violators always kept)",
-    )
-    p.add_argument(
-        "--sample-seed",
-        type=_non_negative_int,
-        default=0,
-        help="sampling-key seed",
-    )
-    p.add_argument(
-        "--sample-top-k",
-        type=_non_negative_int,
-        default=0,
-        help="always keep the k highest-latency request spans",
-    )
-    p.add_argument(
-        "--crash",
-        action="append",
-        type=_parse_device_at,
-        metavar="DEVICE@MS",
-        help="fail a device at a time (repeatable), e.g. fpga0@2000",
-    )
-    p.add_argument(
-        "--recover",
-        action="append",
-        type=_parse_device_at,
-        metavar="DEVICE@MS",
-        help="repair a device at a time (repeatable)",
-    )
-    p.set_defaults(fn=_cmd_obs)
     return parser
 
 
@@ -1064,6 +915,9 @@ def main(argv=None) -> int:
         # Flush inside the guard: buffered output otherwise hits a
         # closed pipe only at interpreter exit, outside any handler.
         sys.stdout.flush()
+    except _Refusal as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The reader went away (``repro lint --json | head``).  Point
         # stdout at devnull so the exit-time flush cannot raise again.

@@ -60,9 +60,9 @@ class AutoscalerConfig:
 
     Construction refuses a config under which the fleet cannot
     converge, with one :class:`ValueError` naming every violated
-    invariant: an empty or unsatisfiable size range, a non-positive
-    evaluation period, or a hysteresis band without a real gap and the
-    target inside it.
+    invariant: an empty or unsatisfiable size range, a non-positive or
+    non-finite evaluation period, a negative or non-finite warm-up, or a
+    hysteresis band without a real gap and the target inside it.
     """
 
     #: Fleet size bounds (inclusive).
@@ -96,9 +96,10 @@ class AutoscalerConfig:
             problems.append(
                 f"min_nodes={self.min_nodes} exceeds max_nodes={self.max_nodes}"
             )
-        if self.eval_interval_ms <= 0:
+        if not 0 < self.eval_interval_ms < math.inf:
             problems.append(
-                f"eval_interval_ms={self.eval_interval_ms:g} must be positive"
+                f"eval_interval_ms={self.eval_interval_ms:g} must be positive "
+                "and finite"
             )
         down = self.scale_down_utilization
         up = self.scale_up_utilization
@@ -112,8 +113,10 @@ class AutoscalerConfig:
                 f"target_utilization={self.target_utilization:g} lies "
                 f"outside the hysteresis band [{down:g}, {up:g}]"
             )
-        if self.warmup_ms < 0:
-            problems.append(f"warmup_ms={self.warmup_ms:g} must be non-negative")
+        if not 0 <= self.warmup_ms < math.inf:
+            problems.append(
+                f"warmup_ms={self.warmup_ms:g} must be non-negative and finite"
+            )
         if self.idle_intervals < 1:
             problems.append(f"idle_intervals={self.idle_intervals} must be >= 1")
         if self.max_launch_per_eval < 1:

@@ -535,6 +535,8 @@ class ClusterSimulation:
         """
         if not len(arrivals_ms):
             raise ValueError("empty arrival stream")
+        if horizon_ms is not None and not math.isfinite(horizon_ms):
+            raise ValueError(f"horizon_ms={horizon_ms:g} must be finite")
         if self._nodes:
             raise RuntimeError("a ClusterSimulation instance drives one run")
         cfg = self.config

@@ -152,16 +152,6 @@ def check_implementation_coverage(
                 )
 
 
-def _device_platform(device: object) -> str:
-    """Platform name for either pool representation: scheduler
-    ``DeviceSlot`` (``.platform``) or runtime ``AcceleratorInstance``
-    (``.spec.name``)."""
-    platform = getattr(device, "platform", None)
-    if platform is not None:
-        return platform
-    return device.spec.name
-
-
 @register_rule(
     "RT004",
     Severity.ERROR,
@@ -189,7 +179,7 @@ def check_schedule_leaves_survivors(
     surviving_families = {
         d.device_type for d in ctx.devices if d.device_id not in dead
     }
-    pool_platforms = {_device_platform(d) for d in ctx.devices}
+    pool_platforms = {d.platform for d in ctx.devices}
     # kernel -> families it can run on within this pool
     families: Dict[str, Set[object]] = {}
     for (kname, platform), space in ctx.design_spaces.items():

@@ -18,7 +18,7 @@ first-class tracing/metrics layer:
 * :mod:`repro.obs.export`  — Chrome trace-event / Perfetto JSON (per-
   device timeline tracks) and a JSONL structured-event stream.
 * :mod:`repro.obs.summary` — simulation-to-registry wiring and the
-  placement/occupancy digest behind ``repro obs --summary``.
+  placement/occupancy digest behind ``repro simulate --summary``.
 * :mod:`repro.obs.sampling` — deterministic head/tail trace sampling
   so fleet replays export bounded artifacts (the per-request Bernoulli
   never touches simulation RNG; QoS violators, faulted requests and
@@ -28,7 +28,7 @@ first-class tracing/metrics layer:
   utilization) fed from simulation/cluster outcomes.
 * :mod:`repro.obs.slo` — declarative :class:`~repro.obs.slo.SLO`
   objects with multi-window burn-rate alerting over the rollups,
-  surfaced by ``repro obs --report``.
+  surfaced by ``repro simulate --out-dir DIR --report``.
 
 Quickstart::
 

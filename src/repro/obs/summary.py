@@ -122,7 +122,7 @@ def record_simulation_metrics(
 
 
 def placement_digest(result: Any, node: Any) -> str:
-    """Human-readable placement/occupancy digest (``repro obs --summary``)."""
+    """Human-readable placement/occupancy digest (``repro simulate --summary``)."""
     lines: List[str] = [
         f"{result.app} on {result.system}: {len(result.requests)} requests, "
         f"p99 {result.p99_ms:.1f} ms (bound {node.app.qos_ms:.0f} ms), "

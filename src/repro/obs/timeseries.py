@@ -5,7 +5,7 @@ dynamics an interactive serving system is judged on: the overload
 minute inside an otherwise healthy hour, the QoS dip while the
 autoscaler warms capacity.  This module turns recorded outcomes into
 *windowed* rollups — the substrate the SLO layer (:mod:`repro.obs.slo`)
-evaluates burn rates over and ``repro obs --report`` prints.
+evaluates burn rates over and ``repro simulate --report`` prints.
 
 A :class:`TimeSeriesStore` holds named series of ``(t_ms, value)``
 observations on the simulation clock and rolls each into fixed windows

@@ -110,6 +110,13 @@ class TestAutoscalerConfig:
             {"min_nodes": 0},
             {"eval_interval_ms": 0.0},
             {"target_utilization": 0.1},
+            # A non-finite time passes a sign check: an infinite interval
+            # never ends the drive loop, a NaN one routes nothing, and a
+            # NaN warm-up never brings a launched node into service.
+            {"eval_interval_ms": float("inf")},
+            {"eval_interval_ms": float("nan")},
+            {"warmup_ms": float("inf")},
+            {"warmup_ms": float("nan")},
         ],
     )
     def test_fatal_shapes_rejected(self, kwargs):
@@ -772,6 +779,12 @@ class TestClusterSimulation:
         with pytest.raises(ValueError, match="empty"):
             ClusterSimulation(system, app, spaces).run([])
 
+    @pytest.mark.parametrize("horizon_ms", [float("inf"), float("nan")])
+    def test_non_finite_horizon_rejected(self, fleet_env, horizon_ms):
+        app, system, spaces = fleet_env
+        with pytest.raises(ValueError, match="horizon_ms"):
+            ClusterSimulation(system, app, spaces).run([10.0], horizon_ms)
+
     def test_fatal_configs_rejected(self, fleet_env):
         app, system, spaces = fleet_env
         with pytest.raises(ValueError, match="eval_interval"):
@@ -901,6 +914,14 @@ class TestClusterCLI:
         )
         assert "min_nodes=5 exceeds max_nodes=2" in err
         assert "eval_interval_ms=0 must be positive" in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--eval-ms", "nan"), ("--eval-ms", "inf"),
+                        ("--warmup-ms", "nan"), ("--warmup-ms", "inf")],
+    )
+    def test_non_finite_time_named(self, capsys, monkeypatch, flag, value):
+        err = self._refused(capsys, monkeypatch, flag, value)
+        assert "finite" in err
 
     def test_inverted_band_named(self, capsys, monkeypatch):
         err = self._refused(

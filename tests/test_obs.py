@@ -381,33 +381,53 @@ class TestGoldenEventSchema:
 
 
 class TestCLI:
+    """``repro simulate --out-dir``: the traced single-node run."""
+
     def test_obs_command_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "obs"
         rc = cli_main([
-            "obs", "ASR", "--rps", "10", "--ms", "2000",
+            "simulate", "ASR", "--rps", "10", "--ms", "2000",
             "--out-dir", str(out), "--summary",
         ])
         assert rc == 0
-        for name in (
+        names = (
             "trace.perfetto.json", "events.jsonl", "metrics.json",
             "metrics.prom",
-        ):
-            assert (out / name).exists(), name
+        )
+        assert sorted(path.name for path in out.iterdir()) == sorted(names)
         doc = json.loads((out / "trace.perfetto.json").read_text())
         assert any(e["ph"] == "X" for e in doc["traceEvents"])
-        stdout = capsys.readouterr().out
-        assert "events" in stdout and "p99" in stdout
+        captured = capsys.readouterr()
+        assert "p99" in captured.out and "busy" in captured.out
+        assert "events" in captured.err
+        assert [line.split()[-1] for line in captured.err.splitlines()
+                if "wrote" in line] == [str(out / name) for name in names]
 
     def test_obs_command_unknown_app(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            cli_main(["obs", "NOPE", "--out-dir", str(tmp_path)])
+            cli_main(["simulate", "NOPE", "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
+
+    def test_json_stdout_does_not_depend_on_out_dir(self, tmp_path, capsys):
+        """Tracing does not move the run: ``--json`` prints the same
+        bytes with and without artifacts, and only the document."""
+        argv = ["simulate", "ASR", "--rps", "20", "--ms", "2000", "--json",
+                "--crash", "fpga0@500", "--recover", "fpga0@1500"]
+        outputs = []
+        for extra in ([], ["--out-dir", str(tmp_path / "obs"), "--report",
+                           "--sample-rate", "0.5"]):
+            assert cli_main(argv + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        row = json.loads(outputs[0])["apps"]["ASR"]
+        assert row["recoveries"] == 1.0
+        assert (tmp_path / "obs" / "report.json").exists()
 
     def test_obs_command_with_faults(self, tmp_path):
         out = tmp_path / "obs"
         rc = cli_main([
-            "obs", "ASR", "--rps", "10", "--ms", "2000",
+            "simulate", "ASR", "--rps", "10", "--ms", "2000",
             "--out-dir", str(out),
             "--crash", "fpga0@500", "--recover", "fpga0@1500",
         ])
