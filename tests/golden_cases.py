@@ -206,19 +206,14 @@ def sim_digests(result, tracer=None, chaos=False) -> Dict[str, str]:
     out = {
         "requests": digest(
             [
-                (r.arrival_ms, r.completion_ms, r.predicted_ms, r.retries,
-                 r.dropped, r.failed)
+                (r.arrival_ms, r.completion_ms, r.retries, r.dropped,
+                 r.failed)
                 for r in result.requests
             ]
         ),
         "power": digest(result.power_bins_w.tolist()),
         "monitor": digest(
-            (
-                mon._correction,
-                list(mon._latencies),
-                list(mon._arrival_times),
-                mon._queue_depth,
-            )
+            (list(mon._latencies), list(mon._arrival_times))
         ),
         "executions": digest(
             [
@@ -243,7 +238,7 @@ def fleet_sig(result) -> Tuple:
     """Everything a fleet replay decides: per-request times, routing,
     per-interval stats, the scaling timeline and fleet power."""
     return (
-        [(r.arrival_ms, r.completion_ms, r.predicted_ms) for r in result.requests],
+        [(r.arrival_ms, r.completion_ms) for r in result.requests],
         result.node_ids,
         [(iv.t_ms, iv.arrivals, iv.p99_ms) for iv in result.intervals],
         [(e.t_ms, e.action, e.node_id, e.fleet_size) for e in result.timeline],
