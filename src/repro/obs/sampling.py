@@ -192,14 +192,18 @@ def sample_events(
 
     # Realized executions: keep those covered by a retained dispatch
     # window on the same device (batch growth can stretch the realized
-    # end past the predicted one, so match on start containment).
+    # end past the predicted one, so match on start containment).  The
+    # windows carry six decimals and the start is raw: rounding the
+    # start the same way compares like with like, and since rounding
+    # is monotone a start inside a raw window stays inside its rounded
+    # one.
     for ev in deferred_exec:
         windows = kept_windows.get(ev.args["device"])
         if windows is None:
             continue
-        start = ev.ts_ms
+        start = round(ev.ts_ms, 6)
         for w0, w1 in windows:
-            if w0 - 1e-9 <= start <= w1 + 1e-9:
+            if w0 <= start <= w1:
                 kept.append(ev)
                 break
     kept.sort(key=lambda e: e.seq)

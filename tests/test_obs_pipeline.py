@@ -193,6 +193,25 @@ class TestSampling:
         with pytest.raises(ValueError):
             SamplingPolicy(tail_top_k=-1)
 
+    def test_full_head_rate_keeps_every_event(self):
+        """``head_rate=1.0`` is the identity, realized executions
+        included: an execution starts where its dispatch window starts,
+        but the window's bounds carry six decimals and the start is raw
+        (MF on Setting-I Heter-Poly, 25 rps over 3 s, seed 7, where half
+        the starts round up)."""
+        app = apps_mod.build("MF")
+        system = runtime.setting("I", "Heter-Poly")
+        tracer = SpanTracer()
+        run_simulation(
+            system, app, app.explore(system.platforms),
+            poisson_arrivals(25.0, 3_000.0, rng=np.random.default_rng(7)),
+            seed=7, tracer=tracer,
+        )
+        events = tracer.events
+        sampled = sample_events(events, SamplingPolicy(head_rate=1.0))
+        assert sampled.dropped_spans == 0
+        assert sampled.events == tuple(events)
+
     def test_sampled_run_float_identical(self, asr):
         """Sampling is post-hoc: the simulated results with and without
         a sampling pass must match to the last float."""
