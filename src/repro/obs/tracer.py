@@ -51,8 +51,8 @@ __all__ = [
 #:   per-device tracks.
 #: * ``fault.*``   — injected faults, retries, missed-heartbeat
 #:   detections, failover replans and recoveries.
-#: * ``monitor.*`` — periodic feedback-loop snapshots (queue depth,
-#:   correction factor, windowed tail latency).
+#: * ``monitor.*`` — the monitor's windows at each replan tick
+#:   (windowed tail latency, arrival rate).
 #: * ``cluster.*`` — fleet-layer decisions: per-request routing (the
 #:   power-of-two-choices pick with its sampled candidates), node
 #:   launches/terminations, and per-interval autoscaler evaluations.
@@ -82,12 +82,7 @@ EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
     "fault.heartbeat_miss": ("device", "last_beat_ms"),
     "fault.failover": ("device", "failed_ms", "detected_ms"),
     "fault.recover": ("device",),
-    "monitor.snapshot": (
-        "queue_depth",
-        "correction_factor",
-        "tail_ms",
-        "arrival_rate_rps",
-    ),
+    "monitor.snapshot": ("tail_ms", "arrival_rate_rps"),
     "cluster.route": ("req", "node", "candidates", "queue_ms", "locality"),
     "cluster.launch": ("node", "reason", "ready_ms"),
     "cluster.terminate": ("node", "reason"),

@@ -22,10 +22,10 @@ same decisions on the node's own state:
   external readers (cluster dispatcher queue depths, the load signal)
   always see fresh state.
 
-* **The node owns its state.** Each program call reads the node's EWMA
-  correction, noise-buffer cursor and request counter and writes them
-  back when it returns; it appends latencies to the monitor's window,
-  and its arrivals then extend the monitor's arrival window.  Between
+* **The node owns its state.** Each program call reads the node's
+  noise-buffer cursor and request counter and writes them back when it
+  returns; it appends latencies to the monitor's window, and its
+  arrivals then extend the monitor's arrival window.  Between
   calls the node is indistinguishable from one that ran a ``submit``
   loop, so a replan's monitor snapshot sees every earlier request and
   not the triggering one.
@@ -35,8 +35,8 @@ same decisions on the node's own state:
   the float expressions of ``LeafNode._allocate`` and
   ``AcceleratorInstance.dispatch`` in their operation order, draw
   noise from the node's buffered log-normal stream (numpy's vectorized
-  draws match scalar draws bit-for-bit), and fold the monitor's EWMA
-  correction inline with identical arithmetic.
+  draws match scalar draws bit-for-bit) and append the same latencies
+  to the monitor's window.
 
 * **Native faults.** A node with a fault injector runs the same
   programs in a fault variant, one request per call.  Per arrival the
@@ -127,10 +127,9 @@ class EventHeapEngine:
 
     ``run`` drives a whole sorted stream; ``process`` admits a single
     arrival (the cluster driver's per-route entry point).  The node
-    owns every piece of simulation state — monitor windows and
-    correction, noise cursor, request counter, trace stream — and
-    after any call it holds what a ``submit`` loop over the same
-    arrivals would leave.
+    owns every piece of simulation state — monitor windows, noise
+    cursor, request counter, trace stream — and after any call it holds
+    what a ``submit`` loop over the same arrivals would leave.
 
     A node with a fault injector runs each arrival through ``submit``'s
     admission steps and the fault variant of its plan's program, and
@@ -147,7 +146,6 @@ class EventHeapEngine:
 
         self._req_arr: List[float] = []
         self._req_comp: List[float] = []
-        self._req_pred: List[float] = []
         #: Records of a fault-injected node's requests (its requests
         #: may be retried, shed or abandoned, which the columns above
         #: cannot express).
@@ -211,7 +209,6 @@ class EventHeapEngine:
             self._process_chunk((t_ms,), (priority,))
             return
         node = self._node
-        mon = node.monitor
         last = node._last_replan_ms
         interval = REPLAN_INTERVAL_MS
         if not self._plan_ok or t_ms - last >= interval:
@@ -220,35 +217,26 @@ class EventHeapEngine:
                 raise RuntimeError("node has no plan (fast path)")
             last = node._last_replan_ms
         self._req_arr.append(t_ms)
-        (
-            _,
-            mon._correction,
-            node._noise_pos,
-            node._noise_buf,
-            _,
-        ) = self._fn(
+        _, node._noise_pos, node._noise_buf, _ = self._fn(
             (t_ms,),
             0,
             last,
             interval,
             node._batch_window_ms,
-            node._plan_makespan_ms,
-            mon._correction,
             node._noise_pos,
             node._noise_buf,
             0,
             0,
             None,
         )
-        mon._arrival_times.append(t_ms)
+        node.monitor._arrival_times.append(t_ms)
 
     def records(self) -> List[RequestRecord]:
         """Materialize the per-request records."""
         if self._faulty:
             return list(self._done)
         return [
-            RequestRecord(a, c, p)
-            for a, c, p in zip(self._req_arr, self._req_comp, self._req_pred)
+            RequestRecord(a, c) for a, c in zip(self._req_arr, self._req_comp)
         ]
 
     # -- plan compilation ------------------------------------------------------
@@ -392,14 +380,14 @@ class EventHeapEngine:
         ``submit`` loop.
 
         Returns a function
-        ``run(chunk, i, lr, iv, win, mk, corr, npos, nbuf, rq, sk, pr)``
+        ``run(chunk, i, lr, iv, win, npos, nbuf, rq, sk, pr)``
         that admits ``chunk[i:]`` until a timestamp ``t`` is due for a
         replan, ``t - lr >= iv`` for the node's last replan time ``lr``
         and interval ``iv`` (``maybe_replan``'s test: ``t >= lr + iv``
         can round differently and strand the driver on a boundary
         arrival), appends each latency to the monitor's window, and
         returns the updated cursor and carried state
-        ``(i, corr, npos, nbuf, rq)``.
+        ``(i, npos, nbuf, rq)``.
 
         On a traced node the runner also stages compact admit /
         dispatch / complete records on the node's tracer at the same
@@ -426,7 +414,6 @@ class EventHeapEngine:
         at run time, so one program serves every schedulable set.
         """
         node = self._node
-        mon = node.monitor
         traced = self._traced
         faulty = self._faulty
         consts: list = []
@@ -477,15 +464,12 @@ class EventHeapEngine:
         if faulty:
             XF = bind(node._injector.execution_fault, "XF")
         else:
-            LATA = bind(mon._latencies.append, "LATA")
+            LATA = bind(node.monitor._latencies.append, "LATA")
             RCA = bind(self._req_comp.append, "RCA")
-            RPA = bind(self._req_pred.append, "RPA")
         LN = bind(node._rng.lognormal, "LN")
         TB = bind(node.tracer._raw.append, "TB") if traced else ""
         sigma = repr(NOISE_SIGMA)
         maxb = repr(int(MAX_GPU_BATCH))
-        alpha = repr(mon.ewma_alpha)
-        clo, chi = map(repr, mon.correction_bounds)
 
         out: List[str] = []
         emit = out.append
@@ -643,8 +627,8 @@ class EventHeapEngine:
             emit("        nlen = len(nbuf)")
         else:
             emit(
-                "    def _run(chunk, i, lr, iv, win, mk, corr, npos, nbuf,"
-                f" rq, sk, pr, {params}):"
+                "    def _run(chunk, i, lr, iv, win, npos, nbuf, rq, sk, pr,"
+                f" {params}):"
             )
             emit("        n = len(chunk)")
             emit("        nlen = len(nbuf)")
@@ -786,14 +770,6 @@ class EventHeapEngine:
                 emit(f"{pad}{TB}((3, comp, rq, lat))")
             emit(f"{pad}{LATA}(lat)")
             emit(f"{pad}{RCA}(comp)")
-            emit(f"{pad}{RPA}(mk)")
-            emit(f"{pad}if mk > 0.0:")
-            emit(f"{pad}    r = lat / mk")
-            emit(f"{pad}    if r < {clo}:")
-            emit(f"{pad}        r = {clo}")
-            emit(f"{pad}    elif r > {chi}:")
-            emit(f"{pad}        r = {chi}")
-            emit(f"{pad}    corr += {alpha} * (r - corr)")
 
         for di, dn in enumerate(dev_name):
             emit(f"        {dn}.horizon_ms = h{di}")
@@ -802,7 +778,7 @@ class EventHeapEngine:
         if faulty:
             emit("        return npos, nbuf, comp, hand")
         else:
-            emit("        return i, corr, npos, nbuf, rq")
+            emit("        return i, npos, nbuf, rq")
         emit("    return _run")
 
         src = "\n".join(out) + "\n"
@@ -832,14 +808,13 @@ class EventHeapEngine:
 
         The program is float-expression-identical to
         ``LeafNode._allocate`` and ``AcceleratorInstance.dispatch`` per
-        kernel, with the monitor's completion bookkeeping inlined (EWMA
-        correction folded sequentially; queue depth nets to zero per
-        request).  Each call runs to the next replan boundary and its
-        arrivals then extend the monitor's arrival window, so a
-        replan's snapshot sees every earlier request and not the
-        triggering one.  On a traced node the admit of a
-        replan-triggering request is staged before ``_sync_plan``, as
-        ``submit`` emits it (``sk=1`` tells the program to skip it).
+        kernel, with the monitor's completion bookkeeping inlined (each
+        latency appended to its window).  Each call runs to the next
+        replan boundary and its arrivals then extend the monitor's
+        arrival window, so a replan's snapshot sees every earlier
+        request and not the triggering one.  On a traced node the admit
+        of a replan-triggering request is staged before ``_sync_plan``,
+        as ``submit`` emits it (``sk=1`` tells the program to skip it).
         ``prios`` only matters for traced runs (admit events carry the
         priority); the simulated floats of a node without a fault
         injector never depend on it.
@@ -865,20 +840,12 @@ class EventHeapEngine:
                 if not self._plan_ok:
                     raise RuntimeError("node has no plan (fast path)")
             prev = i
-            (
-                i,
-                mon._correction,
-                node._noise_pos,
-                node._noise_buf,
-                node._req_seq,
-            ) = self._fn(
+            i, node._noise_pos, node._noise_buf, node._req_seq = self._fn(
                 chunk,
                 i,
                 node._last_replan_ms,
                 interval,
                 node._batch_window_ms,
-                node._plan_makespan_ms,
-                mon._correction,
                 node._noise_pos,
                 node._noise_buf,
                 node._req_seq,

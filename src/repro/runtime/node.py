@@ -18,8 +18,8 @@ hinges on:
   the part's reconfiguration latency (Section VI-C's "reconfiguring
   FPGA with a low-power kernel").
 * **Execution noise** — realized latencies deviate from the analytical
-  prediction by a few percent (the paper reports <6% model error), so
-  the monitor's feedback correction has something to correct.
+  prediction by a few percent (the paper reports <6% model error).  No
+  plan corrects for it: the paper's self-correction is not modelled.
 * **Device health** — every instance carries a
   :class:`~repro.faults.policy.DeviceHealth` state; with a
   :class:`~repro.faults.injector.FaultInjector` attached, executions
@@ -320,7 +320,6 @@ class RequestRecord:
 
     arrival_ms: float
     completion_ms: float
-    predicted_ms: float
     #: Lost executions retried on this request's behalf (chaos runs).
     retries: int = 0
     #: Shed at admission by graceful degradation (never executed).
@@ -356,7 +355,7 @@ class LeafNode:
 
     Holds the accelerator instances, the scheduling policy (Poly or
     static), the current kernel-to-implementation plan, and the system
-    monitor driving the feedback loop.
+    monitor (load and latency windows, device heartbeats).
     """
 
     def __init__(
@@ -867,7 +866,6 @@ class LeafNode:
             priority, arrival_ms
         ):
             return None
-        self.monitor.record_drop()
         self._injector.report.shed += 1
         if tr.enabled:
             tr.emit(
@@ -876,9 +874,7 @@ class LeafNode:
                 t_ms=arrival_ms,
                 req=self._current_req,
             )
-        return RequestRecord(
-            arrival_ms, arrival_ms, self._plan_makespan_ms, dropped=True
-        )
+        return RequestRecord(arrival_ms, arrival_ms, dropped=True)
 
     def _run_resilient(
         self,
@@ -909,13 +905,9 @@ class LeafNode:
             self._injector.report.failed_requests += 1
             completion = max(abandoned.when_ms, arrival_ms)
             record = RequestRecord(
-                arrival_ms,
-                completion,
-                self._plan_makespan_ms,
-                retries=retries,
-                failed=True,
+                arrival_ms, completion, retries=retries, failed=True
             )
-            self.monitor.record_completion(record.latency_ms, None)
+            self.monitor.record_completion(record.latency_ms)
             if self.tracer.enabled:
                 self.tracer.emit(
                     "request.abandon",
@@ -934,11 +926,8 @@ class LeafNode:
         self, arrival_ms: float, completion_ms: float, retries: int
     ) -> RequestRecord:
         """Completion bookkeeping of a served request."""
-        predicted = self._plan_makespan_ms
-        record = RequestRecord(
-            arrival_ms, completion_ms, predicted, retries=retries
-        )
-        self.monitor.record_completion(record.latency_ms, predicted or None)
+        record = RequestRecord(arrival_ms, completion_ms, retries=retries)
+        self.monitor.record_completion(record.latency_ms)
         if self.tracer.enabled:
             self.tracer.emit(
                 "request.complete",

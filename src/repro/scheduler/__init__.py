@@ -1,5 +1,5 @@
 """Runtime kernel scheduler (Section V): priority lists, the two
-optimization steps, the monitor/feedback loop and the static baselines."""
+optimization steps, the system monitor and the static baselines."""
 
 from .energy_opt import EnergyOptimizer, EnergyStep
 from .kernel_graph import KernelGraph

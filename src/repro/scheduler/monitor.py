@@ -1,52 +1,39 @@
-"""System monitor and model self-correction (Fig. 2's feedback loop).
+"""System monitor: observed load, latency and device heartbeats.
 
-The monitor tracks the fluctuating load (arrivals and requests in
-flight) and observed end-to-end latencies; traces sample them as
+The monitor is Fig. 2's system monitor.  It keeps sliding windows of
+arrival times and observed end-to-end latencies; traces sample them as
 ``monitor.snapshot`` events, and the failover planner reads the arrival
-rate.  Its products are:
+rate.  Its other product is per-device **heartbeats**: live
+accelerators beat into the monitor on every submission, and
+:meth:`SystemMonitor.missed_heartbeats` surfaces the devices whose beat
+has lapsed — the failure-detection signal the fault-injection
+subsystem's failover planner polls.
 
-* a per-application **correction factor**: the EWMA ratio of observed
-  to predicted latency.  The paper reports <6% model error and states
-  that Poly "tolerates the wrong prediction by making self-correction
-  through the feedback loop"; multiplying predictions by this factor is
-  that correction;
-* per-device **heartbeats**: live accelerators beat into the monitor on
-  every submission, and :meth:`SystemMonitor.missed_heartbeats` surfaces
-  the devices whose beat has lapsed — the failure-detection signal the
-  fault-injection subsystem's failover planner polls.
+In the paper the monitor also feeds latency back so that the scheduler
+corrects its predictions (Sec. V).  That self-correction is not
+modelled: no plan here reads an observed latency (DESIGN §8).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 import math
 
-__all__ = ["SystemMonitor"]
+__all__ = ["SystemMonitor", "WINDOW"]
+
+#: Entries each sliding window keeps: the latest completions and the
+#: latest arrivals.
+WINDOW = 256
 
 
 class SystemMonitor:
-    """Sliding-window monitor of load, latency and prediction error."""
+    """Sliding-window monitor of load, latency and device heartbeats."""
 
-    def __init__(
-        self,
-        window: int = 256,
-        ewma_alpha: float = 0.2,
-        correction_bounds: Tuple[float, float] = (0.5, 2.0),
-    ) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        self.window = window
-        self.ewma_alpha = ewma_alpha
-        self.correction_bounds = correction_bounds
-
-        self._latencies: Deque[float] = deque(maxlen=window)
-        self._arrival_times: Deque[float] = deque(maxlen=window)
-        self._queue_depth = 0
-        self._correction = 1.0
+    def __init__(self) -> None:
+        self._latencies: Deque[float] = deque(maxlen=WINDOW)
+        self._arrival_times: Deque[float] = deque(maxlen=WINDOW)
         self._heartbeats: Dict[str, float] = {}
 
     # -- event feed (called by the simulator/runtime) ------------------------
@@ -54,30 +41,14 @@ class SystemMonitor:
     def record_arrival(self, now_ms: float) -> None:
         """A request entered the system."""
         self._arrival_times.append(now_ms)
-        self._queue_depth += 1
 
-    def record_completion(
-        self,
-        latency_ms: float,
-        predicted_ms: Optional[float] = None,
-    ) -> None:
-        """A request finished; optionally feed the prediction it was
-        scheduled with to update the correction factor."""
+    def record_completion(self, latency_ms: float) -> None:
+        """A request finished (served or abandoned) after ``latency_ms``.
+        A request shed at admission records no completion, so shedding
+        does not poison the tail-latency window."""
         if latency_ms < 0:
             raise ValueError("latency must be non-negative")
         self._latencies.append(latency_ms)
-        self._queue_depth = max(self._queue_depth - 1, 0)
-        if predicted_ms is not None and predicted_ms > 0:
-            ratio = latency_ms / predicted_ms
-            lo, hi = self.correction_bounds
-            ratio = min(max(ratio, lo), hi)
-            self._correction += self.ewma_alpha * (ratio - self._correction)
-
-    def record_drop(self) -> None:
-        """A request was shed at admission: it leaves the queue without
-        contributing a latency sample (load shedding must not poison
-        the tail-latency window or the correction factor)."""
-        self._queue_depth = max(self._queue_depth - 1, 0)
 
     def record_heartbeat(self, device_id: str, now_ms: float) -> None:
         """A device reported itself alive (monotone per device)."""
@@ -100,21 +71,7 @@ class SystemMonitor:
             if now_ms - last >= timeout_ms
         )
 
-    # -- the optimizer's view -------------------------------------------------
-
-    @property
-    def queue_depth(self) -> int:
-        """Requests currently in flight — the immediate load signal."""
-        return self._queue_depth
-
-    @property
-    def correction_factor(self) -> float:
-        """Multiplier applied to model predictions (self-correction)."""
-        return self._correction
-
-    def corrected(self, predicted_ms: float) -> float:
-        """Apply the feedback correction to a model prediction."""
-        return predicted_ms * self._correction
+    # -- readings -------------------------------------------------------------
 
     def arrival_rate_rps(self, now_ms: float, horizon_ms: float = 1000.0) -> float:
         """Observed arrival rate over the trailing horizon."""
@@ -135,19 +92,16 @@ class SystemMonitor:
         return ordered[rank]
 
     def snapshot(self, now_ms: float) -> Dict[str, float]:
-        """One observability sample of the feedback-loop state.
+        """One observability sample of the monitor's windows.
 
-        The fields are the monitor's state at a replan tick (queue
-        depth, correction factor, windowed tail, arrival rate), so a
-        trace's ``monitor.snapshot`` events show how they evolved; no
-        planner reads them.  All values derive from the sim clock and
-        recorded events — nothing wall-clock — keeping traces
+        The fields are the windowed tail latency and the arrival rate at
+        a replan tick, so a trace's ``monitor.snapshot`` events show how
+        they evolved; no planner reads them.  Both derive from the sim
+        clock and recorded events — nothing wall-clock — keeping traces
         deterministic.
         """
         tail = self.tail_latency_ms()
         return {
-            "queue_depth": self._queue_depth,
-            "correction_factor": round(self._correction, 6),
             "tail_ms": round(tail, 6) if tail is not None else 0.0,
             "arrival_rate_rps": round(self.arrival_rate_rps(now_ms), 6),
         }

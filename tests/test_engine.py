@@ -66,7 +66,7 @@ def wt():
 
 def request_sig(result):
     return [
-        (r.arrival_ms, r.completion_ms, r.predicted_ms, r.served)
+        (r.arrival_ms, r.completion_ms, r.served)
         for r in result.requests
     ]
 
@@ -75,7 +75,6 @@ def node_sig(result):
     node = result.node
     mon = node.monitor
     return (
-        mon._correction,
         list(mon._latencies),
         list(mon._arrival_times),
         [

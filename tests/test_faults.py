@@ -24,6 +24,7 @@ from conftest import synthetic_space
 from repro.hardware import AMD_W9100, XILINX_7V3
 from repro.hardware.specs import DeviceType
 from repro.scheduler import DeviceSlot
+from repro.scheduler.monitor import WINDOW
 
 
 @pytest.fixture(scope="module")
@@ -445,6 +446,28 @@ class TestGracefulDegradation:
         assert result.faults.shed == 0  # priority defaults to 1.0
         assert not any(r.dropped for r in result.requests)
 
+    def test_shed_requests_record_no_latency(self, heter_setup):
+        """Shedding does not poison the monitor's tail window: it holds
+        the latencies of the latest served and abandoned requests, and
+        of no shed one."""
+        app, system, spaces = heter_setup
+        blackout = FaultSchedule(
+            tuple(
+                FaultEvent(1_000.0, FaultKind.DEVICE_CRASH, f"fpga{i}")
+                for i in range(5)
+            )
+        )
+        arrivals = _arrivals(80.0, 4_000.0, seed=5)
+        priorities = list(np.random.default_rng(9).uniform(size=len(arrivals)))
+        result = runtime.run_simulation(
+            system, app, spaces, arrivals,
+            faults=blackout, priorities=priorities,
+        )
+        requests = result.requests
+        window = [r.latency_ms for r in requests if not r.dropped][-WINDOW:]
+        assert any(r.dropped for r in requests[-len(window):])
+        assert list(result.node.monitor._latencies) == window
+
 
 class TestResilienceMetrics:
     def test_availability(self):
@@ -488,7 +511,7 @@ class TestSimulationEdgeCases:
             system="x",
             app="y",
             duration_ms=100.0,
-            requests=[RequestRecord(0.0, 50.0, 40.0)],
+            requests=[RequestRecord(0.0, 50.0)],
             power_bins_w=np.array([100.0]),
             bin_ms=100.0,
             warmup_ms=warmup_ms,
@@ -514,9 +537,9 @@ class TestSimulationEdgeCases:
             app="y",
             duration_ms=100.0,
             requests=[
-                RequestRecord(0.0, 50.0, 40.0),
-                RequestRecord(1.0, 1.0, 40.0, dropped=True),
-                RequestRecord(2.0, 90.0, 40.0, failed=True),
+                RequestRecord(0.0, 50.0),
+                RequestRecord(1.0, 1.0, dropped=True),
+                RequestRecord(2.0, 90.0, failed=True),
             ],
             power_bins_w=np.array([100.0]),
             bin_ms=100.0,

@@ -141,10 +141,11 @@ class TestLeafNodeMechanics:
     def test_monitor_sees_traffic(self, asr_setup):
         app, systems, spaces = asr_setup
         node = LeafNode(systems["Heter-Poly"], app, spaces["Heter-Poly"], seed=1)
-        for t in runtime.poisson_arrivals(20.0, 3000.0):
+        arrivals = runtime.poisson_arrivals(20.0, 3000.0)
+        for t in arrivals:
             node.submit(t)
         assert node.monitor.tail_latency_ms() is not None
-        assert 0.5 <= node.monitor.correction_factor <= 2.0
+        assert node.monitor.arrival_rate_rps(arrivals[-1]) > 0
 
     def test_capacity_estimate_positive(self, asr_setup):
         app, systems, spaces = asr_setup

@@ -611,8 +611,8 @@ class TestEngineProperties:
             mon = node.monitor
             runs.append((
                 [
-                    (r.arrival_ms, r.completion_ms, r.predicted_ms,
-                     r.retries, r.dropped, r.failed)
+                    (r.arrival_ms, r.completion_ms, r.retries, r.dropped,
+                     r.failed)
                     for r in result.requests
                 ],
                 [
@@ -622,8 +622,7 @@ class TestEngineProperties:
                     for r in dev.records
                 ],
                 result.power_bins_w.tolist(),
-                (mon._correction, list(mon._latencies),
-                 list(mon._arrival_times), mon._queue_depth),
+                (list(mon._latencies), list(mon._arrival_times)),
                 None if result.faults is None
                 else repr(resilience_sig(result.faults)),
                 [e.to_dict() for e in tracer.events],
