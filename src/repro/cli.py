@@ -47,16 +47,21 @@ Commands
     diagnostic fires.
 
 ``cluster [--app ASR] [--system NAME ...] [--hours 24] [--compress 200]
-        [--min-nodes 1] [--max-nodes 8] [--timeline] [--json]``
+        [--min-nodes 1] [--max-nodes 8] [--trace-out DIR ...] [--timeline]
+        [--json]``
     Fleet replay: simulate a cluster of leaf nodes behind the
     power-of-two-choices dispatcher and the elastic autoscaler over a
     synthesized diurnal utilization trace, and report fleet tail
     latency, QoS-interval fraction, the scaling timeline, scale-up/down
     lag, fleet power and monthly TCO / cost efficiency.  Repeat
     ``--system`` to rotate launches through heterogeneous node
-    templates.  Autoscaler flags the fleet cannot converge under exit 1
-    before any DSE runs; RT007 and OBS002 warnings print before the
-    replay, and a replay stream with no arrival exits 2.
+    templates.  ``--trace-out`` traces the replay and writes
+    ``events.jsonl`` and a Perfetto trace there (``--trace-nodes`` adds
+    every node's spans, ``--sample-rate`` samples the Perfetto trace);
+    a tracing flag without it is refused.  Autoscaler flags the fleet
+    cannot converge under exit 1 before any DSE runs; RT007 and OBS002
+    warnings print before the replay, and a replay stream with no
+    arrival exits 2.
 """
 
 from __future__ import annotations
@@ -323,22 +328,23 @@ def _fault_schedule(args, system):
     )
 
 
-def _refuse_idle_flags(args) -> None:
-    """Refuse a flag the run would ignore: each needs the one after it."""
-    for flag, value, needed, present in (
+def _refuse_idle_flags(pairs) -> None:
+    """Refuse a flag the run would ignore: each ``(flag, value, needed,
+    present)`` names a flag and the one it needs; ``None`` is unset."""
+    for flag, value, needed, present in pairs:
+        if value is not None and present is None:
+            raise _Refusal(f"{flag} has no effect without {needed}")
+
+
+def _cmd_simulate(args) -> int:
+    _refuse_idle_flags((
         ("--mttr-ms", args.mttr_ms, "--mtbf-ms", args.mtbf_ms),
         ("--window-ms", args.window_ms, "--report", args.report),
         ("--sample-seed", args.sample_seed, "--sample-rate", args.sample_rate),
         ("--report", args.report, "--out-dir", args.out_dir),
         ("--sample-rate", args.sample_rate, "--out-dir", args.out_dir),
         ("--sample-top-k", args.sample_top_k, "--out-dir", args.out_dir),
-    ):
-        if value is not None and present is None:
-            raise _Refusal(f"{flag} has no effect without {needed}")
-
-
-def _cmd_simulate(args) -> int:
-    _refuse_idle_flags(args)
+    ))
     system = runtime.setting(args.setting, args.system)
     faults = _fault_schedule(args, system)
     arrivals = runtime.poisson_arrivals(
@@ -501,6 +507,12 @@ def _cmd_cluster(args) -> int:
     from .cluster import AutoscalerConfig, ClusterSimulation
     from .runtime.trace import synthesize_google_trace
 
+    _refuse_idle_flags((
+        ("--trace-nodes", args.trace_nodes or None, "--trace-out",
+         args.trace_out),
+        ("--sample-seed", args.sample_seed, "--sample-rate", args.sample_rate),
+        ("--sample-rate", args.sample_rate, "--trace-out", args.trace_out),
+    ))
     name = args.app
     try:
         config = AutoscalerConfig(
@@ -516,7 +528,9 @@ def _cmd_cluster(args) -> int:
         print(exc, file=sys.stderr)
         return 1
 
-    trace_dir = _artifact_dir(args.trace_out, "--trace-out") if args.trace else None
+    trace_dir = None
+    if args.trace_out is not None:
+        trace_dir = _artifact_dir(args.trace_out, "--trace-out")
     systems = args.system or ["Heter-Poly"]
     templates = [runtime.setting(args.setting, s) for s in systems]
     app = apps_mod.build(name)
@@ -528,12 +542,12 @@ def _cmd_cluster(args) -> int:
         hours=args.hours, interval_s=args.interval_s, seed=args.trace_seed
     )
     tracer = sampler = None
-    if args.trace:
+    if trace_dir is not None:
         tracer = obs.SpanTracer()
-        if args.sample_rate < 1.0:
+        if args.sample_rate is not None and args.sample_rate < 1.0:
             sampler = obs.SamplingPolicy(
                 head_rate=args.sample_rate,
-                seed=args.sample_seed,
+                seed=args.sample_seed or 0,
                 tail_qos_ms=app.qos_ms,
             )
     sim = ClusterSimulation(
@@ -874,34 +888,28 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeline", action="store_true", help="print every scaling event"
     )
     p.add_argument(
-        "--trace",
-        action="store_true",
-        help="record the fleet event stream (cluster.* + autoscaler) and "
-        "export JSONL/Perfetto artifacts",
+        "--trace-out",
+        metavar="DIR",
+        help="trace the replay (cluster.* and autoscaler events) and "
+        "write events.jsonl and a Perfetto trace to DIR (created if "
+        "missing)",
     )
     p.add_argument(
         "--trace-nodes",
         action="store_true",
-        help="with --trace: propagate the tracer into every leaf node "
+        help="with --trace-out: propagate the tracer into every leaf node "
         "(full per-request span trees; pair with --sample-rate)",
     )
     p.add_argument(
         "--sample-rate",
         type=_probability,
-        default=1.0,
-        help="with --trace: head-sampling keep probability for the "
-        "Perfetto artifact (QoS violators always kept)",
+        help="with --trace-out: head-sampling keep probability for the "
+        "Perfetto trace (QoS violators always kept)",
     )
     p.add_argument(
         "--sample-seed",
         type=_non_negative_int,
-        default=0,
-        help="sampling-key seed",
-    )
-    p.add_argument(
-        "--trace-out",
-        default="cluster_obs",
-        help="artifact directory for --trace (created if missing)",
+        help="with --sample-rate: sampling-key seed (default 0)",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(fn=_cmd_cluster)

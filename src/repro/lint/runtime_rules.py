@@ -272,6 +272,6 @@ def check_cluster_sampled(
         ),
         hint=(
             "pass sampler=SamplingPolicy(head_rate=..., tail_qos_ms=...) "
-            "to ClusterSimulation (repro cluster --trace does this)"
+            "to ClusterSimulation (repro cluster --sample-rate does this)"
         ),
     )

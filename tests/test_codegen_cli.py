@@ -165,6 +165,22 @@ class TestCLI:
         assert code == 1 and captured.out == ""
         assert "RT004" in captured.err
 
+    def test_cluster_traces_on_trace_out(self, tmp_path, capsys):
+        """``--trace-out`` alone traces the fleet replay: it writes the
+        event stream and the Perfetto trace there, names each on
+        stderr, and leaves the ``--json`` stdout as it is untraced."""
+        argv = ["cluster", "--hours", "1", "--json"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        out = tmp_path / "trace"
+        assert main([*argv, "--trace-out", str(out)]) == 0
+        traced = capsys.readouterr()
+        assert traced.out == plain
+        names = ["events.jsonl", "trace.perfetto.json"]
+        assert sorted(path.name for path in out.iterdir()) == names
+        assert [line.split()[-1] for line in traced.err.splitlines()
+                if "wrote" in line] == [str(out / name) for name in names]
+
     def test_figure_unknown_name(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["figure", "fig99"])
@@ -217,6 +233,13 @@ def _sim(old_id, *argv, flag):
     return pytest.param(["simulate", *argv], flag, id=old_id)
 
 
+def _cluster(old_id, *argv, flag):
+    """A refused ``repro cluster`` case, under the id it was recorded
+    with while ``--trace`` switched tracing on and ``--trace-out`` only
+    named the directory."""
+    return pytest.param(["cluster", *argv], flag, id=old_id)
+
+
 class TestBadFlagValues:
     """A bad flag value, or a flag that would have no effect, is refused
     before any DSE runs: exit 2 and one stderr line naming the flag."""
@@ -252,7 +275,9 @@ class TestBadFlagValues:
             _sim("obs asr --sample-top-k -1---sample-top-k", "asr",
                  "--out-dir", OUT, "--sample-top-k", "-1",
                  flag="--sample-top-k"),
-            (["cluster", "--trace", "--sample-rate", "2"], "--sample-rate"),
+            _cluster("cluster --trace --sample-rate 2---sample-rate",
+                     "--trace-out", OUT, "--sample-rate", "2",
+                     flag="--sample-rate"),
             _sim("simulate asr 0.01 --ms 1000---ms", "asr", "--rps", "0.01",
                  "--ms", "1000", flag="--ms"),
             _sim("faults --rps 0.01 --ms 1000 --crash fpga0@100---rps",
@@ -270,8 +295,9 @@ class TestBadFlagValues:
             (["cluster", "--app", "nope"], "'NOPE'"),
             (["cluster", "--seed", "-1"], "--seed"),
             (["cluster", "--trace-seed", "-1"], "--trace-seed"),
-            (["cluster", "--trace", "--sample-rate", "0.5",
-              "--sample-seed", "-1"], "--sample-seed"),
+            _cluster("cluster --trace --sample-rate 0.5 --sample-seed "
+                     "-1---sample-seed", "--trace-out", OUT, "--sample-rate",
+                     "0.5", "--sample-seed", "-1", flag="--sample-seed"),
             _sim("obs asr --sample-rate 0.5 --sample-seed -1---sample-seed",
                  "asr", "--out-dir", OUT, "--sample-rate", "0.5",
                  "--sample-seed", "-1", flag="--sample-seed"),
@@ -295,9 +321,15 @@ class TestBadFlagValues:
             (["simulate", "asr", "--summary", "--json"], "--summary"),
             (["simulate", "asr", "--mtbf-ms", "1000", "--crash", "fpga0@100"],
              "--mtbf-ms"),
+            (["cluster", "--trace-nodes"], "--trace-nodes"),
+            (["cluster", "--sample-rate", "0.5"], "--sample-rate"),
+            (["cluster", "--sample-seed", "3"], "--sample-seed"),
+            (["cluster", "--trace-out", OUT, "--sample-seed", "3"],
+             "--sample-seed"),
             # An artifact directory that cannot be created.
             (["simulate", "asr", "--out-dir", FILE], "--out-dir"),
-            (["cluster", "--trace", "--trace-out", FILE], "--trace-out"),
+            _cluster("cluster --trace --trace-out {file}---trace-out",
+                     "--trace-out", FILE, flag="--trace-out"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
