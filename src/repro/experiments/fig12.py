@@ -2,10 +2,11 @@
 
 Replays the (synthetic) 24-hour utilization trace against the three
 Setting-I systems running ASR and reports the per-interval node power,
-total energy, QoS-violation ratios and the model-prediction error the
-monitor observed.  Shapes to reproduce: Homo-GPU draws the most power
-in almost every interval, Heter-Poly the least; Heter-Poly's p99 stays
-under 200 ms; model error stays within a few percent (paper: <6%).
+total energy and QoS-violation ratios.  Shapes to reproduce: Homo-GPU
+draws the most power in almost every interval, Heter-Poly the least;
+Heter-Poly's p99 stays under 200 ms.  The paper's <6% model error is
+the simulator's injected execution noise (4% log-normal), not a
+measured output.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ idle and activity-proportional dynamic components, scaled by DVFS.
 The model is used twice in this reproduction: (1) as the navigator of
 the offline DSE, exactly as in the paper, and (2) as the *ground truth*
 of the discrete-event simulator — with multiplicative noise injected by
-the caller to exercise Poly's feedback loop (the paper reports <6%
+the caller, as real executions deviate from it (the paper reports <6%
 prediction error, Section VI-C).  Both read the one vectorized
 implementation, :meth:`GPUModel.estimate_batch`: the DSE at batch 1
 over a kernel's knob space, the simulator over one design point's
