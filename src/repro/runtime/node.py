@@ -1173,8 +1173,9 @@ class LeafNode:
         return out
 
     def capacity_estimate_rps(self) -> float:
-        """Crude sustained-throughput estimate of the current plan,
-        used by the monitor's load normalization."""
+        """Crude sustained-throughput estimate of the current plan: the
+        failover planner's shedding threshold and the fleet's per-node
+        capacity."""
         if not self._plan:
             return 1.0
         busy: Dict[str, float] = {}

@@ -46,6 +46,25 @@ while Step 1, Step-2 retiming and the static baseline still had a
 list-scheduling loop each; ``cli_digests.json`` was recorded while
 ``repro simulate``, ``repro faults`` and ``repro obs`` were three
 commands, and the one command reproduces it with the flags mapped.
+
+Keys re-recorded since, each set in a commit of its own:
+
+* ``28b4e52``: the ``requests`` and ``monitor`` keys of
+  ``sim_digests.json`` and the six fleet signatures of
+  ``fleet_digests.json``, from unchanged simulator output, when the
+  digests stopped reading the request prediction, the monitor's
+  correction factor and its queue depth, ahead of their deletion;
+* ``b4bf9cb``: ``metrics.json``, ``metrics.prom`` and
+  ``trace.sampled.perfetto.json`` of the four sampled ``CLI_CASES``,
+  when sampling at head rate 1.0 began keeping every realized
+  execution;
+* ``0f6bfe5``: the traced streams only (the ``jsonl`` keys of
+  ``sim_digests.json``, the two traced fleet streams and the
+  ``events.jsonl`` and Perfetto artifacts of ``cli_digests.json``),
+  when ``monitor.snapshot`` lost its ``queue_depth`` and
+  ``correction_factor`` fields; every stream equals its predecessor
+  with those two fields removed.
+
 Regenerate the files only for a change that is meant to move simulated
 outputs, lint verdicts, model outputs, design spaces, schedules or
 command outputs::
